@@ -18,11 +18,9 @@ from .spaces import (
     distance_matrix,
     euclidean,
     geodesic_point,
-    geodesic_points,
 )
 from .measures import DiscreteMeasure, dirac, make_measure, measures_equal, p_moment
 from .paths import (
-    DyadicGrid,
     PiecewiseGeodesicPath,
     constant_path,
     dyadic_times,

@@ -19,7 +19,7 @@ from .errors import (
     NoContinuousLiftError,
     ValidationError,
 )
-from .paths import PiecewiseGeodesicPath, dyadic_times, geodesic_segment
+from .paths import PiecewiseGeodesicPath, geodesic_segment
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -144,17 +144,22 @@ def _builtin_path(name):
 
 
 def cmd_norms(args):
-    if args.norm in ("besov", "frac_sobolev") and args.alpha * args.p <= 1:
+    entry = lifts._FUNCTIONALS[args.norm]
+    if "alpha" in entry.params and args.alpha * args.p <= 1:
         raise ValidationError("alpha * p > 1 required for the fractional norms")
 
     if args.family:
         spec = _family_spec(args.family, _parse_params(args.param), args)
         curve = families.make_curve(spec)
-        espec = _energy_spec(args)
-        value = lifts.curve_norm_power(curve, espec, M=args.truncation)
+        if entry.curve is None:
+            raise ValidationError(f"norm {args.norm!r} not available for curves")
+        params = {name: getattr(args, name) for name in entry.params + ("p",)}
+        value = lifts.curve_norm_power(
+            curve, lifts.EnergySpec(args.norm, params), M=args.truncation
+        )
         report = serialize.norm_report(
             args.norm + " (curve, p-th power, OT-backed)",
-            espec.params,
+            params,
             value,
             truncation_level=args.truncation,
         )
@@ -168,47 +173,21 @@ def cmd_norms(args):
     else:
         path = _builtin_path(args.builtin)
 
+    params = {"p": args.p, "alpha": args.alpha, "gamma": args.gamma, "q": args.q,
+              "delta": args.delta}
+    value = entry.path(path, params, args.truncation)
     tail = None
     if args.norm == "besov":
-        value = norms.besov_energy_pg(path, args.alpha, args.p)
-        trunc, tail = norms.besov_norm_truncated(path, args.alpha, args.p, args.truncation)
-    elif args.norm == "frac_sobolev":
-        value = norms.frac_sobolev_energy(path, args.alpha, args.p)
-    elif args.norm == "w1p":
-        value = norms.w1p_norm_pg(path, args.p) ** args.p
-    elif args.norm == "holder":
-        value = norms.holder_norm_dyadic(path, args.gamma, args.truncation)
-    elif args.norm == "variation":
-        value = norms.p_variation(path, args.q, mode="vertex")
-    elif args.norm == "modulus":
-        value = norms.modulus_of_continuity(path, args.delta, args.truncation)
-    else:
-        raise ValidationError(f"unknown norm {args.norm!r}")
-    power = args.norm in ("besov", "frac_sobolev", "w1p")
+        tail = norms.besov_norm_truncated(path, args.alpha, args.p, args.truncation)[1]
     report = serialize.norm_report(
-        args.norm + (" (p-th power)" if power else ""),
-        {"p": args.p, "alpha": args.alpha, "gamma": args.gamma, "q": args.q,
-         "delta": args.delta},
+        args.norm + (" (p-th power)" if entry.power else ""),
+        params,
         value,
         truncation_level=args.truncation,
         tail_estimate=tail,
     )
     serialize.dump_json(report, args.out)
     return EXIT_OK
-
-
-def _energy_spec(args):
-    if args.norm == "besov":
-        return lifts.EnergySpec.besov(args.alpha, args.p)
-    if args.norm == "holder":
-        return lifts.EnergySpec.holder(args.gamma, args.p)
-    if args.norm == "variation":
-        return lifts.EnergySpec.variation(args.q, args.p)
-    if args.norm == "modulus":
-        return lifts.EnergySpec.modulus(args.delta, args.p)
-    if args.norm == "w1p":
-        return lifts.EnergySpec.w1p(args.p)
-    raise ValidationError(f"norm {args.norm!r} not available for curves")
 
 
 def cmd_bb(args):

@@ -1,10 +1,13 @@
 """Dyadic lift constructions (A and B), lift energies, curve-level Besov
 norms with OT-backed distances, verification reports, and the dynamic
-(Benamou-Brenier style) identity check."""
+(Benamou-Brenier style) identity check.
+
+Lift energies, curve norms and the CLI all dispatch on a functional's tag
+through one registry, `_FUNCTIONALS`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,30 +105,73 @@ class EnergySpec:
         return EnergySpec("modulus", {"delta": delta, "p": p}, base_point)
 
 
-def _path_energy(path: PiecewiseGeodesicPath, spec: EnergySpec, M=None) -> float:
-    p = spec.p
-    if spec.tag == "besov":
-        return norms.besov_energy_pg(path, spec.params["alpha"], p)
-    if spec.tag == "frac_sobolev":
-        return norms.frac_sobolev_energy(path, spec.params["alpha"], p)
-    if spec.tag == "w1p":
-        return norms.w1p_norm_pg(path, p) ** p
-    grid = M if M is not None else max(path.level + 2, 6)
-    if spec.tag == "holder":
-        return norms.holder_norm_dyadic(path, spec.params["gamma"], grid) ** p
-    if spec.tag == "variation":
-        return norms.p_variation(path, spec.params["q"], mode="vertex") ** p
-    if spec.tag == "modulus":
-        return norms.modulus_of_continuity(path, spec.params["delta"], grid) ** p
-    raise ValidationError(f"unknown energy tag {spec.tag!r}")
+@dataclass(frozen=True)
+class _Functional:
+    """A registry entry: the parameter names besides p; the value on a
+    piecewise-geodesic path, as path(x, params, grid level M); the value on a
+    curve of measures, as curve(c, params, M, dist), or None when there is no
+    curve version; and whether those values are already p-th powers (else
+    they are the norm itself)."""
+
+    params: tuple
+    path: object
+    curve: object
+    power: bool
+
+
+def _holder(x, q, M, dist=None):
+    return norms.holder_norm_dyadic(x, q["gamma"], M, dist=dist)
+
+
+def _modulus(x, q, M, dist=None):
+    return norms.modulus_of_continuity(x, q["delta"], M, dist=dist)
+
+
+def _curve_w1p(c, q, M, dist):
+    """Speed^p integrated over the level-M grid: 2^{M(p-1)} S_M."""
+    return 2.0 ** (M * (q["p"] - 1.0)) * norms._level_power_sum(c, M, q["p"], dist)
+
+
+# lift energies, curve norms and the CLI dispatch on a functional's tag here
+_FUNCTIONALS = {
+    "besov": _Functional(
+        ("alpha",),
+        lambda x, q, M: norms.besov_energy_pg(x, q["alpha"], q["p"]),
+        lambda c, q, M, dist: curve_besov_norm(c, q["alpha"], q["p"], M).value,
+        True,
+    ),
+    "frac_sobolev": _Functional(
+        ("alpha",),
+        lambda x, q, M: norms.frac_sobolev_energy(x, q["alpha"], q["p"]),
+        None,
+        True,
+    ),
+    "w1p": _Functional(
+        (), lambda x, q, M: norms.w1p_norm_pg(x, q["p"]) ** q["p"], _curve_w1p, True
+    ),
+    "holder": _Functional(("gamma",), _holder, _holder, False),
+    "variation": _Functional(
+        ("q",),
+        lambda x, q, M: norms.p_variation(x, q["q"], mode="vertex"),
+        lambda c, q, M, dist: norms.p_variation(c, q["q"], "dyadic", M, dist=dist),
+        False,
+    ),
+    "modulus": _Functional(("delta",), _modulus, _modulus, False),
+}
 
 
 def lift_energy(lift: Lift, spec: EnergySpec, M=None) -> float:
     """Sum_i w_i Psi(gamma_i) with Psi the p-th power of the requested path
-    norm, plus the p-th power of the base-point distance when given."""
+    norm, plus the p-th power of the base-point distance when given.
+    Hölder and modulus use the level-M grid, by default max(level + 2, 6)."""
+    entry = _FUNCTIONALS.get(spec.tag)
+    if entry is None:
+        raise ValidationError(f"unknown energy tag {spec.tag!r}")
     total = 0.0
     for path, w in zip(lift.paths, lift.weights):
-        val = _path_energy(path, spec, M)
+        val = entry.path(path, spec.params, M if M is not None else max(path.level + 2, 6))
+        if not entry.power:
+            val = val**spec.p
         if spec.base_point is not None:
             val += spaces.distance(path.space, path(0.0), spec.base_point) ** spec.p
         total += w * val
@@ -134,32 +180,6 @@ def lift_energy(lift: Lift, spec: EnergySpec, M=None) -> float:
 
 # ---------------------------------------------------------------------------
 # curve-level Besov norm (W_p distances through the OT kernel)
-
-
-def curve_distance(curve: WassersteinCurve, s: float, t: float, p: float) -> float:
-    return wasserstein_distance(curve(s), curve(t), p)
-
-
-def _level_wpp_sum(curve: WassersteinCurve, m: int, p: float) -> float:
-    """Sum over level-m consecutive dyadic pairs of W_p^p, exploiting an
-    exactly declared time period when available."""
-    dt = 1.0 / 2**m
-    ts = dyadic_times(m)
-    n_pairs = 2**m
-    if curve.period is not None:
-        ratio = curve.period / dt
-        r = round(ratio)
-        if r >= 1 and abs(ratio - r) < 1e-12 and n_pairs % r == 0:
-            total = sum(
-                wasserstein_power(curve(ts[k]), curve(ts[k + 1]), p) for k in range(r)
-            )
-            return (n_pairs // r) * total
-        inv = round(dt / curve.period)
-        if inv >= 1 and abs(dt / curve.period - inv) < 1e-12:
-            return n_pairs * wasserstein_power(curve(ts[0]), curve(ts[1]), p)
-    return sum(
-        wasserstein_power(curve(ts[k]), curve(ts[k + 1]), p) for k in range(n_pairs)
-    )
 
 
 @dataclass(frozen=True)
@@ -173,29 +193,16 @@ class CurveBesovReport:
 def curve_besov_norm(
     curve: WassersteinCurve, alpha: float, p: float, M: int
 ) -> CurveBesovReport:
-    """Dyadic Besov sum of t -> mu_t with W_p distances.  Exact (closed-form
+    """Dyadic Besov sum of t -> mu_t with W_p distances, from the same
+    engine as the path sums (`norms._dyadic_besov`).  Exact (closed-form
     tail) when the curve is measure-piecewise-geodesic at a declared level
     <= M; otherwise the truncated partial sum."""
-    norms._check_alpha_p(alpha, p)
-    ap = alpha * p
-    L = curve.level if (curve.level is not None and curve.level <= M) else None
-    top = L if L is not None else M
-    incs = []
-    sums = []
-    for m in range(top + 1):
-        S = _level_wpp_sum(curve, m, p)
-        sums.append(S)
-        incs.append(2.0 ** (m * (ap - 1)) * S)
-    if L is None:
-        return CurveBesovReport(float(np.sum(incs)), np.array(incs), False, 0.0)
-    # beyond level L each level-L piece is a Wasserstein geodesic:
-    # S_m = S_L 2^{(L-m)(p-1)} for m >= L, summing to a geometric tail
-    S_L = sums[-1]
-    for m in range(L + 1, M + 1):
-        incs.append(2.0 ** (m * (ap - 1)) * S_L * 2.0 ** ((L - m) * (p - 1)))
-    tail = 2.0 ** (L * (ap - 1)) / (2.0 ** (p - ap) - 1.0) * S_L
-    value = float(np.sum(incs[: L + 1])) + tail
-    return CurveBesovReport(value, np.array(incs), True, tail)
+    incs, tail = norms._dyadic_besov(
+        curve, alpha, p, M, lambda a, b: wasserstein_distance(a, b, p)
+    )
+    if tail is None:
+        return CurveBesovReport(float(np.sum(incs)), incs, False, 0.0)
+    return CurveBesovReport(float(np.sum(incs[: curve.level + 1])) + tail, incs, True, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -216,17 +223,20 @@ def _lift_from_multicoupling(mc: transport.MultiCoupling, n: int) -> Lift:
     return Lift(paths, w / w.sum(), n, mc)
 
 
+def _glued_chain(curve: WassersteinCurve, n: int, p: float):
+    """The level-n dyadic times, the measures there, and the left-to-right
+    glue of the consecutive optimal couplings."""
+    ts = dyadic_times(n)
+    mus = [curve(t) for t in ts]
+    couplings = [optimal_coupling(mus[k], mus[k + 1], p)[0] for k in range(2**n)]
+    return ts, mus, glue_chain(couplings, labels=tuple(ts))
+
+
 def construct_lift_A(curve: WassersteinCurve, n: int, p: float) -> Lift:
     """Optimal coupling on each consecutive dyadic pair, glued left-to-right,
     then geodesic interpolation.  Only consecutive 2-D marginals are pinned
     to be optimal."""
-    ts = dyadic_times(n)
-    mus = [curve(t) for t in ts]
-    couplings = [
-        optimal_coupling(mus[k], mus[k + 1], p)[0] for k in range(2**n)
-    ]
-    mc = glue_chain(couplings, labels=tuple(ts))
-    return _lift_from_multicoupling(mc, n)
+    return _lift_from_multicoupling(_glued_chain(curve, n, p)[2], n)
 
 
 def construct_lift_B(
@@ -244,27 +254,18 @@ def construct_lift_B(
     the pattern); otherwise the product-support feasibility LP decides, and
     infeasibility raises IncompatibleCurveError with the report.
     """
-    ts = dyadic_times(n)
-    mus = [curve(t) for t in ts]
+    ts, mus, mc = _glued_chain(curve, n, p)
     pattern = dyadic_pattern_pairs(n)
-
-    couplings = [
-        optimal_coupling(mus[k], mus[k + 1], p)[0] for k in range(2**n)
-    ]
-    mc = glue_chain(couplings, labels=tuple(ts))
-    ok = True
     for (i, j) in pattern:
         wpp = wasserstein_power(mus[i], mus[j], p)
         if mc.pair_cost(i, j, p) - wpp > tol * max(1.0, wpp):
-            ok = False
+            report = transport.compatibility_multicoupling(
+                mus, p, pairs=pattern, budget=budget, labels=tuple(ts)
+            )
+            if not report.feasible:
+                raise IncompatibleCurveError(report)
+            mc = report.certificate
             break
-    if not ok:
-        report = transport.compatibility_multicoupling(
-            mus, p, pairs=pattern, budget=budget, labels=tuple(ts)
-        )
-        if not report.feasible:
-            raise IncompatibleCurveError(report)
-        mc = report.certificate
     return _lift_from_multicoupling(mc, n)
 
 
@@ -300,27 +301,12 @@ def pairwise_optimality_check(
 def curve_norm_power(curve: WassersteinCurve, spec: EnergySpec, M: int = 6) -> float:
     """p-th power of the requested functional applied to t -> mu_t with W_p
     distances (dyadic-grid approximations except for the exact Besov form)."""
+    entry = _FUNCTIONALS.get(spec.tag)
+    if entry is None or entry.curve is None:
+        raise ValidationError(f"unsupported curve functional {spec.tag!r}")
     p = spec.p
-    dist = lambda a, b: wasserstein_distance(a, b, p)  # noqa: E731
-    if spec.tag == "besov":
-        return curve_besov_norm(curve, spec.params["alpha"], p, M).value
-    if spec.tag == "holder":
-        return norms.holder_norm_dyadic(curve, spec.params["gamma"], M, dist=dist) ** p
-    if spec.tag == "variation":
-        return norms.p_variation(curve, spec.params["q"], "dyadic", M, dist=dist) ** p
-    if spec.tag == "modulus":
-        return (
-            norms.modulus_of_continuity(curve, spec.params["delta"], M, dist=dist) ** p
-        )
-    if spec.tag == "w1p":
-        dt = 1.0 / 2**M
-        ts = dyadic_times(M)
-        total = sum(
-            dt * (wasserstein_distance(curve(a), curve(b), p) / dt) ** p
-            for a, b in zip(ts, ts[1:])
-        )
-        return float(total)
-    raise ValidationError(f"unsupported curve functional {spec.tag!r}")
+    value = entry.curve(curve, spec.params, M, lambda a, b: wasserstein_distance(a, b, p))
+    return value if entry.power else value**p
 
 
 def energy_vs_curve_gap(lift: Lift, curve: WassersteinCurve, spec: EnergySpec, M: int = 6):
@@ -373,23 +359,6 @@ def convergence_diagnostics(
 # dynamic formula
 
 
-def _lift_from_coupling(coupling: transport.Coupling, prune: float = 1e-15) -> Lift:
-    space = coupling.row_measure.space
-    idx = np.argwhere(coupling.weights > prune)
-    paths = tuple(
-        PiecewiseGeodesicPath(
-            space,
-            np.stack(
-                [coupling.row_measure.atoms[i], coupling.col_measure.atoms[j]]
-            ),
-            0,
-        )
-        for i, j in idx
-    )
-    w = coupling.weights[idx[:, 0], idx[:, 1]]
-    return Lift(paths, w / w.sum(), 0)
-
-
 def benamou_brenier_check(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
@@ -405,7 +374,7 @@ def benamou_brenier_check(
     spec = EnergySpec.besov(alpha, p)
 
     plan, wpp = optimal_coupling(mu, nu, p)
-    lift_opt = _lift_from_coupling(plan)
+    lift_opt = _lift_from_multicoupling(glue_chain([plan]), 0)
     energy_opt = lift_energy(lift_opt, spec)
     identity_error = abs(wpp - factor * energy_opt)
 
@@ -415,7 +384,7 @@ def benamou_brenier_check(
     )
     mix_coupling = transport.Coupling(mu, nu, mix)
     excess = mix_coupling.cost(p) - wpp
-    lift_mix = _lift_from_coupling(mix_coupling)
+    lift_mix = _lift_from_multicoupling(glue_chain([mix_coupling]), 0)
     rhs_excess = factor * lift_energy(lift_mix, spec) - wpp
     return {
         "wpp": wpp,

@@ -43,6 +43,8 @@ def make_measure(space, atoms, weights) -> DiscreteMeasure:
         raise ValidationError("empty support")
     if weights.shape != (atoms.shape[0],):
         raise ValidationError("weights length does not match atom count")
+    if not np.all(np.isfinite(weights)):
+        raise ValidationError("weights must be finite")
     if np.any(weights <= 0):
         raise ValidationError("weights must be strictly positive")
     s = weights.sum()
@@ -87,10 +89,15 @@ def measures_equal(mu: DiscreteMeasure, nu: DiscreteMeasure, tol=0.0) -> bool:
     )
 
 
+def _check_exponent(p: float):
+    """Transport exponents must be finite and >= 1."""
+    if not (1 <= p < np.inf):
+        raise ValidationError(f"p must be a finite number >= 1, got {p}")
+
+
 def p_moment(mu: DiscreteMeasure, base, p: float) -> float:
     """Sum_i w_i d(base, x_i)^p."""
-    if p < 1:
-        raise ValidationError("p must be >= 1")
+    _check_exponent(p)
     base = spaces.as_point(mu.space, base)
     d = spaces.distance_matrix(mu.space, base[None, :], mu.atoms)[0]
     return float(np.sum(mu.weights * d**p))

@@ -2,6 +2,13 @@
 piecewise geodesics), fractional Sobolev quadrature, Hölder / variation /
 modulus functionals on dyadic grids, and related checks.
 
+Every dyadic Besov sum, on a path or on a curve of measures, runs through
+one engine, `_dyadic_besov`: direct level sums up to the curve's exact
+level, then exact geodesic scaling and the closed-form geometric tail.  The
+level sums come from one provider, `_level_power_sum`, which also serves
+`limsup_variation_dyadic` and the curve W^{1,p} sum; `_pairwise` supplies
+the distance matrices of the Hölder / variation / modulus functionals.
+
 Conventions:
   * `*_norm_*` functions return the norm itself (p-th or q-th root);
   * `besov_energy_pg` and `frac_sobolev_energy` return the p-th power;
@@ -22,7 +29,7 @@ from .paths import PiecewiseGeodesicPath, dyadic_times
 def _check_alpha_p(alpha, p, require_continuity=False):
     if not (0 < alpha < 1):
         raise ValidationError("alpha must lie in (0, 1)")
-    if not (p > 1):
+    if not (1 < p < np.inf):
         raise ValidationError("p must lie in (1, inf)")
     if require_continuity and alpha * p <= 1:
         raise ValidationError("alpha * p > 1 required for continuity claims")
@@ -32,68 +39,81 @@ def _check_alpha_p(alpha, p, require_continuity=False):
 # Besov dyadic sums
 
 
+def _level_power_sum(curve, m: int, p: float, dist=None) -> float:
+    """Sum_k d(X_{t_k}, X_{t_{k+1}})^p over the level-m dyadic grid.
+
+    A piecewise-geodesic path reads its breakpoints (or evaluates itself
+    below its level); any other curve needs `dist`.  A curve that declares
+    an exact time `period` only samples one period of pairs."""
+    if isinstance(curve, PiecewiseGeodesicPath):
+        step = 2 ** (curve.level - m) if m <= curve.level else 0
+        X = curve.breakpoints[::step] if step else curve.eval_many(dyadic_times(m))
+        return float(np.sum(spaces._distance_arrays(curve.space, X[:-1], X[1:]) ** p))
+    if dist is None:
+        raise ValidationError("generic curve evaluators need a distance callback")
+    n_pairs = 2**m
+    pairs = n_pairs
+    period = getattr(curve, "period", None)
+    if period is not None:
+        dt = 1.0 / n_pairs
+        r = round(period / dt)
+        inv = round(dt / period)
+        if r >= 1 and abs(period / dt - r) < 1e-12 and n_pairs % r == 0:
+            pairs = r
+        elif inv >= 1 and abs(dt / period - inv) < 1e-12:
+            pairs = 1
+    vals = [curve(t) for t in dyadic_times(m)[: pairs + 1]]
+    return (n_pairs // pairs) * float(sum(dist(a, b) ** p for a, b in zip(vals, vals[1:])))
+
+
+def _dyadic_besov(curve, alpha: float, p: float, M: int, dist=None):
+    """The one dyadic Besov engine behind every b^{alpha,p} sum.
+
+    `curve` is a piecewise-geodesic path (exact level L = its breakpoint
+    level) or a curve evaluated through `dist` (L = its declared `level`,
+    if any).  Level sums S_m are computed directly for m <= min(L, M);
+    beyond L each level-L piece is a geodesic, so S_m = S_L 2^{(L-m)(p-1)}.
+    Returns the increments 2^{m(alpha p - 1)} S_m for m = 0..M and, when
+    L <= M, the closed-form sum of every increment beyond L,
+    2^{L(alpha p - 1)} / (2^{p - alpha p} - 1) S_L (else None).
+    """
+    _check_alpha_p(alpha, p)
+    if M < 0:
+        raise ValidationError("M must be >= 0")
+    ap = alpha * p
+    L = getattr(curve, "level", None)
+    top = M if L is None else min(L, M)
+    sums = [_level_power_sum(curve, m, p, dist) for m in range(top + 1)]
+    tail = None
+    if L is not None and L <= M:
+        sums += [sums[L] * 2.0 ** ((L - m) * (p - 1)) for m in range(L + 1, M + 1)]
+        tail = 2.0 ** (L * (ap - 1)) / (2.0 ** (p - ap) - 1.0) * sums[L]
+    return np.array([2.0 ** (m * (ap - 1)) * S for m, S in enumerate(sums)]), tail
+
+
 def besov_energy_pg(path: PiecewiseGeodesicPath, alpha: float, p: float) -> float:
     """Exact |X|_{b^{alpha,p}}^p for a level-n piecewise-geodesic path:
     the finite double sum over scales m <= n plus the geometric tail
     2^{n(alpha p - 1)} / (2^{p - alpha p} - 1) * sum_i d(x_i, x_{i+1})^p.
     """
-    _check_alpha_p(alpha, p)
-    n = path.level
-    bp = path.breakpoints
-    ap = alpha * p
-    total = 0.0
-    for m in range(n + 1):
-        step = 2 ** (n - m)
-        i = np.arange(0, 2**n, step)
-        d = spaces._distance_arrays(path.space, bp[i], bp[i + step])
-        total += 2.0 ** (m * (ap - 1)) * float(np.sum(d**p))
-    seg = path.segment_lengths()
-    total += 2.0 ** (n * (ap - 1)) / (2.0 ** (p - ap) - 1.0) * float(np.sum(seg**p))
-    return total
+    incs, tail = _dyadic_besov(path, alpha, p, path.level)
+    return float(np.sum(incs)) + tail
 
 
 def besov_norm_pg(path: PiecewiseGeodesicPath, alpha: float, p: float) -> float:
     return besov_energy_pg(path, alpha, p) ** (1.0 / p)
 
 
-def _level_power_sum(curve, m: int, p: float, dist) -> float:
-    """Sum_k d(X_{t_k}, X_{t_{k+1}})^p over the level-m dyadic grid."""
-    ts = dyadic_times(m)
-    if isinstance(curve, PiecewiseGeodesicPath):
-        X = curve.eval_many(ts)
-        d = spaces._distance_arrays(curve.space, X[:-1], X[1:])
-        return float(np.sum(d**p))
-    if dist is None:
-        raise ValidationError("generic curve evaluators need a distance callback")
-    vals = [curve(t) for t in ts]
-    return float(sum(dist(a, b) ** p for a, b in zip(vals, vals[1:])))
-
-
 def besov_norm_truncated(curve, alpha: float, p: float, M: int, dist=None):
     """Partial dyadic Besov sum over scales m = 0..M (p-th power) and the
     m = M increment.  Monotone nondecreasing in M.
 
-    For piecewise-geodesic paths the level sums beyond the breakpoint level
-    scale exactly like 2^{(n-m)(p-1)} (each segment splits into equal
-    geodesic pieces), so arbitrarily deep truncations stay cheap."""
-    _check_alpha_p(alpha, p)
-    if M < 0:
-        raise ValidationError("M must be >= 0")
-    ap = alpha * p
-    n_exact = curve.level if isinstance(curve, PiecewiseGeodesicPath) else None
-    total = 0.0
-    last = 0.0
-    S_top = None
-    for m in range(M + 1):
-        if n_exact is not None and m > n_exact:
-            S = S_top * 2.0 ** ((n_exact - m) * (p - 1.0))
-        else:
-            S = _level_power_sum(curve, m, p, dist)
-            if n_exact is not None and m == n_exact:
-                S_top = S
-        last = 2.0 ** (m * (ap - 1)) * S
-        total += last
-    return total, last
+    For piecewise-geodesic paths, and curves that declare a `level`, the
+    level sums beyond that level scale exactly like 2^{(n-m)(p-1)} (each
+    segment splits into equal geodesic pieces), so arbitrarily deep
+    truncations stay cheap."""
+    incs, _ = _dyadic_besov(curve, alpha, p, M, dist)
+    return float(np.sum(incs)), float(incs[-1])
 
 
 # ---------------------------------------------------------------------------

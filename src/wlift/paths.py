@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import spaces
@@ -15,19 +13,6 @@ def dyadic_times(m: int) -> np.ndarray:
     if m < 0:
         raise ValidationError("level must be >= 0")
     return np.arange(2**m + 1, dtype=float) / 2**m
-
-
-@dataclass(frozen=True)
-class DyadicGrid:
-    level: int
-
-    @property
-    def times(self) -> np.ndarray:
-        return dyadic_times(self.level)
-
-    @property
-    def mesh(self) -> float:
-        return 1.0 / 2**self.level
 
 
 class PiecewiseGeodesicPath:
@@ -67,7 +52,7 @@ class PiecewiseGeodesicPath:
         out = a + loc[:, None] * (b - a)
         P = self.space.perimeter
         delta = spaces._signed_arc(P, a[:, 0], b[:, 0])
-        out[:, 0] = (a[:, 0] + loc * delta) % P
+        out[:, 0] = spaces._wrap_arc(P, a[:, 0] + loc * delta)
         return out
 
     def segment_lengths(self) -> np.ndarray:
@@ -75,30 +60,11 @@ class PiecewiseGeodesicPath:
             self.space, self.breakpoints[:-1], self.breakpoints[1:]
         )
 
-    def refine(self, level: int) -> "PiecewiseGeodesicPath":
-        """Re-express on a finer dyadic grid (same trace)."""
-        if level < self.level:
-            raise ValidationError("cannot coarsen a path")
-        if level == self.level:
-            return self
-        return PiecewiseGeodesicPath(
-            self.space, self.eval_many(dyadic_times(level)), level
-        )
-
-    def restrict(self, i: int, j: int) -> "PiecewiseGeodesicPath":
-        """Sub-path over breakpoints i..j, rescaled to [0,1]; j-i must be a
-        power of two."""
-        return PiecewiseGeodesicPath(self.space, self.breakpoints[i : j + 1])
-
 
 def geodesic_segment(space: spaces.Space, x, y) -> PiecewiseGeodesicPath:
     """Single constant-speed geodesic from x to y as a level-0 path."""
     x = spaces.as_point(space, x)
     y = spaces.as_point(space, y)
-    if space.kind == "euclidean":
-        return PiecewiseGeodesicPath(space, np.stack([x, y]), 0)
-    # store the endpoint reached along the selected arc so that segment
-    # evaluation reproduces geodesic_point's tie-break exactly
     return PiecewiseGeodesicPath(space, np.stack([x, y]), 0)
 
 

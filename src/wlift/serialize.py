@@ -1,4 +1,4 @@
-"""JSON/CSV serialization for spaces, measures, couplings, lifts, and
+"""JSON/CSV serialization for spaces, measures, multi-couplings and
 reports."""
 
 from __future__ import annotations
@@ -6,13 +6,9 @@ from __future__ import annotations
 import csv
 import json
 
-import numpy as np
-
 from . import spaces
 from .errors import ValidationError
-from .lifts import Lift
 from .measures import DiscreteMeasure, make_measure
-from .paths import PiecewiseGeodesicPath
 from .transport import MultiCoupling
 
 
@@ -56,24 +52,6 @@ def multicoupling_to_json(mc: MultiCoupling) -> dict:
         "weights": mc.weights.tolist(),
         "labels": list(mc.labels),
     }
-
-
-def lift_to_json(lift: Lift) -> dict:
-    return {
-        "level": lift.level,
-        "space": space_to_json(lift.paths[0].space),
-        "paths": [{"breakpoints": p.breakpoints.tolist()} for p in lift.paths],
-        "weights": lift.weights.tolist(),
-    }
-
-
-def lift_from_json(obj: dict) -> Lift:
-    space = space_from_json(obj["space"])
-    level = int(obj["level"])
-    paths = tuple(
-        PiecewiseGeodesicPath(space, p["breakpoints"], level) for p in obj["paths"]
-    )
-    return Lift(paths, np.asarray(obj["weights"], dtype=float), level)
 
 
 def norm_report(norm: str, params: dict, value: float, truncation_level=None, tail_estimate=None) -> dict:

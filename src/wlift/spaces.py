@@ -3,7 +3,7 @@ cylinder (circle x R) with the intrinsic product metric.
 
 Points are plain numpy arrays:
   * euclidean(d): shape (d,)
-  * circle:      shape (1,), arc-length coordinate reduced modulo the perimeter
+  * circle:      shape (1,), arc-length coordinate reduced into [0, perimeter)
   * cylinder:    shape (2,), (arc coordinate, height)
 
 Geodesics are constant-speed.  On the circle the shorter arc is taken; the
@@ -59,7 +59,7 @@ def as_point(space: Space, x) -> np.ndarray:
         raise ValidationError("point coordinates must be finite")
     if space.kind in ("circle", "cylinder"):
         p = p.copy()
-        p[0] = p[0] % space.perimeter
+        p[0] = _wrap_arc(space.perimeter, p[0])
     return p
 
 
@@ -76,8 +76,16 @@ def canonicalize_points(space: Space, pts: np.ndarray) -> np.ndarray:
         raise ValidationError("point coordinates must be finite")
     if space.kind in ("circle", "cylinder"):
         pts = pts.copy()
-        pts[:, 0] = pts[:, 0] % space.perimeter
+        pts[:, 0] = _wrap_arc(space.perimeter, pts[:, 0])
     return pts
+
+
+def _wrap_arc(P: float, x):
+    """Arc coordinates reduced into [0, P).  A plain `x % P` returns P
+    itself for tiny negative x (it rounds up), which would keep the same
+    point under two coordinates."""
+    r = np.mod(x, P)
+    return np.where(r < P, r, 0.0)
 
 
 def _signed_arc(P: float, a, b):
@@ -129,18 +137,5 @@ def geodesic_point(space: Space, x, y, t: float) -> np.ndarray:
         return (1.0 - t) * x + t * y
     P = space.perimeter
     out = (1.0 - t) * x + t * y  # correct for the non-arc coordinates
-    out[0] = (x[0] + t * float(_signed_arc(P, x[0], y[0]))) % P
-    return out
-
-
-def geodesic_points(space: Space, x, y, ts) -> np.ndarray:
-    """Vectorized geodesic evaluation; returns (len(ts), dim)."""
-    x = as_point(space, x)
-    y = as_point(space, y)
-    ts = np.asarray(ts, dtype=float)[:, None]
-    if space.kind == "euclidean":
-        return (1.0 - ts) * x + ts * y
-    P = space.perimeter
-    out = (1.0 - ts) * x + ts * y
-    out[:, 0] = (x[0] + ts[:, 0] * float(_signed_arc(P, x[0], y[0]))) % P
+    out[0] = _wrap_arc(P, x[0] + t * float(_signed_arc(P, x[0], y[0])))
     return out

@@ -19,7 +19,7 @@ from scipy.optimize import linprog
 
 from . import spaces
 from .errors import BudgetExceededError, ValidationError
-from .measures import DiscreteMeasure, check_same_space, measures_equal
+from .measures import DiscreteMeasure, _check_exponent, check_same_space, measures_equal
 
 DEFAULT_BUDGET = 10**6
 MARGINAL_TOL = 1e-10
@@ -32,11 +32,18 @@ _TRANSPORT_LP_OPTIONS = {"primal_feasibility_tolerance": MARGINAL_TOL}
 
 
 def product_budget() -> int:
-    """Size budget for product-support LPs (env var WLIFT_BUDGET overrides)."""
-    try:
-        return int(os.environ.get("WLIFT_BUDGET", DEFAULT_BUDGET))
-    except ValueError:
+    """Size budget for product-support LPs (env var WLIFT_BUDGET overrides;
+    it must be an integer >= 1)."""
+    raw = os.environ.get("WLIFT_BUDGET")
+    if raw is None:
         return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValidationError(f"WLIFT_BUDGET must be an integer >= 1, got {raw!r}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -108,8 +115,7 @@ class CompatibilityReport:
 def optimal_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     """Exact optimal transport plan for cost d^p; returns (Coupling, cost)."""
     check_same_space(mu, nu)
-    if p < 1:
-        raise ValidationError("p must be >= 1")
+    _check_exponent(p)
     D = spaces.distance_matrix(mu.space, mu.atoms, nu.atoms) ** p
     n, m = D.shape
     if n == 1:
@@ -138,6 +144,7 @@ def optimal_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
 def wasserstein_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
     """W_p(mu, nu) = (optimal cost)^(1/p); exact zero for identical measures."""
     check_same_space(mu, nu)
+    _check_exponent(p)
     if measures_equal(mu, nu):
         return 0.0
     _, cost = optimal_coupling(mu, nu, p)
@@ -146,6 +153,7 @@ def wasserstein_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> 
 
 def wasserstein_power(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
     """W_p^p(mu, nu)."""
+    _check_exponent(p)
     if measures_equal(mu, nu):
         return 0.0
     _, cost = optimal_coupling(mu, nu, p)

@@ -76,6 +76,43 @@ def test_norms_builtin_geodesic(tmp_path):
     assert data["value"] == pytest.approx(2.0 + math.sqrt(2.0))
 
 
+SQRT2 = math.sqrt(2.0)
+# default exponents: p=2, alpha=0.75, gamma=1, q=2, delta=1, -M 8
+NORMS_CLOSED_FORM = {
+    "geodesic": {"besov": 2.0 + SQRT2, "frac_sobolev": 8.0 / 3.0, "w1p": 1.0,
+                 "holder": 1.0, "variation": 1.0, "modulus": 1.0},
+    # frac_sobolev on the tent: the quadrature value, pinned to the release
+    "tent": {"besov": 4.0 + 4.0 * SQRT2, "frac_sobolev": 8.331184298504713, "w1p": 4.0,
+             "holder": 2.0, "variation": SQRT2, "modulus": 1.0},
+}
+
+
+@pytest.mark.parametrize("builtin", sorted(NORMS_CLOSED_FORM))
+@pytest.mark.parametrize("norm", sorted(NORMS_CLOSED_FORM["geodesic"]))
+def test_norms_builtin_all_functionals(tmp_path, builtin, norm):
+    code, data = run_json(["norms", "--norm", norm, "--builtin", builtin], tmp_path)
+    assert code == EXIT_OK
+    power = norm in ("besov", "frac_sobolev", "w1p")
+    assert data["norm"] == norm + (" (p-th power)" if power else "")
+    assert data["value"] == pytest.approx(NORMS_CLOSED_FORM[builtin][norm], rel=1e-12)
+    assert (data["tail_estimate"] is not None) == (norm == "besov")
+
+
+def test_norms_curve_frac_sobolev_is_input_error():
+    assert main(["norms", "--norm", "frac_sobolev", "--family", "two_tent"]) == EXIT_INPUT
+
+
+def test_non_finite_input_is_input_error(line_measures, tmp_path, capsys):
+    fmu, fnu = line_measures
+    assert main(["ot", "--mu", fmu, "--nu", fnu, "--p", "nan"]) == EXIT_INPUT
+    bad = tmp_path / "nan.json"
+    bad.write_text(
+        '{"space": {"kind": "euclidean", "d": 1}, "atoms": [[0.0], [1.0]], "weights": [NaN, 1.0]}'
+    )
+    assert main(["ot", "--mu", str(bad), "--nu", fnu]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
 def test_norms_rejects_bad_exponents(capsys):
     code = main(["norms", "--norm", "besov", "--alpha", "0.4", "--p", "2"])
     assert code == EXIT_INPUT

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wlift as w
-from conftest import random_measure
+from conftest import random_measure, random_path
 from wlift.lifts import EnergySpec, curve_besov_norm
 from wlift.paths import dyadic_times
 
@@ -153,3 +153,54 @@ def test_benamou_brenier_factor():
     assert out["factor"] == pytest.approx(1.0 - 2.0**-0.5)
     assert out["wpp"] == pytest.approx(1.0)
     assert out["energy_opt"] == pytest.approx(2.0 + math.sqrt(2.0))
+
+
+PARITY_PARAMS = {"alpha": 0.75, "gamma": 0.6, "q": 2.5, "delta": 0.3}
+
+
+@pytest.mark.parametrize("space", [w.euclidean(1), w.euclidean(2), w.circle(2.0), w.cylinder(2.0)],
+                         ids=["R1", "R2", "circle", "cylinder"])
+def test_registry_curve_of_diracs_matches_path(space):
+    """A curve of Diracs that follows a piecewise-geodesic path, with its
+    level declared, has every curve functional at M = level equal to the
+    path functional: exact Besov on both sides, Hölder and modulus on the
+    same grid, W^{1,p} on both sides, dyadic variation vs vertex variation."""
+    from wlift.lifts import _FUNCTIONALS
+
+    level = 3
+    path = random_path(np.random.default_rng(41), space, level)
+    curve = w.WassersteinCurve(space, lambda t: w.dirac(space, path(t)), level=level)
+    single = w.Lift((path,), np.ones(1), level)
+    tags = [tag for tag, entry in _FUNCTIONALS.items() if entry.curve is not None]
+    assert sorted(tags) == ["besov", "holder", "modulus", "variation", "w1p"]
+    for tag in tags:
+        for p in (2.0, 3.0):
+            params = {k: PARITY_PARAMS[k] for k in _FUNCTIONALS[tag].params}
+            spec = EnergySpec(tag, {**params, "p": p})
+            on_curve = w.curve_norm_power(curve, spec, M=level)
+            on_path = w.lift_energy(single, spec, M=level)
+            assert on_curve == pytest.approx(on_path, rel=1e-12), (tag, p)
+    rep = curve_besov_norm(curve, 0.75, 2.0, level)
+    assert rep.exact
+    assert rep.value == pytest.approx(w.besov_energy_pg(path, 0.75, 2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [w.circle_splitting(1), w.cylinder_family(1, 2.0, 0.75)],
+                         ids=["circle_splitting", "cylinder_family"])
+def test_declared_period_leaves_level_sums_unchanged(spec):
+    periodic = w.make_curve(spec)
+    assert periodic.period is not None
+    plain = w.WassersteinCurve(periodic.space, periodic._evaluator, level=periodic.level)
+
+    def dist(a, b):
+        return w.wasserstein_distance(a, b, 2.0)
+
+    levels = range(0, 6)
+    a = w.limsup_variation_dyadic(periodic, 2.0, levels, dist=dist)
+    b = w.limsup_variation_dyadic(plain, 2.0, levels, dist=dist)
+    assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+    assert a[-1] > 0.0
+    for tag_spec in (EnergySpec.w1p(2.0), EnergySpec.besov(0.75, 2.0)):
+        assert w.curve_norm_power(periodic, tag_spec, M=5) == pytest.approx(
+            w.curve_norm_power(plain, tag_spec, M=5), rel=1e-12
+        )

@@ -61,3 +61,34 @@ def test_space_mismatch():
     nu = w.dirac(w.circle(2.0), [0.0])
     with pytest.raises(w.SpaceMismatchError):
         w.wasserstein_distance(mu, nu, 2.0)
+
+
+def test_circle_tiny_negative_coordinate_wraps_to_zero():
+    # -1e-17 % 2 rounds up to 2.0, which used to keep a second atom there
+    sp = w.circle(2.0)
+    mu = w.make_measure(sp, [[-1e-17], [0.0]], [0.5, 0.5])
+    assert mu.size == 1
+    assert mu.atoms[0, 0] == 0.0
+    assert w.measures_equal(mu, w.dirac(sp, [0.0]))
+
+
+def test_non_finite_weights_and_exponents_rejected():
+    sp = w.euclidean(1)
+    with pytest.raises(w.ValidationError):
+        w.make_measure(sp, [[0.0], [1.0]], [np.nan, 1.0])
+    with pytest.raises(w.ValidationError):
+        w.make_measure(sp, [[0.0], [1.0]], [np.inf, 1.0])
+    mu = w.make_measure(sp, [[0.0], [2.0]], [0.5, 0.5])
+    nu = w.dirac(sp, [1.0])
+    for p in (np.nan, np.inf):
+        with pytest.raises(w.ValidationError):
+            w.optimal_coupling(mu, nu, p)
+        for a, b in ((mu, nu), (mu, mu)):
+            with pytest.raises(w.ValidationError):
+                w.wasserstein_distance(a, b, p)
+            with pytest.raises(w.ValidationError):
+                w.wasserstein_power(a, b, p)
+        with pytest.raises(w.ValidationError):
+            w.p_moment(mu, [0.0], p)
+        with pytest.raises(w.ValidationError):
+            w.besov_energy_pg(w.geodesic_segment(sp, [0.0], [1.0]), 0.75, p)

@@ -220,3 +220,21 @@ def test_is_compatible_trivial_cases():
     sp = w.euclidean(1)
     assert w.is_compatible([w.dirac(sp, [0.0])], 2.0)
     assert w.is_compatible([], 2.0)
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-1"])
+def test_budget_env_must_be_positive_integer(monkeypatch, value):
+    from wlift.cli import EXIT_INPUT, main
+
+    monkeypatch.setenv("WLIFT_BUDGET", value)
+    with pytest.raises(w.ValidationError):
+        w.transport.product_budget()
+    argv = ["compat", "--family", "circle_splitting", "--param", "j=0", "--times", "0,0.5"]
+    assert main(argv) == EXIT_INPUT
+
+
+def test_budget_env_sets_budget(monkeypatch):
+    monkeypatch.setenv("WLIFT_BUDGET", "7")
+    assert w.transport.product_budget() == 7
+    monkeypatch.delenv("WLIFT_BUDGET")
+    assert w.transport.product_budget() == w.transport.DEFAULT_BUDGET
