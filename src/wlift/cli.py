@@ -167,9 +167,7 @@ def cmd_norms(args):
         return EXIT_OK
 
     if args.path:
-        obj = serialize.load_json(args.path)
-        sp = serialize.space_from_json(obj["space"])
-        path = PiecewiseGeodesicPath(sp, obj["breakpoints"])
+        path = serialize.path_from_json(serialize.load_json(args.path))
     else:
         path = _builtin_path(args.builtin)
 
@@ -233,7 +231,6 @@ def _add_common(p):
     p.add_argument("--levels", type=str, default=None, help="e.g. 1..5 or 1,3,5")
     p.add_argument("--truncation", "-M", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--space", type=str, default=None)
     p.add_argument("--family", type=str, default=None)
     p.add_argument("--param", action="append", default=[], help="key=val (repeatable)")
     p.add_argument("--out", type=str, default=None)

@@ -13,6 +13,10 @@ Families (all on the time interval [0,1]):
         carries 2^{j+1} atoms rotating at speed 2^{j+1} with total mass
         proportional to 2^{-j p alpha}, truncated at J and renormalized.
 
+Every family except jump is a finite system of weighted particles moving
+along explicit piecewise-geodesic trajectories, written once as its
+`known_lift`; the family's curve is the time marginals of that lift.
+
 Truncated families carry the renormalization factor wbar_J explicitly in
 every reference formula.
 """
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import spaces
 from .errors import NoContinuousLiftError, ValidationError
-from .lifts import Lift, WassersteinCurve
+from .lifts import Lift, WassersteinCurve, _lift_from_breakpoints
 from .measures import make_measure
 from .paths import PiecewiseGeodesicPath, dyadic_times
 
@@ -106,138 +110,47 @@ def wbar(J: int, p: float, exponent: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# curves
-
-
-def make_curve(spec: FamilySpec) -> WassersteinCurve:
-    q = spec.params
-    if spec.name == "jump":
-        space = spaces.euclidean(1)
-
-        def ev(t):
-            if t <= 0.0:
-                return make_measure(space, [[0.0]], [1.0])
-            if t >= 1.0:
-                return make_measure(space, [[1.0]], [1.0])
-            return make_measure(space, [[0.0], [1.0]], [1.0 - t, t])
-
-        return WassersteinCurve(space, ev, level=None, name="jump", params=q)
-
-    if spec.name == "two_tent":
-        space = spaces.euclidean(1)
-
-        def ev(t):
-            return make_measure(
-                space, [[t], [3.0 - abs(2.0 * t - 1.0)]], [0.5, 0.5]
-            )
-
-        return WassersteinCurve(space, ev, level=1, name="two_tent", params=q)
-
-    if spec.name == "oscillating_tents":
-        J, p, ups, a = q["J"], q["p"], q["upsilon"], q.get("a", 2.0)
-        space = spaces.euclidean(2)
-        w = _tent_weights(J, p, ups)
-
-        def ev(t):
-            atoms = [[j * a, _tent_profile(j, t)] for j in range(J + 1)]
-            return make_measure(space, atoms, w)
-
-        return WassersteinCurve(
-            space, ev, level=J + 1, name="oscillating_tents", params=q
-        )
-
-    if spec.name == "circle_splitting":
-        j = q["j"]
-        space = spaces.circle(2.0)
-        k = np.arange(2 ** (j + 1))
-        wts = np.full(2 ** (j + 1), 2.0 ** -(j + 1))
-
-        def ev(t):
-            return make_measure(space, (t + k * 2.0**-j)[:, None], wts)
-
-        return WassersteinCurve(
-            space,
-            ev,
-            level=j + 1,
-            period=2.0**-j,  # rotation by the atom spacing restores the state
-            name="circle_splitting",
-            params=q,
-        )
-
-    if spec.name == "cylinder_family":
-        J, p, al, a = q["J"], q["p"], q["alpha"], q.get("a", 3.0)
-        space = spaces.cylinder(2.0)
-        w = _tent_weights(J, p, al)
-
-        def ev(t):
-            atoms, wts = [], []
-            for j in range(J + 1):
-                kk = np.arange(2 ** (j + 1))
-                arc = 2.0 ** (j + 1) * t + kk * 2.0**-j
-                for s in arc:
-                    atoms.append([s, j * a])
-                wts.extend([w[j] / 2 ** (j + 1)] * 2 ** (j + 1))
-            return make_measure(space, atoms, wts)
-
-        # circle j repeats with period 2^{-(2j+1)}; all of these divide 1/2,
-        # so the full measure path has exact period 1/2
-        return WassersteinCurve(
-            space,
-            ev,
-            level=2 * (J + 1),
-            period=0.5,
-            name="cylinder_family",
-            params=q,
-        )
-
-    raise ValidationError(f"unknown family {spec.name!r}")
-
-
-def single_circle_curve(j: int, J: int, p: float, alpha: float, a: float = 3.0) -> WassersteinCurve:
-    """The j-th circle component of the cylinder family, as a curve of
-    probability measures in its own right (unit mass on circle j)."""
-    space = spaces.cylinder(2.0)
-    kk = np.arange(2 ** (j + 1))
-    wts = np.full(2 ** (j + 1), 2.0 ** -(j + 1))
-
-    def ev(t):
-        arc = 2.0 ** (j + 1) * t + kk * 2.0**-j
-        atoms = np.stack([arc, np.full_like(arc, j * a)], axis=1)
-        return make_measure(space, atoms, wts)
-
-    return WassersteinCurve(
-        space, ev, level=2 * (j + 1), period=2.0 ** -(2 * j + 1),
-        name=f"cylinder_circle_{j}",
-    )
-
-
-# ---------------------------------------------------------------------------
-# known lifts
+# known lifts and the curves they carry
 
 
 class KnownLift:
-    """Exact particle-trajectory lift: callables t -> point plus weights,
-    discretizable to any dyadic level >= natural_level."""
+    """Exact particle lift: positions(t) -> (K, dim) array of the K weighted
+    particles at time t, discretizable to any dyadic level >= natural_level.
+    `period`, when not None, is the exact period of the particle system up
+    to relabeling (so of its time marginals)."""
 
-    def __init__(self, space, trajectories, weights, natural_level):
+    def __init__(self, space, positions, weights, natural_level, period=None):
         self.space = space
-        self.trajectories = list(trajectories)
+        self.positions = positions
         self.weights = np.asarray(weights, dtype=float)
         self.natural_level = natural_level
+        self.period = period
+
+    def curve(self, name: str, params=None) -> WassersteinCurve:
+        """The curve of time marginals t -> sum_k w_k delta_{x_k(t)}."""
+        return WassersteinCurve(
+            self.space,
+            lambda t: make_measure(self.space, self.positions(t), self.weights),
+            level=self.natural_level,
+            period=self.period,
+            name=name,
+            params=params,
+        )
 
     def discretize(self, n: int) -> Lift:
         if n < self.natural_level:
             raise ValidationError(
                 f"level {n} below the natural breakpoint level {self.natural_level}"
             )
-        ts = dyadic_times(n)
-        paths = tuple(
-            PiecewiseGeodesicPath(
-                self.space, np.stack([np.atleast_1d(traj(t)) for t in ts]), n
-            )
-            for traj in self.trajectories
-        )
-        return Lift(paths, self.weights / self.weights.sum(), n)
+        X = np.stack([self.positions(t) for t in dyadic_times(n)], axis=1)
+        return _lift_from_breakpoints(self.space, X, self.weights, n)
+
+
+def _circle_positions(j: int, t: float, a: float) -> np.ndarray:
+    """The 2^{j+1} equally spaced particles of cylinder circle j (height
+    j*a), rotating at speed 2^{j+1}, as (arc, height) rows."""
+    arc = 2.0 ** (j + 1) * t + np.arange(2 ** (j + 1)) * 2.0**-j
+    return np.stack([arc, np.full_like(arc, j * a)], axis=1)
 
 
 def known_lift(spec: FamilySpec) -> KnownLift:
@@ -249,37 +162,70 @@ def known_lift(spec: FamilySpec) -> KnownLift:
     if spec.name == "two_tent":
         return KnownLift(
             spaces.euclidean(1),
-            [lambda t: [t], lambda t: [3.0 - abs(2.0 * t - 1.0)]],
+            lambda t: np.array([[t], [3.0 - abs(2.0 * t - 1.0)]]),
             [0.5, 0.5],
             1,
         )
     if spec.name == "oscillating_tents":
         J, p, ups, a = q["J"], q["p"], q["upsilon"], q.get("a", 2.0)
-        trajs = [
-            (lambda j: (lambda t: [j * a, _tent_profile(j, t)]))(j)
-            for j in range(J + 1)
-        ]
-        return KnownLift(spaces.euclidean(2), trajs, _tent_weights(J, p, ups), J + 1)
+        return KnownLift(
+            spaces.euclidean(2),
+            lambda t: np.array([[j * a, _tent_profile(j, t)] for j in range(J + 1)]),
+            _tent_weights(J, p, ups),
+            J + 1,
+        )
     if spec.name == "circle_splitting":
         j = q["j"]
-        trajs = [
-            (lambda k: (lambda t: [t + k * 2.0**-j]))(k)
-            for k in range(2 ** (j + 1))
-        ]
-        wts = np.full(2 ** (j + 1), 2.0 ** -(j + 1))
-        return KnownLift(spaces.circle(2.0), trajs, wts, j + 1)
+        k = np.arange(2 ** (j + 1))
+        return KnownLift(
+            spaces.circle(2.0),
+            lambda t: (t + k * 2.0**-j)[:, None],
+            np.full(2 ** (j + 1), 2.0 ** -(j + 1)),
+            j + 1,
+            period=2.0**-j,  # rotation by the atom spacing restores the state
+        )
     if spec.name == "cylinder_family":
         J, p, al, a = q["J"], q["p"], q["alpha"], q.get("a", 3.0)
-        w = _tent_weights(J, p, al)
-        trajs, wts = [], []
-        for j in range(J + 1):
-            for k in range(2 ** (j + 1)):
-                trajs.append(
-                    (lambda j, k: (lambda t: [2.0 ** (j + 1) * t + k * 2.0**-j, j * a]))(j, k)
-                )
-                wts.append(w[j] / 2 ** (j + 1))
-        return KnownLift(spaces.cylinder(2.0), trajs, wts, 2 * (J + 1))
+        sizes = 2 ** np.arange(1, J + 2)  # particles per circle
+        # circle j repeats with period 2^{-(2j+1)}; all of these divide 1/2,
+        # so the full measure path has exact period 1/2
+        return KnownLift(
+            spaces.cylinder(2.0),
+            lambda t: np.concatenate([_circle_positions(j, t, a) for j in range(J + 1)]),
+            np.repeat(_tent_weights(J, p, al) / sizes, sizes),
+            2 * (J + 1),
+            period=0.5,
+        )
     raise ValidationError(f"unknown family {spec.name!r}")
+
+
+def make_curve(spec: FamilySpec) -> WassersteinCurve:
+    """The family's curve of measures: the time marginals of its known lift,
+    except for jump, which has none."""
+    if spec.name == "jump":
+        space = spaces.euclidean(1)
+
+        def ev(t):
+            if t <= 0.0:
+                return make_measure(space, [[0.0]], [1.0])
+            if t >= 1.0:
+                return make_measure(space, [[1.0]], [1.0])
+            return make_measure(space, [[0.0], [1.0]], [1.0 - t, t])
+
+        return WassersteinCurve(space, ev, level=None, name="jump", params=spec.params)
+    return known_lift(spec).curve(spec.name, spec.params)
+
+
+def single_circle_curve(j: int, J: int, p: float, alpha: float, a: float = 3.0) -> WassersteinCurve:
+    """The j-th circle component of the cylinder family, as a curve of
+    probability measures in its own right (unit mass on circle j)."""
+    return KnownLift(
+        spaces.cylinder(2.0),
+        lambda t: _circle_positions(j, t, a),
+        np.full(2 ** (j + 1), 2.0 ** -(j + 1)),
+        2 * (j + 1),
+        period=2.0 ** -(2 * j + 1),
+    ).curve(f"cylinder_circle_{j}")
 
 
 def cylinder_circle_energies(J: int, p: float, alpha: float, a: float = 3.0):

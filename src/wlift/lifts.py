@@ -209,18 +209,19 @@ def curve_besov_norm(
 # constructions
 
 
-def _lift_from_multicoupling(mc: transport.MultiCoupling, n: int) -> Lift:
-    atoms = [mu.atoms for mu in mc.marginals]
-    paths = tuple(
-        PiecewiseGeodesicPath(
-            mc.marginals[0].space,
-            np.stack([atoms[i][row[i]] for i in range(len(row))]),
-            n,
-        )
-        for row in mc.indices
-    )
-    w = np.asarray(mc.weights, dtype=float)
+def _lift_from_breakpoints(space, X, weights, n: int, mc=None) -> Lift:
+    """The lift whose path k joins the breakpoints X[k] at the level-n dyadic
+    times; X has shape (K, 2^n + 1, dim).  The one builder of lift paths."""
+    w = np.asarray(weights, dtype=float)
+    paths = tuple(PiecewiseGeodesicPath(space, x, n) for x in X)
     return Lift(paths, w / w.sum(), n, mc)
+
+
+def _lift_from_multicoupling(mc: transport.MultiCoupling, n: int) -> Lift:
+    X = np.stack(
+        [mu.atoms[mc.indices[:, i]] for i, mu in enumerate(mc.marginals)], axis=1
+    )
+    return _lift_from_breakpoints(mc.marginals[0].space, X, mc.weights, n, mc)
 
 
 def _glued_chain(curve: WassersteinCurve, n: int, p: float):

@@ -47,9 +47,9 @@ class PiecewiseGeodesicPath:
         loc = scaled - seg
         a = self.breakpoints[seg]
         b = self.breakpoints[seg + 1]
-        if self.space.kind == "euclidean":
-            return a + loc[:, None] * (b - a)
         out = a + loc[:, None] * (b - a)
+        if self.space.kind == "euclidean":
+            return out
         P = self.space.perimeter
         delta = spaces._signed_arc(P, a[:, 0], b[:, 0])
         out[:, 0] = spaces._wrap_arc(P, a[:, 0] + loc * delta)

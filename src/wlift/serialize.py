@@ -1,4 +1,4 @@
-"""JSON/CSV serialization for spaces, measures, multi-couplings and
+"""JSON/CSV serialization for spaces, measures, paths, multi-couplings and
 reports."""
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ import json
 from . import spaces
 from .errors import ValidationError
 from .measures import DiscreteMeasure, make_measure
+from .paths import PiecewiseGeodesicPath
 from .transport import MultiCoupling
 
 
@@ -19,6 +20,8 @@ def space_to_json(space: spaces.Space) -> dict:
 
 
 def space_from_json(obj: dict) -> spaces.Space:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"space JSON must be an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "euclidean":
         return spaces.euclidean(int(obj.get("d", 1)))
@@ -43,6 +46,14 @@ def measure_from_json(obj: dict) -> DiscreteMeasure:
         return make_measure(space, obj["atoms"], obj["weights"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed measure JSON: {exc}") from exc
+
+
+def path_from_json(obj: dict) -> PiecewiseGeodesicPath:
+    """A path from {"space": ..., "breakpoints": [2^n + 1 points]}."""
+    try:
+        return PiecewiseGeodesicPath(space_from_json(obj["space"]), obj["breakpoints"])
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed path JSON: {exc}") from exc
 
 
 def multicoupling_to_json(mc: MultiCoupling) -> dict:

@@ -102,7 +102,8 @@ def distance(space: Space, x, y) -> float:
 
 
 def _distance_arrays(space: Space, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Elementwise distances between matching rows of X and Y."""
+    """Elementwise distances between matching points of X and Y (coordinates
+    on the last axis; the other axes broadcast)."""
     if space.kind == "euclidean":
         return np.linalg.norm(X - Y, axis=-1)
     P = space.perimeter
@@ -117,15 +118,7 @@ def distance_matrix(space: Space, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """All pairwise distances between rows of X (n, dim) and Y (m, dim)."""
     X = canonicalize_points(space, X)
     Y = canonicalize_points(space, Y)
-    if space.kind == "euclidean":
-        diff = X[:, None, :] - Y[None, :, :]
-        return np.linalg.norm(diff, axis=-1)
-    P = space.perimeter
-    arc = np.abs(_signed_arc(P, X[:, None, 0], Y[None, :, 0]))
-    if space.kind == "circle":
-        return arc
-    dz = X[:, None, 1] - Y[None, :, 1]
-    return np.sqrt(arc * arc + dz * dz)
+    return _distance_arrays(space, X[:, None, :], Y[None, :, :])
 
 
 def geodesic_point(space: Space, x, y, t: float) -> np.ndarray:

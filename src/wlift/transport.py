@@ -9,7 +9,6 @@ plan holds to MARGINAL_TOL.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field
 

@@ -138,13 +138,56 @@ def test_bb(tmp_path):
     assert abs(data["excess_error"]) <= 1e-9
 
 
-def test_example(tmp_path):
-    code, data = run_json(["example", "two_tent", "--t", "0.5"], tmp_path)
+EXAMPLES = {
+    "jump": (["jump"], w.jump(), {}),
+    "two_tent": (["two_tent"], w.two_tent(), {}),
+    "oscillating_tents": (
+        ["oscillating_tents"],
+        w.oscillating_tents(4, 2.0, 0.8, 2.0),
+        {"J": 4, "p": 2.0, "upsilon": 0.8, "a": 2.0},
+    ),
+    "circle_splitting": (["circle_splitting", "--param", "j=2"], w.circle_splitting(2), {"j": 2}),
+    "cylinder_family": (
+        ["cylinder_family", "--param", "J=2", "--alpha", "0.8"],
+        w.cylinder_family(2, 2.0, 0.8, 3.0),
+        {"J": 2, "p": 2.0, "alpha": 0.8, "a": 3.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(EXAMPLES))
+def test_example(tmp_path, family):
+    argv, spec, params = EXAMPLES[family]
+    code, data = run_json(["example", *argv, "--t", "0.5"], tmp_path)
     assert code == EXIT_OK
-    mu = serialize.measure_from_json(data["measure"])
-    assert mu.size == 2
-    assert mu.atoms[0, 0] == pytest.approx(0.5)
-    assert mu.atoms[1, 0] == pytest.approx(3.0)
+    assert data["family"] == family
+    assert data["params"] == params
+    assert data["measure"] == serialize.measure_to_json(w.make_curve(spec)(0.5))
+    if family == "two_tent":
+        assert data["measure"]["atoms"] == [[0.5], [3.0]]
+
+
+MALFORMED_JSON = {
+    "path_without_breakpoints": (
+        ["norms", "--norm", "besov", "--path", "{f}"], {"space": {"kind": "euclidean", "d": 1}}
+    ),
+    "path_without_space": (
+        ["norms", "--norm", "besov", "--path", "{f}"], {"breakpoints": [[0.0], [1.0]]}
+    ),
+    "space_as_string": (
+        ["ot", "--mu", "{f}", "--nu", "{f}"],
+        {"space": "euclidean", "atoms": [[0.0]], "weights": [1.0]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_malformed_json_is_input_error(tmp_path, capsys, case):
+    argv, obj = MALFORMED_JSON[case]
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(obj))
+    assert main([a.format(f=f) for a in argv]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
 
 
 def test_unknown_family(capsys):
@@ -154,3 +197,4 @@ def test_unknown_family(capsys):
 
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == EXIT_INPUT
+    assert main(["example", "jump", "--space", "nonsense"]) == EXIT_INPUT

@@ -1,0 +1,29 @@
+"""Source hygiene checks that stand in for a linter."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "wlift"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree):
+    """Names bound by the module-level imports, except `from __future__`."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(module):
+    tree = ast.parse(module.read_text())
+    # the root of an attribute chain such as np.linalg.norm is a Name node
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [name for name in _imported_names(tree) if name not in used]
+    assert not unused, f"{module.name} imports but never uses {unused}"
