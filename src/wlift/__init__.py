@@ -36,6 +36,7 @@ from .transport import (
     is_compatible,
     optimal_coupling,
     wasserstein_distance,
+    wasserstein_many,
     wasserstein_power,
 )
 from .norms import (

@@ -8,6 +8,8 @@ level, then exact geodesic scaling and the closed-form geometric tail.  The
 level sums come from one provider, `_level_power_sum`, which also serves
 `limsup_variation_dyadic` and the curve W^{1,p} sum; `_pairwise` supplies
 the distance matrices of the Hölder / variation / modulus functionals.
+Both hand their whole list of curve pairs to the distance callback at once
+when it offers a batched `many` form (`_distances`).
 
 Conventions:
   * `*_norm_*` functions return the norm itself (p-th or q-th root);
@@ -33,6 +35,16 @@ def _check_alpha_p(alpha, p, require_continuity=False):
         raise ValidationError("p must lie in (1, inf)")
     if require_continuity and alpha * p <= 1:
         raise ValidationError("alpha * p > 1 required for continuity claims")
+
+
+def _distances(dist, pairs) -> np.ndarray:
+    """dist(a, b) for every pair: one `dist.many(pairs)` call when the
+    callback has that batched form, else one `dist` call per pair."""
+    pairs = list(pairs)
+    many = getattr(dist, "many", None)
+    if many is not None:
+        return np.asarray(many(pairs), dtype=float)
+    return np.array([dist(a, b) for a, b in pairs], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +75,7 @@ def _level_power_sum(curve, m: int, p: float, dist=None) -> float:
         elif inv >= 1 and abs(dt / period - inv) < 1e-12:
             pairs = 1
     vals = [curve(t) for t in dyadic_times(m)[: pairs + 1]]
-    return (n_pairs // pairs) * float(sum(dist(a, b) ** p for a, b in zip(vals, vals[1:])))
+    return (n_pairs // pairs) * float(np.sum(_distances(dist, zip(vals, vals[1:])) ** p))
 
 
 def _dyadic_besov(curve, alpha: float, p: float, M: int, dist=None):
@@ -212,12 +224,10 @@ def _pairwise(curve, M: int, dist):
     if dist is None:
         raise ValidationError("generic curve evaluators need a distance callback")
     vals = [curve(t) for t in ts]
-    n = len(ts)
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            D[i, j] = D[j, i] = dist(vals[i], vals[j])
-    return ts, D
+    iu, ju = np.triu_indices(len(ts), k=1)
+    D = np.zeros((len(ts), len(ts)))
+    D[iu, ju] = _distances(dist, [(vals[i], vals[j]) for i, j in zip(iu, ju)])
+    return ts, D + D.T
 
 
 def holder_norm_dyadic(curve, gamma: float, M: int, dist=None) -> float:

@@ -5,12 +5,25 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 
 from . import spaces
 from .errors import ValidationError
 from .measures import DiscreteMeasure, make_measure
 from .paths import PiecewiseGeodesicPath
 from .transport import MultiCoupling
+
+
+@contextmanager
+def _malformed(what: str):
+    """Turn the errors a JSON object of the wrong shape or with non-numeric
+    values raises on the way in into ValidationError."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what} JSON: {exc}") from exc
 
 
 def space_to_json(space: spaces.Space) -> dict:
@@ -23,12 +36,13 @@ def space_from_json(obj: dict) -> spaces.Space:
     if not isinstance(obj, dict):
         raise ValidationError(f"space JSON must be an object, got {obj!r}")
     kind = obj.get("kind")
-    if kind == "euclidean":
-        return spaces.euclidean(int(obj.get("d", 1)))
-    if kind == "circle":
-        return spaces.circle(float(obj.get("perimeter", 2.0)))
-    if kind == "cylinder":
-        return spaces.cylinder(float(obj.get("perimeter", 2.0)))
+    with _malformed("space"):
+        if kind == "euclidean":
+            return spaces.euclidean(int(obj.get("d", 1)))
+        if kind == "circle":
+            return spaces.circle(float(obj.get("perimeter", 2.0)))
+        if kind == "cylinder":
+            return spaces.cylinder(float(obj.get("perimeter", 2.0)))
     raise ValidationError(f"unknown space kind {kind!r}")
 
 
@@ -41,19 +55,14 @@ def measure_to_json(mu: DiscreteMeasure) -> dict:
 
 
 def measure_from_json(obj: dict) -> DiscreteMeasure:
-    try:
-        space = space_from_json(obj["space"])
-        return make_measure(space, obj["atoms"], obj["weights"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed measure JSON: {exc}") from exc
+    with _malformed("measure"):
+        return make_measure(space_from_json(obj["space"]), obj["atoms"], obj["weights"])
 
 
 def path_from_json(obj: dict) -> PiecewiseGeodesicPath:
     """A path from {"space": ..., "breakpoints": [2^n + 1 points]}."""
-    try:
+    with _malformed("path"):
         return PiecewiseGeodesicPath(space_from_json(obj["space"]), obj["breakpoints"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed path JSON: {exc}") from exc
 
 
 def multicoupling_to_json(mc: MultiCoupling) -> dict:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from wlift import PiecewiseGeodesicPath, circle, cylinder, euclidean, make_measure
 
@@ -24,6 +25,25 @@ def random_measure(rng, space, n_atoms):
 
 def random_path(rng, space, level):
     return PiecewiseGeodesicPath(space, random_points(rng, space, 2**level + 1), level)
+
+
+coords = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
+
+
+def measure_strategy(space, max_atoms=4):
+    def build(draw_atoms, draw_w):
+        atoms = np.array(draw_atoms, dtype=float).reshape(-1, space.dim)
+        wts = np.array(draw_w, dtype=float) + 0.05
+        return make_measure(space, atoms, wts / wts.sum())
+
+    n = st.integers(1, max_atoms)
+    return n.flatmap(
+        lambda k: st.builds(
+            build,
+            st.lists(coords, min_size=k * space.dim, max_size=k * space.dim),
+            st.lists(st.floats(0, 1, allow_nan=False), min_size=k, max_size=k),
+        )
+    )
 
 
 @pytest.fixture

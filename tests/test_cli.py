@@ -178,6 +178,18 @@ MALFORMED_JSON = {
         ["ot", "--mu", "{f}", "--nu", "{f}"],
         {"space": "euclidean", "atoms": [[0.0]], "weights": [1.0]},
     ),
+    "path_breakpoints_not_numbers": (
+        ["norms", "--norm", "besov", "--path", "{f}"],
+        {"space": {"kind": "euclidean", "d": 1}, "breakpoints": "abc"},
+    ),
+    "atoms_not_numbers": (
+        ["ot", "--mu", "{f}", "--nu", "{f}"],
+        {"space": {"kind": "euclidean", "d": 1}, "atoms": [["x"]], "weights": [1.0]},
+    ),
+    "space_dimension_not_a_number": (
+        ["ot", "--mu", "{f}", "--nu", "{f}"],
+        {"space": {"kind": "euclidean", "d": "x"}, "atoms": [[0.0]], "weights": [1.0]},
+    ),
 }
 
 

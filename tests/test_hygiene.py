@@ -27,3 +27,26 @@ def test_no_unused_imports(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in _imported_names(tree) if name not in used]
     assert not unused, f"{module.name} imports but never uses {unused}"
+
+
+
+def _qualified_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize(
+    "module", [p for p in sorted(SRC.glob("*.py")) if p.name != "transport.py"],
+    ids=lambda p: p.name,
+)
+def test_only_transport_imports_lp_tools(module):
+    """transport.py holds the one LP builder; no other module may import
+    linprog or scipy.sparse to build LPs of its own."""
+    bad = [
+        name for name in _qualified_imports(ast.parse(module.read_text()))
+        if name.startswith("scipy.sparse") or name in ("scipy.optimize", "scipy.optimize.linprog")
+    ]
+    assert not bad, f"{module.name} imports {bad}"

@@ -204,3 +204,27 @@ def test_declared_period_leaves_level_sums_unchanged(spec):
         assert w.curve_norm_power(periodic, tag_spec, M=5) == pytest.approx(
             w.curve_norm_power(plain, tag_spec, M=5), rel=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [w.jump(), w.two_tent(), w.oscillating_tents(2, 2.0, 0.8), w.circle_splitting(1),
+     w.cylinder_family(1, 2.0, 0.75)],
+    ids=lambda s: s.name,
+)
+def test_batched_curve_norms_match_per_pair(spec, monkeypatch):
+    """`curve_norm_power` batches every pair list through `wasserstein_many`;
+    with the W_p callback swapped for a plain lambda, the same functionals
+    take the per-pair path."""
+    from wlift import lifts
+
+    curve = w.make_curve(spec)
+    energies = [
+        EnergySpec(tag, {**{k: PARITY_PARAMS[k] for k in entry.params}, "p": 2.0})
+        for tag, entry in lifts._FUNCTIONALS.items() if entry.curve is not None
+    ]
+    batched = [w.curve_norm_power(curve, e, M=4) for e in energies]
+    monkeypatch.setattr(lifts, "_wp", lambda p: lambda a, b: w.wasserstein_distance(a, b, p))
+    per_pair = [w.curve_norm_power(curve, e, M=4) for e in energies]
+    for e, x, y in zip(energies, batched, per_pair):
+        assert x == pytest.approx(y, rel=1e-12, abs=0.0), e.tag

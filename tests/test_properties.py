@@ -7,28 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wlift as w
-from conftest import ALL_SPACES, random_measure, random_path
+from conftest import ALL_SPACES, measure_strategy, random_measure, random_path
 from wlift.norms import besov_energy_pg, holder_norm_dyadic
 from wlift.spaces import distance
-
-coords = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
-
-
-def measure_strategy(space, max_atoms=4):
-    def build(draw_atoms, draw_w):
-        atoms = np.array(draw_atoms, dtype=float).reshape(-1, space.dim)
-        wts = np.array(draw_w, dtype=float) + 0.05
-        return w.make_measure(space, atoms, wts / wts.sum())
-
-    n = st.integers(1, max_atoms)
-    return n.flatmap(
-        lambda k: st.builds(
-            build,
-            st.lists(coords, min_size=k * space.dim, max_size=k * space.dim),
-            st.lists(st.floats(0, 1, allow_nan=False), min_size=k, max_size=k),
-        )
-    )
-
 
 @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
 def test_wasserstein_triangle_inequality(space):

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wlift as w
-from conftest import ALL_SPACES, random_measure, random_points
+from conftest import ALL_SPACES, measure_strategy, random_measure, random_points
 from wlift.spaces import distance_matrix
 
 
@@ -125,6 +127,116 @@ def test_dirac_shortcut():
 
 
 # ---------------------------------------------------------------------------
+# wasserstein_many against per-pair optimal_coupling and the oracles
+
+
+def counted_linprog(monkeypatch):
+    """Record the number of columns of every LP solved through transport."""
+    widths = []
+    solve = w.transport.linprog
+
+    def counting(c, *args, **kwargs):
+        widths.append(len(c))
+        return solve(c, *args, **kwargs)
+
+    monkeypatch.setattr(w.transport, "linprog", counting)
+    return widths
+
+
+# HiGHS stops once every reduced cost is within its dual feasibility
+# tolerance (1e-7).  On near-degenerate draws, such as atoms 1e-8 apart, two
+# LP solves of the same problem, batched or not, can then differ by that
+# much; on generic inputs they agree to round-off (next tests).
+LP_SLACK = 1e-7
+
+
+@pytest.mark.parametrize(
+    "space", [w.euclidean(1), w.euclidean(2), w.circle(2.0), w.cylinder(2.0)],
+    ids=["R1", "R2", "circle", "cylinder"],
+)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_many_matches_single_pair_lp_hypothesis(space, data):
+    p = data.draw(st.sampled_from([1.0, 2.0, 3.0]))
+    pairs = data.draw(
+        st.lists(st.tuples(measure_strategy(space), measure_strategy(space)), min_size=1, max_size=6)
+    )
+    got = w.wasserstein_many(pairs, p)
+    assert got.shape == (len(pairs),)
+    for (mu, nu), value in zip(pairs, got):
+        slack = LP_SLACK * max(1.0, value)
+        assert w.wasserstein_power(mu, nu, p) == pytest.approx(value, rel=1e-12, abs=slack)
+        _, cost = w.optimal_coupling(mu, nu, p)
+        if space.dim == 1 and space.kind == "euclidean":
+            # the closed form is exact, and no feasible plan costs less
+            assert value == pytest.approx(monotone_oracle(mu, nu, p), rel=1e-12, abs=1e-14)
+            assert value <= cost * (1 + 1e-12) + 1e-14
+            assert cost <= value + slack
+        else:
+            assert value == pytest.approx(max(cost, 0.0), rel=1e-12, abs=slack)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_line_formula_matches_permutation_oracle(p):
+    rng = np.random.default_rng(107)
+    sp = w.euclidean(1)
+    pairs = []
+    for n in range(2, 7):
+        for _ in range(6):
+            mu = w.make_measure(sp, rng.normal(size=(n, 1)), np.full(n, 1.0 / n))
+            nu = w.make_measure(sp, rng.normal(size=(n, 1)), np.full(n, 1.0 / n))
+            pairs.append((mu, nu))
+    got = w.wasserstein_many(pairs, p)
+    for (mu, nu), value in zip(pairs, got):
+        assert value == pytest.approx(permutation_oracle(mu, nu, p), rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_line_formula_matches_lp_nonuniform(p, monkeypatch):
+    rng = np.random.default_rng(108)
+    sp = w.euclidean(1)
+    pairs = [(random_measure(rng, sp, rng.integers(2, 8)), random_measure(rng, sp, rng.integers(2, 8)))
+             for _ in range(40)]
+    widths = counted_linprog(monkeypatch)
+    got = w.wasserstein_many(pairs, p)
+    assert widths == []  # the real line never reaches the LP
+    for (mu, nu), value in zip(pairs, got):
+        _, cost = w.optimal_coupling(mu, nu, p)
+        assert value == pytest.approx(cost, rel=1e-12, abs=1e-14)
+        assert value == pytest.approx(monotone_oracle(mu, nu, p), rel=1e-12, abs=1e-14)
+
+
+def test_many_spans_several_lp_solves(monkeypatch):
+    rng = np.random.default_rng(109)
+    sp = w.circle(2.0)
+    sizes = [(8, 8), (5, 7), (8, 6), (3, 8)] * 30
+    pairs = [(random_measure(rng, sp, n), random_measure(rng, sp, m)) for n, m in sizes]
+    single = [w.optimal_coupling(mu, nu, 2.0)[1] for mu, nu in pairs]
+    widths = counted_linprog(monkeypatch)
+    got = w.wasserstein_many(pairs, 2.0)
+    assert sum(widths) == sum(mu.size * nu.size for mu, nu in pairs)
+    assert len(widths) >= 3 and max(widths) <= w.transport._LP_COLUMNS
+    for value, cost in zip(got, single):
+        assert value == pytest.approx(cost, rel=1e-12, abs=1e-14)
+
+
+def test_many_edge_cases():
+    rng = np.random.default_rng(110)
+    mu = random_measure(rng, w.circle(2.0), 4)
+    nu = random_measure(rng, w.circle(2.0), 3)
+    same = w.make_measure(mu.space, mu.atoms.copy(), mu.weights.copy())
+    got = w.wasserstein_many([(mu, same), (mu, nu), (nu, nu)], 2.0)
+    assert got[0] == 0.0 and got[2] == 0.0 and got[1] > 0.0
+    assert w.wasserstein_many([], 2.0).shape == (0,)
+    line = random_measure(rng, w.euclidean(1), 3)
+    with pytest.raises(w.SpaceMismatchError):
+        w.wasserstein_many([(mu, nu), (mu, line)], 2.0)
+    for p in (float("nan"), float("inf")):
+        with pytest.raises(w.ValidationError):
+            w.wasserstein_many([(mu, nu)], p)
+
+
+# ---------------------------------------------------------------------------
 # gluing
 
 
@@ -176,6 +288,39 @@ def test_compatibility_monotone_line_feasible():
     for (i, j) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
         wpp = w.wasserstein_power(ms[i], ms[j], 2.0)
         assert report.certificate.pair_cost(i, j, 2.0) - wpp <= 1e-9
+
+
+def test_compatibility_reports_certificate_residuals():
+    sp = w.euclidean(1)
+    ms = [w.make_measure(sp, [[s], [1.0 + 2 * s], [3.0]], [0.2, 0.5, 0.3]) for s in (0.0, 0.4, 0.9)]
+    report = w.compatibility_multicoupling(ms, 2.0)
+    assert report.feasible
+    assert report.marginal_residual == report.certificate.marginal_error()
+    assert report.marginal_residual <= 1e-10
+    excess = [report.certificate.pair_cost(i, j, 2.0) - report.pair_costs[(i, j)]
+              for (i, j) in [(0, 1), (0, 2), (1, 2)]]
+    assert report.pair_residual == max(excess)
+    assert abs(report.pair_residual) <= 1e-9
+
+
+def test_compatibility_rejects_certificate_that_misses_marginals(monkeypatch):
+    # the LP's solution is scaled by 1 + 1e-6 on its way out, so its gap
+    # stays within tolerance but its 1-D marginals do not
+    solve = w.transport.linprog
+
+    def off_by_scale(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.x = res.x * (1.0 + 1e-6)
+        return res
+
+    monkeypatch.setattr(w.transport, "linprog", off_by_scale)
+    sp = w.euclidean(1)
+    ms = [w.make_measure(sp, [[0.0 + s], [2.0 + s]], [0.5, 0.5]) for s in (0.0, 0.5, 1.0)]
+    report = w.compatibility_multicoupling(ms, 2.0)
+    assert not report.feasible
+    assert report.certificate is None
+    assert report.max_pair_gap <= 1e-9
+    assert report.marginal_residual == pytest.approx(0.5e-6, rel=1e-3)
 
 
 def test_compatibility_incompatible_triple():
