@@ -234,12 +234,13 @@ def _lift_from_multicoupling(mc: transport.MultiCoupling, n: int) -> Lift:
 
 
 def _glued_chain(curve: WassersteinCurve, n: int, p: float):
-    """The level-n dyadic times, the measures there, and the left-to-right
-    glue of the consecutive optimal couplings."""
+    """The level-n dyadic times, the measures there, the left-to-right glue
+    of the consecutive optimal couplings, and those couplings' costs."""
     ts = dyadic_times(n)
     mus = [curve(t) for t in ts]
-    couplings = [optimal_coupling(mus[k], mus[k + 1], p)[0] for k in range(2**n)]
-    return ts, mus, glue_chain(couplings, labels=tuple(ts))
+    plans = [optimal_coupling(mus[k], mus[k + 1], p) for k in range(2**n)]
+    mc = glue_chain([c for c, _ in plans], labels=tuple(ts))
+    return ts, mus, mc, [cost for _, cost in plans]
 
 
 def construct_lift_A(curve: WassersteinCurve, n: int, p: float) -> Lift:
@@ -264,10 +265,16 @@ def construct_lift_B(
     the pattern); otherwise the product-support feasibility LP decides, and
     infeasibility raises IncompatibleCurveError with the report.
     """
-    ts, mus, mc = _glued_chain(curve, n, p)
+    ts, mus, mc, chain_costs = _glued_chain(curve, n, p)
     pattern = dyadic_pattern_pairs(n)
-    opt = wasserstein_many([(mus[i], mus[j]) for (i, j) in pattern], p)
-    for (i, j), wpp in zip(pattern, opt):
+    # the glue is made of LP plans, so it is compared with LP values: a
+    # consecutive pair with its own plan's cost, the others with
+    # `transport._lp_wpp_many` (no real-line closed form; see there)
+    far = [(i, j) for (i, j) in pattern if j > i + 1]
+    opt = dict(zip(far, transport._lp_wpp_many([(mus[i], mus[j]) for (i, j) in far], p)))
+    opt.update(((k, k + 1), cost) for k, cost in enumerate(chain_costs))
+    for (i, j) in pattern:
+        wpp = opt[(i, j)]
         if mc.pair_cost(i, j, p) - wpp > tol * max(1.0, wpp):
             report = transport.compatibility_multicoupling(
                 mus, p, pairs=pattern, budget=budget, labels=tuple(ts)

@@ -12,15 +12,19 @@ pair by the first rule that applies:
      (LP columns) each.  The LP separates by block, so each block's part of
      the solution is that pair's own optimum.  The cap bounds memory: one
      33 792-column solve raised a process's peak RSS by 36 MiB, while
-     2048-column solves add ~2 MiB.
+     2048-column solves add ~2 MiB.  For the same reason each solve's cost
+     matrices are built when it runs, so one solve's matrices (or one
+     larger pair's) are alive at a time, however long the pair list.
 `wasserstein_distance` and `wasserstein_power` are its single-pair case.
+`_lp_wpp_many` is the same dispatch without rule 3; the checks of couplings
+built from LP solutions use it (see there).
 `optimal_coupling` solves one block and returns the LP's vertex plan.  One
 builder, `_transport_lp`, writes the constraint matrix of every transport
 LP.
 
-All LPs are solved with scipy's HiGHS backend; transport LPs run with
-HiGHS's primal feasibility tolerance tightened from its default 1e-7 to
-MARGINAL_TOL, so each marginal constraint of a returned plan holds to
+All LPs are solved with scipy's HiGHS backend, with HiGHS's primal
+feasibility tolerance tightened from its default 1e-7 to MARGINAL_TOL, so
+each marginal constraint of a returned plan or certificate holds to
 MARGINAL_TOL.
 """
 
@@ -210,18 +214,30 @@ def _wpp_line(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
     return float(np.dot(np.diff(u), np.abs(x[i] - y[j]) ** p))
 
 
-def _by_width(blocks, cap):
-    """Consecutive runs of `blocks` with at most `cap` plan entries each (a
-    larger block runs alone)."""
+def _by_width(lp_pairs, cap):
+    """Consecutive runs of `lp_pairs`, items (k, mu, nu), with at most `cap`
+    plan entries each (a larger pair runs alone)."""
     run, width = [], 0
-    for blk in blocks:
-        if run and width + blk[0].size > cap:
+    for item in lp_pairs:
+        size = item[1].size * item[2].size
+        if run and width + size > cap:
             yield run
             run, width = [], 0
-        run.append(blk)
-        width += blk[0].size
+        run.append(item)
+        width += size
     if run:
         yield run
+
+
+def _solve_run(run, p: float) -> np.ndarray:
+    """W_p^p of each pair of `run` from one block-diagonal LP.  The cost
+    matrices exist only during this call, so at most one run's are held."""
+    blocks = [(_cost_matrix(mu, nu, p), mu, nu) for _, mu, nu in run]
+    x = _transport_lp(blocks)
+    ends = np.cumsum([D.size for D, _, _ in blocks])
+    return np.array(
+        [np.dot(x[e - D.size:e], D.reshape(-1)) for (D, _, _), e in zip(blocks, ends)]
+    )
 
 
 def wasserstein_many(pairs, p: float) -> np.ndarray:
@@ -230,29 +246,39 @@ def wasserstein_many(pairs, p: float) -> np.ndarray:
     Equal measures give exactly 0; a point mass on either side is coupled
     directly; pairs on the real line use the monotone closed form; all
     other pairs are solved in block-diagonal LPs of at most _LP_COLUMNS plan
-    entries each (see the module docstring)."""
+    entries each (see the module docstring).  Cost matrices are built one
+    LP at a time, so memory is bounded by one solve, not by len(pairs)."""
+    return _wpp_many(pairs, p, line=True)
+
+
+def _lp_wpp_many(pairs, p: float) -> np.ndarray:
+    """`wasserstein_many` with real-line pairs also solved by the LP.
+
+    Checks of LP-built couplings (glued optimal plans, the compatibility
+    LP's solution) compare with these values.  HiGHS stops once every
+    reduced cost is within its dual feasibility tolerance (1e-7), so an LP
+    plan can cost ~1e-9 more than the exact W_p^p on near-degenerate inputs;
+    against the closed form that LP noise would read as a gap."""
+    return _wpp_many(pairs, p, line=False)
+
+
+def _wpp_many(pairs, p: float, line: bool) -> np.ndarray:
     _check_exponent(p)
     pairs = list(pairs)
     out = np.zeros(len(pairs))
-    blocks, where = [], []
+    lp_pairs = []
     for k, (mu, nu) in enumerate(pairs):
         check_same_space(mu, nu)
         if measures_equal(mu, nu):
             continue
         if mu.size == 1 or nu.size == 1:
             out[k] = float(np.sum(_point_mass_plan(mu, nu) * _cost_matrix(mu, nu, p)))
-        elif mu.space.kind == "euclidean" and mu.space.dim == 1:
+        elif line and mu.space.kind == "euclidean" and mu.space.dim == 1:
             out[k] = _wpp_line(mu, nu, p)
         else:
-            blocks.append((_cost_matrix(mu, nu, p), mu, nu))
-            where.append(k)
-    slots = iter(where)
-    for run in _by_width(blocks, _LP_COLUMNS):
-        x = _transport_lp(run)
-        start = 0
-        for D, _, _ in run:
-            out[next(slots)] = float(np.dot(x[start:start + D.size], D.reshape(-1)))
-            start += D.size
+            lp_pairs.append((k, mu, nu))
+    for run in _by_width(lp_pairs, _LP_COLUMNS):
+        out[[k for k, _, _ in run]] = _solve_run(run, p)
     return np.maximum(out, 0.0)
 
 
@@ -364,7 +390,7 @@ def compatibility_multicoupling(
             mi.space, mi.atoms[idx[:, i]], mj.atoms[idx[:, j]]
         )
         objective += d ** p
-    opt = wasserstein_many([(measures[i], measures[j]) for (i, j) in pairs], p)
+    opt = _lp_wpp_many([(measures[i], measures[j]) for (i, j) in pairs], p)
     pair_opt = {pr: float(v) for pr, v in zip(pairs, opt)}
 
     rows, cols, vals, b = [], [], [], []
@@ -378,7 +404,10 @@ def compatibility_multicoupling(
             b.append(mu.weights[a])
             r += 1
     A = sp.csr_matrix((vals, (rows, cols)), shape=(r, K))
-    res = linprog(objective, A_eq=A, b_eq=np.array(b), bounds=(0, None), method="highs")
+    res = linprog(
+        objective, A_eq=A, b_eq=np.array(b), bounds=(0, None), method="highs",
+        options=_TRANSPORT_LP_OPTIONS,
+    )
     if not res.success:
         raise RuntimeError(f"compatibility LP failed: {res.message}")
 

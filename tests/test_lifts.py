@@ -85,6 +85,45 @@ def test_construct_B_raises_on_incompatible():
     assert exc_info.value.report.max_pair_gap > 1e-6
 
 
+@pytest.mark.parametrize(
+    "times, p",
+    [
+        # W_1(mu_0, mu_1): the LP plan costs 1.7e-9 more than the exact value
+        ({0.0: ([0.0, 1.0], [2 / 3, 1 / 3]),
+          1.0: ([0.0, 1e-8, 1.0], [1 / 2, 1 / 4, 1 / 4])}, 1.0),
+        ({0.0: ([0.0, 1.0], [2 / 3, 1 / 3]),
+          1.0: ([0.0, 1e-8, 1.0], [1 / 2, 1 / 4, 1 / 4])}, 2.0),
+        ({0.0: ([0.0, 1.0], [2 / 3, 1 / 3]),
+          0.5: ([0.0, 1e-8, 1.0], [1 / 2, 1 / 4, 1 / 4]),
+          1.0: ([3.0, 4.0], [1 / 2, 1 / 2])}, 1.0),
+        # the glued (0, 2) pair costs 1.9e-9 more than the exact W_1 but no
+        # more than the LP's; the compatibility LP's excess over the exact
+        # optima is 1.5e-8
+        ({0.0: ([0.0, 1e-8, 1.00000001, 2.0], [3 / 9, 2 / 9, 3 / 9, 1 / 9]),
+          0.5: ([0.0, 1.000000001, 2.0], [5 / 9, 3 / 9, 1 / 9]),
+          1.0: ([0.0, 1e-8], [0.4, 0.6])}, 1.0),
+    ],
+    ids=["n0-p1", "n0-p2", "n1-p1", "n1-p1-far"],
+)
+def test_construct_B_keeps_glue_on_near_degenerate_line(times, p, monkeypatch):
+    # atoms 1e-8 apart on the real line: the glued LP plans are checked
+    # against LP values, so HiGHS's tolerance is not read as a gap and the
+    # glued chain is kept, as it is for exact inputs
+    sp = w.euclidean(1)
+    ms = {t: w.make_measure(sp, np.array(a)[:, None], wt) for t, (a, wt) in times.items()}
+    curve = w.WassersteinCurve(sp, lambda t: ms[t])
+    n = len(ms) - 2  # 2^n + 1 dyadic times, n = 0 or 1
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("glued chain rejected")
+
+    monkeypatch.setattr(w.transport, "compatibility_multicoupling", no_lp)
+    lift = w.construct_lift_B(curve, n, p)
+    glued = w.construct_lift_A(curve, n, p)
+    assert np.array_equal(lift.multicoupling.indices, glued.multicoupling.indices)
+    assert np.array_equal(lift.multicoupling.weights, glued.multicoupling.weights)
+
+
 def test_curve_besov_closed_form_tail():
     # two_tent declares level 1, so curve_besov_norm is exact for any M >= 1
     curve = w.make_curve(w.two_tent())

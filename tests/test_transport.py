@@ -146,7 +146,10 @@ def counted_linprog(monkeypatch):
 # HiGHS stops once every reduced cost is within its dual feasibility
 # tolerance (1e-7).  On near-degenerate draws, such as atoms 1e-8 apart, two
 # LP solves of the same problem, batched or not, can then differ by that
-# much; on generic inputs they agree to round-off (next tests).
+# much, and an LP value can sit that far above the real-line closed form; on
+# generic inputs they agree to round-off (next tests).  This slack is the
+# transport LP's open dual-tolerance defect, not a property of the dispatch:
+# tighten it to rel=1e-12 once that tolerance is fixed.
 LP_SLACK = 1e-7
 
 
@@ -218,6 +221,40 @@ def test_many_spans_several_lp_solves(monkeypatch):
     assert len(widths) >= 3 and max(widths) <= w.transport._LP_COLUMNS
     for value, cost in zip(got, single):
         assert value == pytest.approx(cost, rel=1e-12, abs=1e-14)
+
+
+def test_many_holds_one_solves_cost_matrices(monkeypatch):
+    # a long list of large blocks: each solve's cost matrices are built when
+    # it runs, so memory does not grow with the number of pairs
+    import gc
+    import weakref
+
+    rng = np.random.default_rng(111)
+    sp = w.circle(2.0)
+    sizes = [(40, 40)] * 4 + [(20, 20)] * 10 + [(60, 50)] * 2
+    pairs = [(random_measure(rng, sp, n), random_measure(rng, sp, m)) for n, m in sizes]
+    built, seen = [], []
+    cost_matrix, transport_lp = w.transport._cost_matrix, w.transport._transport_lp
+
+    def tracked(mu, nu, p):
+        D = cost_matrix(mu, nu, p)
+        built.append(weakref.ref(D))
+        return D
+
+    def solve(blocks):
+        gc.collect()
+        seen.append((sum(r() is not None for r in built), len(blocks)))
+        return transport_lp(blocks)
+
+    monkeypatch.setattr(w.transport, "_cost_matrix", tracked)
+    monkeypatch.setattr(w.transport, "_transport_lp", solve)
+    got = w.wasserstein_many(pairs, 2.0)
+    # blocks of 1600, 400 and 3000 columns, at most 2048 per solve
+    assert [b for _, b in seen] == [1, 1, 1, 2, 5, 4, 1, 1]
+    assert all(live == b for live, b in seen)
+    monkeypatch.undo()
+    for (mu, nu), value in zip(pairs, got):
+        assert value == pytest.approx(w.optimal_coupling(mu, nu, 2.0)[1], rel=1e-12, abs=1e-14)
 
 
 def test_many_edge_cases():
@@ -301,6 +338,23 @@ def test_compatibility_reports_certificate_residuals():
               for (i, j) in [(0, 1), (0, 2), (1, 2)]]
     assert report.pair_residual == max(excess)
     assert abs(report.pair_residual) <= 1e-9
+
+
+def test_compatibility_nearly_equal_pair_stays_feasible():
+    # two measures on the same atoms whose weights differ by 5e-8: any two
+    # measures are compatible, and the certificate's marginals must pass the
+    # FEASIBILITY_TOL re-check, so the LP is solved to MARGINAL_TOL
+    rng = np.random.default_rng(112)
+    sp = w.euclidean(2)
+    for _ in range(5):
+        atoms = rng.normal(size=(4, 2))
+        wts = rng.dirichlet(np.ones(4))
+        mu = w.make_measure(sp, atoms, wts)
+        nu = w.make_measure(sp, atoms.copy(), wts + np.array([5e-8, -5e-8, 0.0, 0.0]))
+        report = w.compatibility_multicoupling([mu, nu], 2.0)
+        assert report.feasible
+        assert report.marginal_residual <= w.transport.MARGINAL_TOL
+        assert w.is_compatible([mu, nu], 2.0)
 
 
 def test_compatibility_rejects_certificate_that_misses_marginals(monkeypatch):
