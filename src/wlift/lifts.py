@@ -46,6 +46,8 @@ class WassersteinCurve:
     def __call__(self, t: float) -> DiscreteMeasure:
         t = float(t)
         if t not in self._cache:
+            if not -1e-15 <= t <= 1 + 1e-15:  # eval_many's slack
+                raise ValidationError(f"time {t} outside [0, 1]")
             self._cache[t] = self._evaluator(t)
             if len(self._cache) > 4096:
                 self._cache.clear()

@@ -37,6 +37,11 @@ def _check_alpha_p(alpha, p, require_continuity=False):
         raise ValidationError("alpha * p > 1 required for continuity claims")
 
 
+def _check_exponent(value, name):
+    if not 1 <= value < np.inf:
+        raise ValidationError(f"{name} must be a finite number >= 1, got {value}")
+
+
 def _distances(dist, pairs) -> np.ndarray:
     """dist(a, b) for every pair: one `dist.many(pairs)` call when the
     callback has that batched form, else one `dist` call per pair."""
@@ -271,8 +276,7 @@ def p_variation(curve, q: float, mode: str = "dyadic", M: int = 8, dist=None) ->
     mode="vertex": piecewise-geodesic paths only; partitions over the
     breakpoints, which is exact for q >= 1.
     """
-    if q < 1:
-        raise ValidationError("q must be >= 1")
+    _check_exponent(q, "q")
     if mode == "vertex":
         if not isinstance(curve, PiecewiseGeodesicPath):
             raise ValidationError("vertex mode needs a piecewise-geodesic path")
@@ -288,15 +292,13 @@ def limsup_variation_dyadic(curve, q: float, levels, dist=None) -> np.ndarray:
     """For each level m: sum_k d(X_{t_k}, X_{t_{k+1}})^q over the level-m
     consecutive dyadic pairs.  The trend over growing m stands in for the
     limsup over shrinking dyadic meshes."""
-    if q < 1:
-        raise ValidationError("q must be >= 1")
+    _check_exponent(q, "q")
     return np.array([_level_power_sum(curve, m, q, dist) for m in levels])
 
 
 def w1p_norm_pg(path: PiecewiseGeodesicPath, p: float) -> float:
     """Exact W^{1,p} norm of a piecewise-geodesic path (L^p norm of speed)."""
-    if p < 1:
-        raise ValidationError("p must be >= 1")
+    _check_exponent(p, "p")
     dt = 1.0 / 2**path.level
     seg = path.segment_lengths()
     return float(np.sum(dt * (seg / dt) ** p)) ** (1.0 / p)

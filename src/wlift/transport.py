@@ -22,10 +22,17 @@ built from LP solutions use it (see there).
 builder, `_transport_lp`, writes the constraint matrix of every transport
 LP.
 
-All LPs are solved with scipy's HiGHS backend, with HiGHS's primal
-feasibility tolerance tightened from its default 1e-7 to MARGINAL_TOL, so
-each marginal constraint of a returned plan or certificate holds to
-MARGINAL_TOL.
+Every LP here has one form, min c.x subject to A x = b, x >= 0, with a 0/1
+matrix A, and is solved by one adapter, `_highs_solve`.  The transport LP
+and the compatibility LP write A straight into compressed-column arrays.
+The adapter hands them to the HiGHS solver (Huangfu & Hall, Math. Prog.
+Comp. 2018) through scipy's bindings, with the options scipy's
+`linprog(method="highs")` would pass, so the solutions are the ones
+`linprog` returns, without its per-call input checks and conversions.
+Where scipy lacks those bindings (older releases), `linprog` itself solves.
+HiGHS's primal feasibility tolerance is tightened from its default 1e-7 to
+MARGINAL_TOL, so each marginal constraint of a returned plan or certificate
+holds to MARGINAL_TOL.
 """
 
 from __future__ import annotations
@@ -34,8 +41,12 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import linprog
+
+try:  # HiGHS's own bindings; private to scipy and missing from older releases
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:
+    _highs = None
 
 from . import spaces
 from .errors import BudgetExceededError, ValidationError
@@ -49,6 +60,11 @@ FEASIBILITY_TOL = 1e-8
 # weights differ by 4.4e-10, at cost 0 instead of 4e-9.  1e-10 is the
 # smallest value HiGHS accepts.
 _TRANSPORT_LP_OPTIONS = {"primal_feasibility_tolerance": MARGINAL_TOL}
+# what `linprog(method="highs", options=_TRANSPORT_LP_OPTIONS)` sets in HiGHS
+_HIGHS_OPTIONS = {
+    "presolve": "on", "output_flag": False, "log_to_console": False,
+    **_TRANSPORT_LP_OPTIONS,
+}
 # most plan entries one batched transport LP takes (see the module docstring)
 _LP_COLUMNS = 2048
 
@@ -151,38 +167,68 @@ def _point_mass_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     return nu.weights[None, :].copy() if mu.size == 1 else mu.weights[:, None].copy()
 
 
+def _highs_solve(c, indptr, indices, b):
+    """Solve min c.x subject to A x = b, x >= 0, where A is the 0/1 matrix
+    whose column k has its ones in rows indices[indptr[k]:indptr[k + 1]]
+    (compressed columns, without the values).  Returns (x, objective).
+    Raises RuntimeError, naming HiGHS's model status, unless it is optimal."""
+    if _highs is None:
+        from scipy.sparse import csc_array
+
+        A = csc_array((np.ones(indices.size), indices, indptr), shape=(b.size, c.size))
+        res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
+                      options=_TRANSPORT_LP_OPTIONS)
+        if not res.success:
+            raise RuntimeError(f"LP not solved: {res.message}")
+        return res.x, res.fun
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = b.size
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(c.size)
+    lp.col_upper_ = np.full(c.size, _highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = b
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = indptr
+    lp.a_matrix_.index_ = indices
+    lp.a_matrix_.value_ = np.ones(indices.size)
+    solver = _highs._Highs()
+    for key, value in _HIGHS_OPTIONS.items():
+        solver.setOptionValue(key, value)
+    if solver.passModel(lp) == _highs.HighsStatus.kError:
+        raise RuntimeError("LP not solved: HiGHS rejected the model")
+    solver.run()
+    status = solver.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"LP not solved: model status {solver.modelStatusToString(status)}")
+    return np.array(solver.getSolution().col_value), solver.getInfo().objective_function_value
+
+
 def _transport_lp(blocks):
     """Solve the transport LPs `blocks`, a list of (cost matrix (n, m), mu,
-    nu) with n, m >= 2, as one block-diagonal HiGHS solve.  Returns the
-    solution with negative round-off set to 0; block b's plan is the next
-    n_b m_b entries, row-major.
+    nu) with n, m >= 2, as one block-diagonal LP.  Returns the solution with
+    negative round-off set to 0; block b's plan is the next n_b m_b entries,
+    row-major.
 
-    The constraint matrix is built directly in COO form: plan entry (i, j)
-    of a block sits in that block's row-sum row i and column-sum row n + j.
-    The last column-sum row of each block follows from the others and is
-    dropped."""
-    rows, cols, b = [], [], []
-    r0 = c0 = 0
+    Plan entry (i, j) of a block is a column with ones in that block's
+    row-sum row i and column-sum row n + j.  The last column-sum row of
+    each block follows from the others and is dropped, so the columns with
+    j = m - 1 hold one entry."""
+    indices, counts, b = [], [], []
+    r0 = 0
     for D, mu, nu in blocks:
         n, m = D.shape
-        k = np.arange(n * m)
-        i, j = np.divmod(k, m)
-        keep = j < m - 1
-        rows += [r0 + i, r0 + n + j[keep]]
-        cols += [c0 + k, c0 + k[keep]]
+        i, j = np.divmod(np.arange(n * m), m)
+        rows = np.stack([r0 + i, r0 + n + j], axis=1).ravel()
+        indices.append(rows[rows < r0 + n + m - 1])
+        counts.append(np.where(j < m - 1, 2, 1))
         b += [mu.weights, nu.weights[:-1]]
         r0 += n + m - 1
-        c0 += n * m
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    A = sp.coo_array((np.ones(rows.size), (rows, cols)), shape=(r0, c0))
-    res = linprog(
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    x, _ = _highs_solve(
         np.concatenate([D.reshape(-1) for D, _, _ in blocks]),
-        A_eq=A, b_eq=np.concatenate(b), bounds=(0, None), method="highs",
-        options=_TRANSPORT_LP_OPTIONS,
+        indptr, np.concatenate(indices), np.concatenate(b),
     )
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    x = res.x
     x[x < 0] = 0.0
     return x
 
@@ -357,6 +403,8 @@ def compatibility_multicoupling(
     exceeds sum of W_p^p by the smallest achievable total excess; the
     collection is compatible on `pairs` iff that excess is ~ 0.
     """
+    if not 0 <= tol < np.inf:
+        raise ValidationError(f"tol must be a finite number >= 0, got {tol}")
     measures = list(measures)
     N = len(measures)
     if N < 1:
@@ -393,29 +441,19 @@ def compatibility_multicoupling(
     opt = _lp_wpp_many([(measures[i], measures[j]) for (i, j) in pairs], p)
     pair_opt = {pr: float(v) for pr, v in zip(pairs, opt)}
 
-    rows, cols, vals, b = [], [], [], []
-    r = 0
-    for i, mu in enumerate(measures):
-        for a in range(mu.size):
-            sel = np.nonzero(idx[:, i] == a)[0]
-            rows.extend([r] * len(sel))
-            cols.extend(sel.tolist())
-            vals.extend([1.0] * len(sel))
-            b.append(mu.weights[a])
-            r += 1
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(r, K))
-    res = linprog(
-        objective, A_eq=A, b_eq=np.array(b), bounds=(0, None), method="highs",
-        options=_TRANSPORT_LP_OPTIONS,
+    # column k of the LP holds one 1 per marginal i, in row
+    # offsets[i] + idx[k, i] (marginal i's atom idx[k, i])
+    offsets = np.cumsum([0] + sizes[:-1])
+    x, fun = _highs_solve(
+        objective, np.arange(0, K * N + 1, N), (idx + offsets).ravel(),
+        np.concatenate([mu.weights for mu in measures]),
     )
-    if not res.success:
-        raise RuntimeError(f"compatibility LP failed: {res.message}")
 
     total_opt = sum(pair_opt.values())
-    gap = float(res.fun - total_opt)
+    gap = float(fun - total_opt)
     scale = max(1.0, total_opt)
-    keep = res.x > 1e-15
-    cand = MultiCoupling(tuple(measures), idx[keep], res.x[keep], tuple(labels))
+    keep = x > 1e-15
+    cand = MultiCoupling(tuple(measures), idx[keep], x[keep], tuple(labels))
     # the certificate is re-checked on its own support, independently of the
     # LP's objective value and tolerances
     marginal_res = cand.marginal_error()

@@ -55,6 +55,15 @@ def test_compat_feasible_and_infeasible(tmp_path, capsys):
     assert data["max_pair_gap"] > 1e-6
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_compat_rejects_bad_tolerance(tol, capsys):
+    # two_tent at these times is compatible; a bad tol is an input error
+    argv = ["compat", "--family", "two_tent", "--times", "0,0.5,1"]
+    assert main(argv) == EXIT_OK
+    assert main(argv + ["--tol", tol]) == EXIT_INPUT
+    assert "tol must be" in capsys.readouterr().err
+
+
 def test_lift_csv(tmp_path):
     out = tmp_path / "diag.csv"
     code = main([
@@ -116,6 +125,26 @@ def test_non_finite_input_is_input_error(line_measures, tmp_path, capsys):
 def test_norms_rejects_bad_exponents(capsys):
     code = main(["norms", "--norm", "besov", "--alpha", "0.4", "--p", "2"])
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("flag", ["--q", "--p"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0.5"])
+def test_norms_variation_and_w1p_reject_bad_exponents(flag, value, capsys):
+    norm = "variation" if flag == "--q" else "w1p"
+    code = main(["norms", "--norm", norm, "--builtin", "tent", flag, value])
+    assert code == EXIT_INPUT
+    assert f"{flag[2:]} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "two_tent", "--t", "1.5"],
+    ["example", "two_tent", "--t", "-0.5"],
+    ["example", "two_tent", "--t", "nan"],
+    ["compat", "--family", "two_tent", "--times", "0,0.5,1.5"],
+], ids=["example_after_1", "example_before_0", "example_nan", "compat_after_1"])
+def test_times_outside_unit_interval_are_input_errors(argv, capsys):
+    assert main(argv) == EXIT_INPUT
+    assert "outside [0, 1]" in capsys.readouterr().err
 
 
 def test_norms_curve_family(tmp_path):

@@ -43,10 +43,12 @@ def _qualified_imports(tree):
     ids=lambda p: p.name,
 )
 def test_only_transport_imports_lp_tools(module):
-    """transport.py holds the one LP builder; no other module may import
-    linprog or scipy.sparse to build LPs of its own."""
+    """transport.py holds the one LP builder and solver; no other module may
+    import linprog, scipy.sparse or scipy's HiGHS bindings to build or solve
+    LPs of its own."""
     bad = [
         name for name in _qualified_imports(ast.parse(module.read_text()))
-        if name.startswith("scipy.sparse") or name in ("scipy.optimize", "scipy.optimize.linprog")
+        if name.startswith(("scipy.sparse", "scipy.optimize._highspy"))
+        or name in ("scipy.optimize", "scipy.optimize.linprog")
     ]
     assert not bad, f"{module.name} imports {bad}"

@@ -24,6 +24,16 @@ def geodesic_curve(space, mu, nu, p):
     return w.WassersteinCurve(space, ev, level=0)
 
 
+def test_curve_rejects_times_outside_unit_interval():
+    curve = w.make_curve(w.two_tent())
+    for t in (1.5, -0.25, float("nan"), float("inf")):
+        with pytest.raises(w.ValidationError):
+            curve(t)
+    # times within eval_many's 1e-15 slack of [0, 1] are evaluated
+    for t, end in ((1.0 + 1e-16, 1.0), (-1e-16, 0.0)):
+        assert np.allclose(curve(t).atoms, curve(end).atoms, rtol=0.0, atol=1e-15)
+
+
 def test_lift_energy_besov_two_tent():
     kl = w.known_lift(w.two_tent())
     lift = kl.discretize(2)

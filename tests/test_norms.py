@@ -174,6 +174,19 @@ def test_w1p_norm():
         assert w.w1p_norm_pg(tent, p) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("q", [float("nan"), float("inf"), 0.5])
+def test_variation_exponents_must_be_finite_and_at_least_one(q):
+    tent = w.PiecewiseGeodesicPath(w.euclidean(1), [[0.0], [1.0], [0.0]], 1)
+    with pytest.raises(w.ValidationError):
+        w.p_variation(tent, q, mode="vertex")
+    with pytest.raises(w.ValidationError):
+        w.p_variation(tent, q, mode="dyadic", M=2)
+    with pytest.raises(w.ValidationError):
+        w.limsup_variation_dyadic(tent, q, range(3))
+    with pytest.raises(w.ValidationError):
+        w.w1p_norm_pg(tent, q)
+
+
 # ---------------------------------------------------------------------------
 # checks
 

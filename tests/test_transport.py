@@ -130,16 +130,16 @@ def test_dirac_shortcut():
 # wasserstein_many against per-pair optimal_coupling and the oracles
 
 
-def counted_linprog(monkeypatch):
+def counted_lp_solves(monkeypatch):
     """Record the number of columns of every LP solved through transport."""
     widths = []
-    solve = w.transport.linprog
+    solve = w.transport._highs_solve
 
     def counting(c, *args, **kwargs):
         widths.append(len(c))
         return solve(c, *args, **kwargs)
 
-    monkeypatch.setattr(w.transport, "linprog", counting)
+    monkeypatch.setattr(w.transport, "_highs_solve", counting)
     return widths
 
 
@@ -200,7 +200,7 @@ def test_line_formula_matches_lp_nonuniform(p, monkeypatch):
     sp = w.euclidean(1)
     pairs = [(random_measure(rng, sp, rng.integers(2, 8)), random_measure(rng, sp, rng.integers(2, 8)))
              for _ in range(40)]
-    widths = counted_linprog(monkeypatch)
+    widths = counted_lp_solves(monkeypatch)
     got = w.wasserstein_many(pairs, p)
     assert widths == []  # the real line never reaches the LP
     for (mu, nu), value in zip(pairs, got):
@@ -215,7 +215,7 @@ def test_many_spans_several_lp_solves(monkeypatch):
     sizes = [(8, 8), (5, 7), (8, 6), (3, 8)] * 30
     pairs = [(random_measure(rng, sp, n), random_measure(rng, sp, m)) for n, m in sizes]
     single = [w.optimal_coupling(mu, nu, 2.0)[1] for mu, nu in pairs]
-    widths = counted_linprog(monkeypatch)
+    widths = counted_lp_solves(monkeypatch)
     got = w.wasserstein_many(pairs, 2.0)
     assert sum(widths) == sum(mu.size * nu.size for mu, nu in pairs)
     assert len(widths) >= 3 and max(widths) <= w.transport._LP_COLUMNS
@@ -271,6 +271,95 @@ def test_many_edge_cases():
     for p in (float("nan"), float("inf")):
         with pytest.raises(w.ValidationError):
             w.wasserstein_many([(mu, nu)], p)
+
+
+# ---------------------------------------------------------------------------
+# _highs_solve, the direct HiGHS call, against scipy's linprog
+
+
+def linprog_plan(mu, nu, p):
+    """The transport plan scipy's `linprog` finds on a dense constraint
+    matrix built here: all row sums of the plan, then all column sums but
+    the last."""
+    from scipy.optimize import linprog
+
+    D = distance_matrix(mu.space, mu.atoms, nu.atoms) ** p
+    n, m = D.shape
+    A = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))[:-1]])
+    res = linprog(
+        D.reshape(-1), A_eq=A, b_eq=np.concatenate([mu.weights, nu.weights[:-1]]),
+        bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": w.transport.MARGINAL_TOL},
+    )
+    assert res.success
+    x = res.x
+    x[x < 0] = 0.0
+    return x.reshape(n, m)
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+def test_highs_solve_plans_match_linprog(space):
+    rng = np.random.default_rng(113)
+    for p in (1.0, 1.5, 2.0, 3.0):
+        for _ in range(8):
+            mu = random_measure(rng, space, rng.integers(2, 8))
+            nu = random_measure(rng, space, rng.integers(2, 8))
+            coupling, _ = w.optimal_coupling(mu, nu, p)
+            assert np.array_equal(coupling.weights, linprog_plan(mu, nu, p))
+
+
+def test_highs_solve_compatibility_reports_match_linprog(monkeypatch):
+    rng = np.random.default_rng(114)
+    collections = [[random_measure(rng, space, 3) for _ in range(3)] for space in ALL_SPACES]
+    curve = w.make_curve(w.circle_splitting(0))
+    collections.append([curve(t) for t in (0.0, 0.25, 0.5, 0.75)])
+    direct = [w.compatibility_multicoupling(ms, 2.0) for ms in collections]
+    monkeypatch.setattr(w.transport, "_highs", None)  # `linprog` solves
+    for ms, want in zip(collections, direct):
+        got = w.compatibility_multicoupling(ms, 2.0)
+        assert (got.feasible, got.max_pair_gap, got.product_size, got.pair_costs,
+                got.marginal_residual, got.pair_residual) == (
+            want.feasible, want.max_pair_gap, want.product_size, want.pair_costs,
+            want.marginal_residual, want.pair_residual)
+        if want.feasible:
+            assert np.array_equal(got.certificate.indices, want.certificate.indices)
+            assert np.array_equal(got.certificate.weights, want.certificate.weights)
+    assert {r.feasible for r in direct} == {True, False}
+
+
+def test_highs_solve_falls_back_to_linprog(monkeypatch):
+    # without scipy's HiGHS bindings, `linprog` solves the same LP
+    rng = np.random.default_rng(115)
+    sp = w.circle(2.0)
+    pairs = [(random_measure(rng, sp, 4), random_measure(rng, sp, 5)) for _ in range(3)]
+    direct = w.wasserstein_many(pairs, 2.0)
+    calls = []
+    solve = w.transport.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(w.transport, "_highs", None)
+    monkeypatch.setattr(w.transport, "linprog", counting)
+    assert np.array_equal(w.wasserstein_many(pairs, 2.0), direct)
+    assert calls == [60]
+
+
+@pytest.mark.parametrize("bindings", [True, False], ids=["highs", "linprog"])
+def test_highs_solve_infeasible_raises(monkeypatch, bindings):
+    if bindings and w.transport._highs is None:
+        pytest.skip("scipy has no HiGHS bindings")
+    if not bindings:
+        monkeypatch.setattr(w.transport, "_highs", None)
+    # the 2 x 2 transport LP: plan entries (0, 0), (0, 1), (1, 0), (1, 1);
+    # rows 0 and 1 are the row sums, row 2 the first column sum
+    c = np.array([0.0, 1.0, 1.0, 0.0])
+    indptr, indices = np.array([0, 2, 3, 5, 6]), np.array([0, 2, 0, 1, 2, 1])
+    x, objective = w.transport._highs_solve(c, indptr, indices, np.array([0.5, 0.5, 0.3]))
+    assert np.allclose(x, [0.3, 0.2, 0.0, 0.5]) and objective == pytest.approx(0.2)
+    with pytest.raises(RuntimeError, match="(?i)infeasible"):
+        w.transport._highs_solve(c, indptr, indices, np.array([0.5, 0.5, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +449,13 @@ def test_compatibility_nearly_equal_pair_stays_feasible():
 def test_compatibility_rejects_certificate_that_misses_marginals(monkeypatch):
     # the LP's solution is scaled by 1 + 1e-6 on its way out, so its gap
     # stays within tolerance but its 1-D marginals do not
-    solve = w.transport.linprog
+    solve = w.transport._highs_solve
 
     def off_by_scale(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        res.x = res.x * (1.0 + 1e-6)
-        return res
+        x, fun = solve(*args, **kwargs)
+        return x * (1.0 + 1e-6), fun
 
-    monkeypatch.setattr(w.transport, "linprog", off_by_scale)
+    monkeypatch.setattr(w.transport, "_highs_solve", off_by_scale)
     sp = w.euclidean(1)
     ms = [w.make_measure(sp, [[0.0 + s], [2.0 + s]], [0.5, 0.5]) for s in (0.0, 0.5, 1.0)]
     report = w.compatibility_multicoupling(ms, 2.0)
