@@ -10,14 +10,14 @@ class SpaceMismatchError(ValidationError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A product-support LP would exceed the configured size budget."""
+    """An LP or a glued certificate would exceed the configured size budget;
+    `what` names the counted quantity."""
 
-    def __init__(self, product_size, budget):
-        self.product_size = product_size
+    def __init__(self, size, budget, what="product support size"):
+        self.size = size
         self.budget = budget
-        super().__init__(
-            f"product support size {product_size} exceeds budget {budget}"
-        )
+        self.what = what
+        super().__init__(f"{what} {size} exceeds budget {budget}")
 
 
 class IncompatibleCurveError(RuntimeError):

@@ -264,8 +264,9 @@ def construct_lift_B(
 
     The glued chain of consecutive optimal couplings is tried first (for
     Wasserstein geodesics and monotone real-line curves it already satisfies
-    the pattern); otherwise the product-support feasibility LP decides, and
-    infeasibility raises IncompatibleCurveError with the report.
+    the pattern); otherwise the compatibility LP on the pattern's triangle
+    tables decides, and infeasibility raises IncompatibleCurveError with the
+    report.
     """
     ts, mus, mc, chain_costs = _glued_chain(curve, n, p)
     pattern = dyadic_pattern_pairs(n)

@@ -88,10 +88,14 @@ def _wrap_arc(P: float, x):
     return np.where(r < P, r, 0.0)
 
 
-def _signed_arc(P: float, a, b):
+def _signed_arc(P: float, a, b, canonical: bool = False):
     """Signed displacement from arc coordinate a to b along the chosen
-    geodesic direction: shorter arc, ties broken positively."""
-    d = (np.asarray(b) - np.asarray(a)) % P
+    geodesic direction: shorter arc, ties broken positively.  With
+    `canonical`, a and b are both in [0, P), so b - a lies in (-P, P) and
+    adding P to the negative differences gives the bits of the general
+    modulo at half its cost."""
+    d = np.asarray(b) - np.asarray(a)
+    d = np.where(d < 0, d + P, d) if canonical else d % P
     return np.where(d <= P - d, d, d - P)
 
 
@@ -101,13 +105,16 @@ def distance(space: Space, x, y) -> float:
     return float(_distance_arrays(space, x[None, :], y[None, :])[0])
 
 
-def _distance_arrays(space: Space, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _distance_arrays(
+    space: Space, X: np.ndarray, Y: np.ndarray, canonical: bool = False
+) -> np.ndarray:
     """Elementwise distances between matching points of X and Y (coordinates
-    on the last axis; the other axes broadcast)."""
+    on the last axis; the other axes broadcast).  `canonical`: both are
+    canonical points (see `_signed_arc`)."""
     if space.kind == "euclidean":
         return np.linalg.norm(X - Y, axis=-1)
     P = space.perimeter
-    arc = np.abs(_signed_arc(P, X[..., 0], Y[..., 0]))
+    arc = np.abs(_signed_arc(P, X[..., 0], Y[..., 0], canonical))
     if space.kind == "circle":
         return arc
     dz = X[..., 1] - Y[..., 1]
@@ -118,7 +125,7 @@ def distance_matrix(space: Space, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """All pairwise distances between rows of X (n, dim) and Y (m, dim)."""
     X = canonicalize_points(space, X)
     Y = canonicalize_points(space, Y)
-    return _distance_arrays(space, X[:, None, :], Y[None, :, :])
+    return _distance_arrays(space, X[:, None, :], Y[None, :, :], canonical=True)
 
 
 def geodesic_point(space: Space, x, y, t: float) -> np.ndarray:

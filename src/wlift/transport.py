@@ -22,9 +22,19 @@ built from LP solutions use it (see there).
 builder, `_transport_lp`, writes the constraint matrix of every transport
 LP.
 
-Every LP here has one form, min c.x subject to A x = b, x >= 0, with a 0/1
-matrix A, and is solved by one adapter, `_highs_solve`.  The transport LP
-and the compatibility LP write A straight into compressed-column arrays.
+`compatibility_multicoupling` decides whether a multi-coupling exists whose
+2-D marginals on a set of pairs are optimal.  It solves one LP, written by
+`_table_lp`, over tables on the cliques of a junction tree of the pair
+graph (`_junction_tree`): for the dyadic pattern the 2^n - 1 triangles
+(a, (a+b)/2, b), sum n_a n_m n_b columns; for any other pair set one clique
+of all measures, which is the LP over the full product support, prod n_i
+columns.  Its certificate is the tables glued down the tree by Markov
+disintegration (`_glue`, of which `glue_chain` is the path case).
+
+Every LP here has one form, min c.x subject to A x = b, x >= 0, and is
+solved by one adapter, `_highs_solve`.  A is 0/1 except for the -1 of the
+compatibility LP's separator rows.  Both LP builders write A straight into
+compressed-column arrays.
 The adapter hands them to the HiGHS solver (Huangfu & Hall, Math. Prog.
 Comp. 2018) through scipy's bindings, with the options scipy's
 `linprog(method="highs")` would pass, so the solutions are the ones
@@ -70,8 +80,9 @@ _LP_COLUMNS = 2048
 
 
 def product_budget() -> int:
-    """Size budget for product-support LPs (env var WLIFT_BUDGET overrides;
-    it must be an integer >= 1)."""
+    """Size budget for compatibility LPs, in LP columns, and for their glued
+    certificates, in support tuples (env var WLIFT_BUDGET overrides; it must
+    be an integer >= 1)."""
     raw = os.environ.get("WLIFT_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
@@ -152,10 +163,11 @@ class CompatibilityReport:
     feasible: bool
     certificate: MultiCoupling | None
     max_pair_gap: float  # minimized total excess over pairwise optimal costs
-    product_size: int
+    product_size: int  # prod of the marginals' support sizes
     pair_costs: dict = field(default_factory=dict)
     marginal_residual: float = 0.0
     pair_residual: float = 0.0
+    lp_columns: int = 0  # columns of the LP solved (0: none was needed)
 
 
 def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> np.ndarray:
@@ -167,15 +179,18 @@ def _point_mass_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     return nu.weights[None, :].copy() if mu.size == 1 else mu.weights[:, None].copy()
 
 
-def _highs_solve(c, indptr, indices, b):
-    """Solve min c.x subject to A x = b, x >= 0, where A is the 0/1 matrix
-    whose column k has its ones in rows indices[indptr[k]:indptr[k + 1]]
-    (compressed columns, without the values).  Returns (x, objective).
-    Raises RuntimeError, naming HiGHS's model status, unless it is optimal."""
+def _highs_solve(c, indptr, indices, b, values=None):
+    """Solve min c.x subject to A x = b, x >= 0, where column k of A holds
+    values[indptr[k]:indptr[k + 1]] (ones when `values` is None) in rows
+    indices[indptr[k]:indptr[k + 1]] (compressed columns).  Returns
+    (x, objective).  Raises RuntimeError, naming HiGHS's model status,
+    unless it is optimal."""
+    if values is None:
+        values = np.ones(indices.size)
     if _highs is None:
         from scipy.sparse import csc_array
 
-        A = csc_array((np.ones(indices.size), indices, indptr), shape=(b.size, c.size))
+        A = csc_array((values, indices, indptr), shape=(b.size, c.size))
         res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
                       options=_TRANSPORT_LP_OPTIONS)
         if not res.success:
@@ -191,7 +206,7 @@ def _highs_solve(c, indptr, indices, b):
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
     lp.a_matrix_.start_ = indptr
     lp.a_matrix_.index_ = indices
-    lp.a_matrix_.value_ = np.ones(indices.size)
+    lp.a_matrix_.value_ = values
     solver = _highs._Highs()
     for key, value in _HIGHS_OPTIONS.items():
         solver.setOptionValue(key, value)
@@ -347,27 +362,33 @@ def glue_chain(couplings, labels=(), prune: float = 1e-15) -> MultiCoupling:
     for a, b in zip(couplings, couplings[1:]):
         if not measures_equal(a.col_measure, b.row_measure):
             raise ValidationError("chain mismatch: shared marginals differ")
-
-    first = couplings[0]
-    idx = np.argwhere(first.weights > prune)
-    wts = first.weights[idx[:, 0], idx[:, 1]]
-    for c in couplings[1:]:
-        row_tot = c.weights.sum(axis=1)
-        safe = np.where(row_tot > 0, row_tot, 1.0)
-        cond = c.weights / safe[:, None]
-        new_idx = []
-        new_wts = []
-        for (tup, w) in zip(idx, wts):
-            j = tup[-1]
-            nz = np.nonzero(cond[j] > prune)[0]
-            for k in nz:
-                new_idx.append(np.append(tup, k))
-                new_wts.append(w * cond[j, k])
-        idx = np.array(new_idx, dtype=int)
-        wts = np.array(new_wts)
-
+    steps = [((k,), c.weights) for k, c in enumerate(couplings[1:], start=1)]
+    idx, wts = _glue(couplings[0].weights, steps, prune)
     marginals = tuple([couplings[0].row_measure] + [c.col_measure for c in couplings])
     return MultiCoupling(marginals, idx, wts, tuple(labels))
+
+
+def _glue(first, steps, prune: float = 1e-15, cap: int | None = None):
+    """Markov disintegration of a tree of tables: the support tuples of table
+    `first` (entries > prune), extended by one component per step.
+
+    A step (sep, table) draws the new component from `table`'s conditional
+    given the components at tuple positions `sep`: table's leading axes are
+    those components, in order, and its last axis is the new one.  Returns
+    (indices (T, first.ndim + len(steps)), weights (T,)).  More than `cap`
+    tuples raise BudgetExceededError."""
+    idx = np.argwhere(first > prune)
+    wts = first[tuple(idx.T)]
+    for sep, table in steps:
+        tot = table.sum(axis=-1)
+        cond = table / np.where(tot > 0, tot, 1.0)[..., None]
+        rows = cond[tuple(idx[:, s] for s in sep)]
+        t, k = np.nonzero(rows > prune)
+        idx = np.column_stack([idx[t], k])
+        wts = wts[t] * rows[t, k]
+        if cap is not None and wts.size > cap:
+            raise BudgetExceededError(wts.size, cap, "glued certificate tuples")
+    return idx, wts
 
 
 def all_pairs(n: int):
@@ -386,6 +407,69 @@ def dyadic_pattern_pairs(n: int):
     return sorted(pairs)
 
 
+def _junction_tree(N: int, pairs):
+    """Cliques of the pair graph on N nodes, as (nodes ascending, parent
+    clique or -1, separator: the nodes shared with the parent), parents
+    before children.
+
+    For the dyadic pattern (`pairs` == dyadic_pattern_pairs(n), N = 2^n + 1)
+    these are the 2^n - 1 triangles (a, (a+b)/2, b) over the dyadic intervals
+    (a, b) of length >= 2, each joined to its parent interval's triangle on
+    the pair (a, b).  Any other pair set gets one clique of all N nodes."""
+    n = (N - 1).bit_length() - 1
+    if N < 4 or N - 1 != 2**n or pairs != dyadic_pattern_pairs(n):
+        return [(tuple(range(N)), -1, ())]
+    tree = []
+    intervals = [(0, N - 1, -1)]
+    for a, b, parent in intervals:  # breadth first; the list grows as it is read
+        c = (a + b) // 2
+        tree.append(((a, c, b), parent, (a, b) if parent >= 0 else ()))
+        if c - a >= 2:
+            intervals += [(a, c, len(tree) - 1), (c, b, len(tree) - 1)]
+    return tree
+
+
+def _table_lp(sizes, tree):
+    """The compressed columns (indptr, indices, values) and the number of
+    rows of the clique-table LP's constraint matrix, and each clique's table
+    shape.  Clique k's table is the next prod(shape_k) columns, row-major.
+
+    Rows: first the 1-D marginal rows of every node, node v's atom i in row
+    offsets[v] + i, each written by the first clique that holds v; then, for
+    each clique k > 0, one row per entry of its separator's pair marginal
+    (the nodes it shares with its parent), +1 in the parent's table and -1
+    in its own."""
+    offsets = np.cumsum([0] + sizes[:-1])
+    owner = {}
+    for k, (nodes, _, _) in enumerate(tree):
+        for v in nodes:
+            owner.setdefault(v, k)
+    seps = [sep for _, _, sep in tree]
+    # clique k's separator rows start at sep_start[k]; the last entry is the row count
+    sep_start = np.cumsum([sum(sizes)] + [int(np.prod([sizes[v] for v in s])) if s else 0
+                                          for s in seps])
+    shapes, indptr, indices, values = [], [np.zeros(1, dtype=int)], [], []
+    for k, (nodes, parent, _) in enumerate(tree):
+        shape = tuple(sizes[v] for v in nodes)
+        idx = np.indices(shape).reshape(len(nodes), -1)
+        rows = [offsets[v] + idx[i] for i, v in enumerate(nodes) if owner[v] == k]
+        signs = [1.0] * len(rows)
+        # its own separator (-1), then its children's (+1), in row order
+        links = [(k, -1.0)] * (parent >= 0) + [
+            (q, 1.0) for q, (_, q_parent, _) in enumerate(tree) if q_parent == k]
+        for q, sign in links:
+            at = [idx[nodes.index(v)] for v in seps[q]]
+            rows.append(sep_start[q] + np.ravel_multi_index(at, [sizes[v] for v in seps[q]]))
+            signs.append(sign)
+        cols = idx.shape[1]
+        indptr.append(indptr[-1][-1] + len(rows) * np.arange(1, cols + 1))
+        indices.append(np.stack(rows).T.ravel())
+        values.append(np.tile(signs, cols))
+        shapes.append(shape)
+    return (np.concatenate(indptr), np.concatenate(indices), np.concatenate(values),
+            int(sep_start[-1]), shapes)
+
+
 def compatibility_multicoupling(
     measures,
     p: float,
@@ -395,13 +479,24 @@ def compatibility_multicoupling(
     labels=(),
 ) -> CompatibilityReport:
     """Decide whether a multi-coupling exists whose 2-D marginals on `pairs`
-    are all optimal couplings.
+    (default: all pairs) are all optimal couplings.
 
-    Solved as an LP over the full product support: minimize the total d^p
-    cost over the requested pairs subject to the fixed 1-D marginals.  Any
-    multi-coupling's pair cost is >= W_p^p for that pair, so the minimum
-    exceeds sum of W_p^p by the smallest achievable total excess; the
-    collection is compatible on `pairs` iff that excess is ~ 0.
+    Any multi-coupling's pair cost is >= W_p^p for that pair, so the least
+    total d^p cost over `pairs` exceeds the sum of the W_p^p by the smallest
+    achievable total excess; the collection is compatible on `pairs` iff that
+    excess is ~ 0.  The least cost is an LP over clique tables of the pair
+    graph (`_junction_tree`): a table per clique, 1-D marginal rows, equal
+    separator marginals between neighbouring cliques, and each pair's cost on
+    the first clique that holds it.  Tables that agree on their separators
+    glue to a joint measure with those tables as marginals (the
+    junction-tree property of chordal graphs), so this LP has the optimum of
+    the LP over the full product support.  For the dyadic pattern the
+    cliques are triangles and the LP has sum n_a n_m n_b columns; any other
+    pair set is one clique, the product-support LP itself.
+
+    The certificate is the tables glued down the tree by Markov
+    disintegration, re-checked on its own support.  More LP columns, or
+    more glued tuples, than the budget raise BudgetExceededError.
     """
     if not 0 <= tol < np.inf:
         raise ValidationError(f"tol must be a finite number >= 0, got {tol}")
@@ -423,37 +518,44 @@ def compatibility_multicoupling(
 
     sizes = [m.size for m in measures]
     K = int(np.prod(sizes, dtype=object))
+    tree = _junction_tree(N, pairs)
+    columns = sum(int(np.prod([sizes[v] for v in nodes], dtype=object)) for nodes, _, _ in tree)
     cap = budget if budget is not None else product_budget()
-    if K > cap:
-        raise BudgetExceededError(K, cap)
-
-    # index grid over the product support
-    grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
-    idx = np.stack([g.reshape(-1) for g in grids], axis=1)  # (K, N)
-
-    objective = np.zeros(K)
-    for (i, j) in pairs:
-        mi, mj = measures[i], measures[j]
-        d = spaces._distance_arrays(
-            mi.space, mi.atoms[idx[:, i]], mj.atoms[idx[:, j]]
+    if columns > cap:
+        raise BudgetExceededError(
+            columns, cap, "product support size" if len(tree) == 1 else "LP columns"
         )
-        objective += d ** p
+
+    indptr, indices, values, n_rows, shapes = _table_lp(sizes, tree)
+    costs = [np.zeros(shape) for shape in shapes]
+    for (i, j) in pairs:
+        k = next(k for k, (nodes, _, _) in enumerate(tree) if i in nodes and j in nodes)
+        nodes = tree[k][0]
+        D = _cost_matrix(measures[i], measures[j], p)
+        costs[k] += D.reshape([sizes[v] if v in (i, j) else 1 for v in nodes])
     opt = _lp_wpp_many([(measures[i], measures[j]) for (i, j) in pairs], p)
     pair_opt = {pr: float(v) for pr, v in zip(pairs, opt)}
 
-    # column k of the LP holds one 1 per marginal i, in row
-    # offsets[i] + idx[k, i] (marginal i's atom idx[k, i])
-    offsets = np.cumsum([0] + sizes[:-1])
-    x, fun = _highs_solve(
-        objective, np.arange(0, K * N + 1, N), (idx + offsets).ravel(),
-        np.concatenate([mu.weights for mu in measures]),
-    )
+    b = np.zeros(n_rows)
+    b[:sum(sizes)] = np.concatenate([mu.weights for mu in measures])
+    x, fun = _highs_solve(np.concatenate([c.ravel() for c in costs]), indptr, indices, b,
+                          values)
+
+    ends = np.cumsum([c.size for c in costs])
+    tables = [x[e - c.size:e].reshape(c.shape) for c, e in zip(costs, ends)]
+    order = list(tree[0][0])
+    steps = []
+    for (nodes, _, sep), table in zip(tree[1:], tables[1:]):
+        new = next(v for v in nodes if v not in sep)
+        steps.append(([order.index(v) for v in sep],
+                      table.transpose([nodes.index(v) for v in sep + (new,)])))
+        order.append(new)
+    idx, wts = _glue(tables[0], steps, cap=cap)
 
     total_opt = sum(pair_opt.values())
     gap = float(fun - total_opt)
     scale = max(1.0, total_opt)
-    keep = x > 1e-15
-    cand = MultiCoupling(tuple(measures), idx[keep], x[keep], tuple(labels))
+    cand = MultiCoupling(tuple(measures), idx[:, np.argsort(order)], wts, tuple(labels))
     # the certificate is re-checked on its own support, independently of the
     # LP's objective value and tolerances
     marginal_res = cand.marginal_error()
@@ -465,7 +567,7 @@ def compatibility_multicoupling(
     )
     return CompatibilityReport(
         feasible, cand if feasible else None, max(gap, 0.0), K, pair_opt,
-        marginal_res, pair_res,
+        marginal_res, pair_res, columns,
     )
 
 

@@ -61,3 +61,21 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def loop_glue_chain(couplings, prune=1e-15):
+    """Reference Markov glue of a chain of couplings, one support tuple and
+    one successor atom at a time; returns (indices, weights)."""
+    first = couplings[0].weights
+    idx = np.argwhere(first > prune)
+    wts = first[idx[:, 0], idx[:, 1]]
+    for c in couplings[1:]:
+        row_tot = c.weights.sum(axis=1)
+        cond = c.weights / np.where(row_tot > 0, row_tot, 1.0)[:, None]
+        new_idx, new_wts = [], []
+        for tup, wt in zip(idx, wts):
+            for k in np.nonzero(cond[tup[-1]] > prune)[0]:
+                new_idx.append(np.append(tup, k))
+                new_wts.append(wt * cond[tup[-1], k])
+        idx, wts = np.array(new_idx, dtype=int), np.array(new_wts)
+    return idx, wts

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wlift as w
-from conftest import random_measure, random_path
+from conftest import loop_glue_chain, random_measure, random_path
 from wlift.lifts import EnergySpec, curve_besov_norm
 from wlift.paths import dyadic_times
 
@@ -93,6 +93,36 @@ def test_construct_B_raises_on_incompatible():
     with pytest.raises(w.IncompatibleCurveError) as exc_info:
         w.construct_lift_B(curve, 1, 2.0)
     assert exc_info.value.report.max_pair_gap > 1e-6
+
+
+def test_construct_B_circle_splitting_gap_grows_with_level(monkeypatch):
+    # each level's pattern pairs contain the previous level's (time k/2^n is
+    # index 2k at level n + 1), so the least total excess cannot fall
+    monkeypatch.delenv("WLIFT_BUDGET", raising=False)
+    curve = w.make_curve(w.circle_splitting(1))
+    gaps = []
+    for n in range(1, 6):
+        try:
+            w.construct_lift_B(curve, n, 2.0)
+            gaps.append(0.0)
+        except w.IncompatibleCurveError as exc:
+            gaps.append(exc.report.max_pair_gap)
+            assert exc.report.product_size == 4 ** (2**n + 1)
+    assert gaps[:3] == [0.0, 0.0, pytest.approx(0.25, abs=1e-9)]
+    assert min(gaps[3:]) > 0.25
+    assert all(b >= a - 1e-9 for a, b in zip(gaps, gaps[1:]))
+
+
+def test_construct_A_is_the_loop_glue_of_consecutive_plans():
+    for spec in (w.jump(), w.two_tent(), w.circle_splitting(1)):
+        curve = w.make_curve(spec)
+        for n in (1, 3, 5):
+            lift = w.construct_lift_A(curve, n, 2.0)
+            ts = dyadic_times(n)
+            plans = [w.optimal_coupling(curve(s), curve(t), 2.0)[0] for s, t in zip(ts, ts[1:])]
+            idx, wts = loop_glue_chain(plans)
+            assert np.array_equal(lift.multicoupling.indices, idx)
+            assert np.array_equal(lift.multicoupling.weights, wts)
 
 
 @pytest.mark.parametrize(

@@ -100,3 +100,27 @@ def test_distance_matrix_agrees_with_scalar():
                 assert D[i, j] == pytest.approx(
                     w.distance(space, X[i], Y[j]), abs=1e-14
                 )
+
+
+@pytest.mark.parametrize("P", [2.0, 1.0, 2 * np.pi, 3.7])
+def test_signed_arc_canonical_matches_modulo(P):
+    # on canonical coordinates (in [0, P)) the conditional add of P gives the
+    # bits of the general modulo
+    rng = np.random.default_rng(401)
+    edge = [0.0, np.nextafter(P, 0.0), P / 2, np.nextafter(P / 2, 0.0), P / 4, 3 * P / 4,
+            0.1 * P, 0.1 * P + P / 2, 5e-324]
+    pts = np.concatenate([edge, rng.uniform(0.0, P, 500)])
+    pts = w.spaces.canonicalize_points(w.circle(P), pts)[:, 0]
+    assert np.all((pts >= 0) & (pts < P))
+    a, b = pts[:, None], pts[None, :]
+    assert np.array_equal(w.spaces._signed_arc(P, a, b, canonical=True),
+                          w.spaces._signed_arc(P, a, b))
+    # exact half-perimeter ties are broken toward increasing coordinate
+    assert w.spaces._signed_arc(P, 0.0, P / 2, canonical=True) == P / 2
+    assert w.spaces._signed_arc(P, P / 2, 0.0, canonical=True) == P / 2
+    for sp in (w.circle(P), w.cylinder(P)):
+        X = np.column_stack([pts, rng.normal(size=pts.size)])[:, : sp.dim]
+        assert np.array_equal(
+            w.spaces.distance_matrix(sp, X, X),
+            w.spaces._distance_arrays(sp, X[:, None, :], X[None, :, :]),
+        )

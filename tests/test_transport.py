@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wlift as w
-from conftest import ALL_SPACES, measure_strategy, random_measure, random_points
+from conftest import ALL_SPACES, loop_glue_chain, measure_strategy, random_measure, random_points
 from wlift.spaces import distance_matrix
 
 
@@ -379,6 +379,23 @@ def test_glue_chain_preserves_pair_marginals():
         assert mc.pair_cost(k, k + 1, 2.0) == pytest.approx(c.cost(2.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+def test_glue_chain_matches_loop_glue(space):
+    # the vectorized glue reproduces the tuple-by-tuple one bit for bit
+    rng = np.random.default_rng(107)
+    for p in (1.0, 2.0):
+        for _ in range(6):
+            ms = [random_measure(rng, space, rng.integers(1, 6)) for _ in range(5)]
+            chain = [w.optimal_coupling(a, b, p)[0] for a, b in zip(ms, ms[1:])]
+            # a non-vertex coupling branches more
+            chain[1] = w.transport.Coupling(
+                ms[1], ms[2], np.outer(ms[1].weights, ms[2].weights))
+            mc = w.glue_chain(chain)
+            idx, wts = loop_glue_chain(chain)
+            assert mc.indices.dtype == idx.dtype
+            assert np.array_equal(mc.indices, idx) and np.array_equal(mc.weights, wts)
+
+
 def test_glue_chain_rejects_mismatched_chain():
     sp = w.euclidean(1)
     a = w.dirac(sp, [0.0])
@@ -525,3 +542,141 @@ def test_budget_env_sets_budget(monkeypatch):
     assert w.transport.product_budget() == 7
     monkeypatch.delenv("WLIFT_BUDGET")
     assert w.transport.product_budget() == w.transport.DEFAULT_BUDGET
+
+
+# ---------------------------------------------------------------------------
+# clique-table LP on the dyadic pattern
+
+
+def one_clique(N, pairs):
+    """`_junction_tree` without the dyadic case: the product-support LP."""
+    return [(tuple(range(N)), -1, ())]
+
+
+def pattern_collections():
+    """(n, measures at the 2^n + 1 level-n times): independent random
+    measures (mostly incompatible) and translates of one measure, in R^2 and
+    on the circle; the product support stays <= 3^9."""
+    rng = np.random.default_rng(120)
+    for space in (w.euclidean(2), w.circle(2.0)):
+        for n, max_atoms, draws in ((2, 4, 4), (3, 3, 2)):
+            N = 2**n + 1
+            for _ in range(draws):
+                yield n, [random_measure(rng, space, rng.integers(1, max_atoms + 1))
+                          for _ in range(N)]
+            base = random_measure(rng, space, max_atoms)
+            step = rng.normal(scale=0.05, size=space.dim)
+            yield n, [w.make_measure(space, base.atoms + t * step, base.weights)
+                      for t in range(N)]
+
+
+def assert_certificate_passes(report, pairs, p):
+    cert = report.certificate
+    assert cert.marginal_error() <= w.transport.FEASIBILITY_TOL
+    for (i, j) in pairs:
+        mu, nu = cert.marginals[i], cert.marginals[j]
+        assert cert.pair_cost(i, j, p) - w.wasserstein_power(mu, nu, p) <= 1e-8
+
+
+def test_tree_lp_matches_product_lp(monkeypatch):
+    cases = list(pattern_collections())
+    tree = [w.compatibility_multicoupling(ms, 2.0, pairs=w.dyadic_pattern_pairs(n))
+            for n, ms in cases]
+    monkeypatch.setattr(w.transport, "_junction_tree", one_clique)
+    for (n, ms), got in zip(cases, tree):
+        pairs = w.dyadic_pattern_pairs(n)
+        want = w.compatibility_multicoupling(ms, 2.0, pairs=pairs)
+        assert want.lp_columns == want.product_size == got.product_size <= 3**9
+        assert got.lp_columns == sum(ms[a].size * ms[(a + b) // 2].size * ms[b].size
+                                     for (a, b) in pairs if b - a >= 2)
+        assert got.feasible == want.feasible
+        assert abs(got.max_pair_gap - want.max_pair_gap) <= 1e-9
+        if got.feasible:
+            assert_certificate_passes(got, pairs, 2.0)
+    assert {r.feasible for r in tree} == {True, False}
+
+
+def test_circle_splitting_pattern_gap_matches_product_lp(monkeypatch):
+    curve = w.make_curve(w.circle_splitting(1))
+    ms = [curve(k / 8) for k in range(9)]
+    pairs = w.dyadic_pattern_pairs(3)
+    tree = w.compatibility_multicoupling(ms, 2.0, pairs=pairs)
+    assert (tree.lp_columns, tree.product_size) == (7 * 4**3, 4**9)
+    monkeypatch.setattr(w.transport, "_junction_tree", one_clique)
+    product = w.compatibility_multicoupling(ms, 2.0, pairs=pairs)
+    assert product.lp_columns == 4**9
+    assert not tree.feasible and not product.feasible
+    assert tree.max_pair_gap == pytest.approx(0.25, abs=1e-9)
+    assert abs(tree.max_pair_gap - product.max_pair_gap) <= 1e-9
+
+
+def test_all_pairs_lp_is_the_product_support_lp(monkeypatch):
+    # all pairs make a complete graph, one clique: the LP is the product
+    # support's, column for column, with its cost summed pair by pair
+    rng = np.random.default_rng(121)
+    sp = w.circle(2.0)
+    ms = [random_measure(rng, sp, k) for k in (2, 3, 4)]
+    seen = []
+    solve = w.transport._highs_solve
+
+    def capture(*args):
+        seen.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(w.transport, "_highs_solve", capture)
+    report = w.compatibility_multicoupling(ms, 2.0)
+    assert report.lp_columns == report.product_size == 24
+    c, indptr, indices, b, values = next(a for a in seen if a[0].size == 24)
+    idx = np.stack(np.meshgrid(*[np.arange(m.size) for m in ms], indexing="ij"),
+                   axis=-1).reshape(-1, 3)
+    cost = np.zeros(24)
+    for (i, j) in w.transport.all_pairs(3):
+        cost += w.spaces._distance_arrays(sp, ms[i].atoms[idx[:, i]], ms[j].atoms[idx[:, j]]) ** 2
+    assert np.array_equal(c, cost)
+    assert np.array_equal(indptr, np.arange(0, 24 * 3 + 1, 3))
+    assert np.array_equal(indices, (idx + [0, 2, 5]).ravel())
+    assert np.array_equal(values, np.ones(72))
+    assert np.array_equal(b, np.concatenate([m.weights for m in ms]))
+
+
+def test_budget_stops_tree_lp():
+    curve = w.make_curve(w.circle_splitting(1))
+    ms = [curve(k / 8) for k in range(9)]
+    pairs = w.dyadic_pattern_pairs(3)
+    with pytest.raises(w.BudgetExceededError, match="LP columns 448 exceeds budget 447"):
+        w.compatibility_multicoupling(ms, 2.0, pairs=pairs, budget=447)
+    report = w.compatibility_multicoupling(ms, 2.0, pairs=pairs, budget=448)
+    assert report.max_pair_gap == pytest.approx(0.25, abs=1e-9)
+
+
+def test_budget_counts_glued_tuples(monkeypatch):
+    # the LP's solution is replaced by product tables, which meet its
+    # constraints; their glue is the whole product support, 3^5 tuples
+    rng = np.random.default_rng(122)
+    ms = [random_measure(rng, w.euclidean(1), 3) for _ in range(5)]
+    pairs = w.dyadic_pattern_pairs(2)
+    tables = [np.multiply.outer(np.multiply.outer(ms[a].weights, ms[m].weights), ms[b].weights)
+              for (a, m, b), _, _ in w.transport._junction_tree(5, pairs)]
+    x = np.concatenate([t.ravel() for t in tables])
+    solve = w.transport._highs_solve
+
+    def product_tables(c, *args):
+        return (x, float(c @ x)) if c.size == x.size else solve(c, *args)
+
+    monkeypatch.setattr(w.transport, "_highs_solve", product_tables)
+    with pytest.raises(w.BudgetExceededError, match="glued certificate tuples 243"):
+        w.compatibility_multicoupling(ms, 2.0, pairs=pairs, budget=242)
+    report = w.compatibility_multicoupling(ms, 2.0, pairs=pairs, budget=243)
+    assert report.lp_columns == 81
+    assert report.marginal_residual <= 1e-15
+
+
+def test_budget_on_tree_lp_is_cli_exit_3(monkeypatch, capsys):
+    from wlift.cli import EXIT_NEGATIVE, EXIT_RESOURCE, main
+
+    argv = ["lift", "--family", "circle_splitting", "--param", "j=1", "--level", "3"]
+    monkeypatch.setenv("WLIFT_BUDGET", "400")
+    assert main(argv) == EXIT_RESOURCE
+    assert "LP columns 448 exceeds budget 400" in capsys.readouterr().err
+    monkeypatch.delenv("WLIFT_BUDGET")
+    assert main(argv) == EXIT_NEGATIVE
