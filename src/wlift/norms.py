@@ -21,11 +21,14 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import spaces
-from .errors import ValidationError
+from .errors import BudgetExceededError, ValidationError
 from .paths import PiecewiseGeodesicPath, dyadic_times
+from .transport import product_budget
 
 
 def _check_alpha_p(alpha, p, require_continuity=False):
@@ -40,6 +43,11 @@ def _check_alpha_p(alpha, p, require_continuity=False):
 def _check_exponent(value, name):
     if not 1 <= value < np.inf:
         raise ValidationError(f"{name} must be a finite number >= 1, got {value}")
+
+
+def _check_count(value, name, least):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _distances(dist, pairs) -> np.ndarray:
@@ -137,20 +145,31 @@ def besov_norm_truncated(curve, alpha: float, p: float, M: int, dist=None):
 # Fractional Sobolev quadrature
 
 
-def _gl_nodes(a: float, b: float, g: int):
-    x, w = np.polynomial.legendre.leggauss(g)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+# most (s, t) node pairs one batched quadrature evaluation takes: each of a
+# chunk's few (rectangles, g, g) float arrays stays within 64 KiB, which
+# keeps them in cache and adds nothing measurable to peak memory
+_QUAD_NODE_PAIRS = 2**13
+# Gauss-Legendre nodes and weights on [-1, 1], by order
+_legendre = functools.lru_cache(maxsize=16)(np.polynomial.legendre.leggauss)
 
 
-def _cell_pair_quad(path, sa, sb, ta, tb, alpha, p, g):
-    ss, ws = _gl_nodes(sa, sb, g)
-    tt, wt = _gl_nodes(ta, tb, g)
-    Xs = path.eval_many(ss)
-    Xt = path.eval_many(tt)
-    D = spaces.distance_matrix(path.space, Xs, Xt)
-    dt = tt[None, :] - ss[:, None]
-    integrand = D**p / np.abs(dt) ** (1.0 + alpha * p)
-    return float(ws @ integrand @ wt)
+def _rectangle_quad(path, rects, alpha, p, g) -> float:
+    """Order-g tensor Gauss-Legendre sum of d(X_s, X_t)^p / |t-s|^{1+alpha p}
+    over the rectangles [sa, sb] x [ta, tb] (rows of `rects`, off the
+    diagonal), in chunks of at most _QUAD_NODE_PAIRS node pairs with one
+    `eval_many` call each."""
+    x, w = _legendre(g)
+    step = max(1, _QUAD_NODE_PAIRS // (g * g))
+    total = 0.0
+    for k in range(0, len(rects), step):
+        sa, sb, ta, tb = rects[k:k + step, :, None].transpose(1, 0, 2)
+        ss, ws = 0.5 * (sb - sa) * x + 0.5 * (sa + sb), 0.5 * (sb - sa) * w
+        tt, wt = 0.5 * (tb - ta) * x + 0.5 * (ta + tb), 0.5 * (tb - ta) * w
+        X = path.eval_many(np.concatenate([ss.ravel(), tt.ravel()])).reshape(2, *ss.shape, -1)
+        D = spaces._distance_arrays(path.space, X[0, :, :, None], X[1, :, None, :], canonical=True)
+        integrand = D**p / np.abs(tt[:, None, :] - ss[:, :, None]) ** (1.0 + alpha * p)
+        total += float(np.einsum("ri,rij,rj->", ws, integrand, wt))
+    return total
 
 
 def frac_sobolev_energy(
@@ -165,49 +184,54 @@ def frac_sobolev_energy(
 
     The domain is cut along the path's own breakpoints.  Within one segment
     the path is a constant-speed geodesic, so the diagonal cells are
-    integrated in closed form; adjacent cells are geometrically refined
-    toward the shared corner; separated cells use tensor Gauss-Legendre.
+    integrated in closed form from the segment speeds.  Separated cell
+    pairs get tensor Gauss-Legendre of order `gl_order`; each adjacent pair
+    [a, c] x [c, b] is cut at c - (c - a) 2^{-k} and c + (b - c) 2^{-k},
+    k = 1..corner_splits, into (corner_splits + 1)^2 sub-cells of order
+    max(4, gl_order - 2).  All rectangles of one order are evaluated
+    together, in chunks of bounded size (`_rectangle_quad`).  Their count,
+    (N-1)(N-2)/2 + (N-1)(corner_splits+1)^2 for N cells, is checked against
+    `transport.product_budget()` before anything is evaluated
+    (BudgetExceededError).
     """
     _check_alpha_p(alpha, p)
+    _check_count(gl_order, "gl_order", 1)
+    _check_count(corner_splits, "corner_splits", 0)
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ValidationError("interval must satisfy 0 <= lo < hi <= 1")
-    n = path.level
-    grid = dyadic_times(n)
-    knots = [lo] + [t for t in grid if lo < t < hi] + [hi]
-    knots = np.array(knots)
-    cells = list(zip(knots[:-1], knots[1:]))
-    speeds = []
-    for (a, b) in cells:
-        speeds.append(
-            spaces.distance(path.space, path(a), path(b)) / (b - a)
-        )
+    grid = dyadic_times(path.level)
+    knots = np.concatenate([[lo], grid[(grid > lo) & (grid < hi)], [hi]])
+    n = len(knots) - 1  # cells
+    count = (n - 1) * (n - 2) // 2 + (n - 1) * (int(corner_splits) + 1) ** 2
+    budget = product_budget()
+    if count > budget:
+        raise BudgetExceededError(count, budget, "quadrature cells")
 
-    beta = p - alpha * p  # > 0
-    total = 0.0
     # diagonal cells: d = speed * (t - s) exactly
-    for (a, b), v in zip(cells, speeds):
-        L = b - a
-        total += v**p * L ** (beta + 1.0) / (beta * (beta + 1.0))
-    # off-diagonal ordered cell pairs
-    for i in range(len(cells)):
-        sa, sb = cells[i]
-        for j in range(i + 1, len(cells)):
-            ta, tb = cells[j]
-            if j > i + 1:
-                total += _cell_pair_quad(path, sa, sb, ta, tb, alpha, p, gl_order)
-                continue
-            # adjacent: refine both cells geometrically toward the corner sb
-            c = sb
-            s_breaks = c - (c - sa) * 2.0 ** (-np.arange(corner_splits + 1))
-            s_breaks = np.concatenate([[sa], s_breaks[1:], [c]])
-            t_breaks = c + (tb - c) * 2.0 ** (-np.arange(corner_splits + 1))
-            t_breaks = np.concatenate([[tb], t_breaks[1:], [c]])[::-1]
-            for u0, u1 in zip(s_breaks[:-1], s_breaks[1:]):
-                for v0, v1 in zip(t_breaks[:-1], t_breaks[1:]):
-                    total += _cell_pair_quad(
-                        path, u0, u1, v0, v1, alpha, p, max(4, gl_order - 2)
-                    )
+    beta = p - alpha * p  # > 0
+    L = np.diff(knots)
+    X = path.eval_many(knots)
+    speeds = spaces._distance_arrays(path.space, X[:-1], X[1:]) / L
+    total = float(np.sum(speeds**p * L ** (beta + 1.0))) / (beta * (beta + 1.0))
+    if n == 1:  # all diagonal; nothing is built from the orders
+        return 2.0 * total
+
+    a, b = knots[:-1], knots[1:]
+    i, j = np.triu_indices(n, k=2)
+    separated = np.stack([a[i], b[i], a[j], b[j]], axis=1)
+    # adjacent cells [sa, c] and [c, tb]: geometric breaks toward c
+    sa, c, tb = knots[:-2, None], knots[1:-1, None], knots[2:, None]
+    halves = 2.0 ** (-np.arange(1, corner_splits + 1))
+    s_breaks = np.hstack([sa, c - (c - sa) * halves, c])
+    t_breaks = np.hstack([c, (c + (tb - c) * halves)[:, ::-1], tb])
+    corners = np.stack(np.broadcast_arrays(
+        s_breaks[:, :-1, None], s_breaks[:, 1:, None],
+        t_breaks[:, None, :-1], t_breaks[:, None, 1:]), axis=-1).reshape(-1, 4)
+    orders = {}
+    for g, rects in ((gl_order, separated), (max(4, gl_order - 2), corners)):
+        orders[g] = np.concatenate([orders.get(g, rects[:0]), rects])
+    total += sum(_rectangle_quad(path, rects, alpha, p, g) for g, rects in orders.items())
     return 2.0 * total
 
 

@@ -80,9 +80,10 @@ _LP_COLUMNS = 2048
 
 
 def product_budget() -> int:
-    """Size budget for compatibility LPs, in LP columns, and for their glued
-    certificates, in support tuples (env var WLIFT_BUDGET overrides; it must
-    be an integer >= 1)."""
+    """Size budget for compatibility LPs, in LP columns, for their glued
+    certificates, in support tuples, and for fractional Sobolev quadrature,
+    in rectangles (env var WLIFT_BUDGET overrides; it must be an integer
+    >= 1)."""
     raw = os.environ.get("WLIFT_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET

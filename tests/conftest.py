@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from wlift import PiecewiseGeodesicPath, circle, cylinder, euclidean, make_measure
+from wlift import PiecewiseGeodesicPath, circle, cylinder, euclidean, make_measure, spaces
+from wlift.paths import dyadic_times
 
 ALL_SPACES = [euclidean(1), euclidean(2), euclidean(3), circle(2.0), cylinder(2.0)]
 
@@ -79,3 +80,64 @@ def loop_glue_chain(couplings, prune=1e-15):
                 new_wts.append(wt * cond[tup[-1], k])
         idx, wts = np.array(new_idx, dtype=int), np.array(new_wts)
     return idx, wts
+
+
+def _loop_gl_nodes(a, b, g):
+    x, w = np.polynomial.legendre.leggauss(g)
+    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+
+
+def _loop_cell_pair_quad(path, sa, sb, ta, tb, alpha, p, g):
+    ss, ws = _loop_gl_nodes(sa, sb, g)
+    tt, wt = _loop_gl_nodes(ta, tb, g)
+    Xs = path.eval_many(ss)
+    Xt = path.eval_many(tt)
+    D = spaces.distance_matrix(path.space, Xs, Xt)
+    dt = tt[None, :] - ss[:, None]
+    integrand = D**p / np.abs(dt) ** (1.0 + alpha * p)
+    return float(ws @ integrand @ wt)
+
+
+def loop_frac_sobolev(path, alpha, p, interval=(0.0, 1.0), gl_order=8, corner_splits=10):
+    """Reference fractional Sobolev energy, one rectangle at a time: closed
+    form on the diagonal cells, tensor Gauss-Legendre of order `gl_order`
+    on separated cell pairs and of order max(4, gl_order - 2) on the
+    geometrically refined corner sub-cells of adjacent pairs."""
+    lo, hi = float(interval[0]), float(interval[1])
+    n = path.level
+    grid = dyadic_times(n)
+    knots = [lo] + [t for t in grid if lo < t < hi] + [hi]
+    knots = np.array(knots)
+    cells = list(zip(knots[:-1], knots[1:]))
+    speeds = []
+    for (a, b) in cells:
+        speeds.append(
+            spaces.distance(path.space, path(a), path(b)) / (b - a)
+        )
+
+    beta = p - alpha * p  # > 0
+    total = 0.0
+    # diagonal cells: d = speed * (t - s) exactly
+    for (a, b), v in zip(cells, speeds):
+        L = b - a
+        total += v**p * L ** (beta + 1.0) / (beta * (beta + 1.0))
+    # off-diagonal ordered cell pairs
+    for i in range(len(cells)):
+        sa, sb = cells[i]
+        for j in range(i + 1, len(cells)):
+            ta, tb = cells[j]
+            if j > i + 1:
+                total += _loop_cell_pair_quad(path, sa, sb, ta, tb, alpha, p, gl_order)
+                continue
+            # adjacent: refine both cells geometrically toward the corner sb
+            c = sb
+            s_breaks = c - (c - sa) * 2.0 ** (-np.arange(corner_splits + 1))
+            s_breaks = np.concatenate([[sa], s_breaks[1:], [c]])
+            t_breaks = c + (tb - c) * 2.0 ** (-np.arange(corner_splits + 1))
+            t_breaks = np.concatenate([[tb], t_breaks[1:], [c]])[::-1]
+            for u0, u1 in zip(s_breaks[:-1], s_breaks[1:]):
+                for v0, v1 in zip(t_breaks[:-1], t_breaks[1:]):
+                    total += _loop_cell_pair_quad(
+                        path, u0, u1, v0, v1, alpha, p, max(4, gl_order - 2)
+                    )
+    return 2.0 * total

@@ -107,6 +107,21 @@ def test_norms_builtin_all_functionals(tmp_path, builtin, norm):
     assert (data["tail_estimate"] is not None) == (norm == "besov")
 
 
+def test_norms_frac_sobolev_budget_is_exit_3(tmp_path, monkeypatch, capsys):
+    from wlift.cli import EXIT_RESOURCE
+
+    f = tmp_path / "path.json"
+    f.write_text(json.dumps({"space": serialize.space_to_json(w.euclidean(1)),
+                             "breakpoints": [[0.0], [1.0], [0.0], [2.0], [1.0]]}))
+    argv = ["norms", "--norm", "frac_sobolev", "--path", str(f)]
+    # 4 cells: 3 separated pairs + 3 adjacent pairs of 11 x 11 sub-cells
+    monkeypatch.setenv("WLIFT_BUDGET", "365")
+    assert main(argv) == EXIT_RESOURCE
+    assert "quadrature cells 366 exceeds budget 365" in capsys.readouterr().err
+    monkeypatch.delenv("WLIFT_BUDGET")
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == EXIT_OK
+
+
 def test_norms_curve_frac_sobolev_is_input_error():
     assert main(["norms", "--norm", "frac_sobolev", "--family", "two_tent"]) == EXIT_INPUT
 

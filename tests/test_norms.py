@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import wlift as w
-from conftest import ALL_SPACES, random_path
+from conftest import ALL_SPACES, loop_frac_sobolev, random_path
+from wlift import norms
 from wlift.norms import besov_energy_pg, besov_norm_truncated
-from wlift.paths import dyadic_times
+from wlift.paths import PiecewiseGeodesicPath, dyadic_times
 from wlift.spaces import distance
 
 
@@ -129,6 +130,120 @@ def test_frac_sobolev_subinterval_additive_bound():
     right = w.frac_sobolev_energy(tent, 0.75, 2.0, interval=(0.5, 1.0))
     assert left + right <= whole + 1e-10
     assert left == pytest.approx(right, rel=1e-10)  # symmetry of the tent
+
+
+QUAD_ORDERS = list(itertools.product([1, 4, 8], [0, 5, 10]))  # (gl_order, corner_splits)
+QUAD_INTERVALS = [(0.0, 1.0), (0.25, 0.75), (0.1, 0.9), (0.3, 0.35), (0.0, 0.7)]
+
+
+def assert_rel(got, want, rel=1e-12):
+    assert abs(got - want) <= rel * abs(want), (got, want)
+
+
+def eval_many_spy(monkeypatch):
+    """Record how many time values each `eval_many` call receives."""
+    sizes = []
+    eval_many = PiecewiseGeodesicPath.eval_many
+
+    def spy(self, ts):
+        sizes.append(np.size(ts))
+        return eval_many(self, ts)
+
+    monkeypatch.setattr(PiecewiseGeodesicPath, "eval_many", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+def test_frac_sobolev_matches_loop_reference(space, level):
+    rng = np.random.default_rng(100 * level + ALL_SPACES.index(space))
+    path = random_path(rng, space, level)
+    for k, interval in enumerate(QUAD_INTERVALS):
+        gl_order, corner_splits = QUAD_ORDERS[(3 * level + k) % len(QUAD_ORDERS)]
+        quad = dict(interval=interval, gl_order=gl_order, corner_splits=corner_splits)
+        assert_rel(w.frac_sobolev_energy(path, 0.75, 2.0, **quad),
+                   loop_frac_sobolev(path, 0.75, 2.0, **quad))
+
+
+@pytest.mark.parametrize("gl_order, corner_splits", QUAD_ORDERS)
+def test_frac_sobolev_orders_match_loop_reference(gl_order, corner_splits):
+    rng = np.random.default_rng(7)
+    for space, interval in [(w.cylinder(2.0), (0.1, 0.9)), (w.euclidean(2), (0.0, 1.0))]:
+        path = random_path(rng, space, 3)
+        quad = dict(interval=interval, gl_order=gl_order, corner_splits=corner_splits)
+        assert_rel(w.frac_sobolev_energy(path, 0.6, 3.0, **quad),
+                   loop_frac_sobolev(path, 0.6, 3.0, **quad))
+
+
+@pytest.mark.parametrize("gl_order, cap", [(4, 3 * 16), (8, 150)])
+def test_frac_sobolev_chunks(monkeypatch, gl_order, cap):
+    """A chunk cap of a few rectangles gives the same value, no
+    `eval_many` call exceeds one chunk's nodes, and every rectangle's
+    nodes are evaluated exactly once; the default cap takes each order in
+    one call."""
+    rng = np.random.default_rng(11)
+    path = random_path(rng, w.cylinder(2.0), 3)
+    quad = dict(interval=(0.1, 0.9), gl_order=gl_order, corner_splits=3)
+    want = loop_frac_sobolev(path, 0.75, 2.0, **quad)
+    corner_order = max(4, gl_order - 2)
+    # 9 knots, 8 cells: 21 separated pairs, 7 adjacent pairs of 4 x 4 sub-cells
+    nodes = 9 + 2 * (21 * gl_order + 7 * 16 * corner_order)
+
+    sizes = eval_many_spy(monkeypatch)
+    assert_rel(w.frac_sobolev_energy(path, 0.75, 2.0, **quad), want)
+    assert sum(sizes) == nodes
+    assert len(sizes) == 1 + len({gl_order, corner_order})
+
+    sizes.clear()
+    monkeypatch.setattr(norms, "_QUAD_NODE_PAIRS", cap)
+    assert_rel(w.frac_sobolev_energy(path, 0.75, 2.0, **quad), want)
+    assert sum(sizes) == nodes
+    assert max(sizes) <= max(2 * (cap // g**2) * g for g in (gl_order, corner_order))
+    assert len(sizes) > 10
+
+
+BAD_QUAD = [{"gl_order": 0}, {"gl_order": -3}, {"gl_order": 2.5}, {"gl_order": True},
+            {"corner_splits": -1}, {"corner_splits": 2.5}]
+
+
+@pytest.mark.parametrize("quad", BAD_QUAD, ids=lambda q: "-".join(map(str, *q.items())))
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_frac_sobolev_rejects_bad_orders(level, quad):
+    path = random_path(np.random.default_rng(level), w.euclidean(2), level)
+    with pytest.raises(w.ValidationError, match=next(iter(quad))):
+        w.frac_sobolev_energy(path, 0.75, 2.0, **quad)
+    with pytest.raises(w.ValidationError, match=next(iter(quad))):
+        w.grr_check(path, 0.75, 2.0, level=1, **quad)
+
+
+def test_frac_sobolev_accepts_numpy_integer_orders():
+    path = random_path(np.random.default_rng(3), w.circle(2.0), 2)
+    assert w.frac_sobolev_energy(path, 0.75, 2.0, gl_order=np.int64(4),
+                                 corner_splits=np.int32(2)) == \
+        w.frac_sobolev_energy(path, 0.75, 2.0, gl_order=4, corner_splits=2)
+
+
+def test_frac_sobolev_budget(monkeypatch):
+    # level 2, 4 cells: 3 separated pairs + 3 adjacent pairs of 11 x 11 sub-cells
+    path = random_path(np.random.default_rng(5), w.euclidean(1), 2)
+    sizes = eval_many_spy(monkeypatch)
+    monkeypatch.setenv("WLIFT_BUDGET", "365")
+    with pytest.raises(w.BudgetExceededError, match="quadrature cells 366 exceeds budget 365"):
+        w.frac_sobolev_energy(path, 0.75, 2.0)
+    assert sizes == []  # counted before anything is evaluated
+    with pytest.raises(w.BudgetExceededError, match="quadrature cells 366 exceeds"):
+        w.grr_check(path, 0.75, 2.0, level=1)
+    monkeypatch.setenv("WLIFT_BUDGET", "366")
+    assert_rel(w.frac_sobolev_energy(path, 0.75, 2.0), loop_frac_sobolev(path, 0.75, 2.0))
+
+
+def test_frac_sobolev_budget_counts_deep_path(monkeypatch):
+    # level 10: 1023 * 1022 / 2 separated pairs + 1023 * 121 corner sub-cells
+    path = w.constant_path(w.euclidean(1), [0.0], level=10)
+    assert 646_536 <= w.transport.DEFAULT_BUDGET
+    monkeypatch.setenv("WLIFT_BUDGET", "646535")
+    with pytest.raises(w.BudgetExceededError, match="quadrature cells 646536 exceeds"):
+        w.frac_sobolev_energy(path, 0.75, 2.0)
 
 
 # ---------------------------------------------------------------------------
