@@ -7,14 +7,14 @@ through one registry, `_FUNCTIONALS`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import norms, spaces, transport
 from .errors import IncompatibleCurveError, ValidationError
 from .measures import DiscreteMeasure, make_measure
-from .paths import PiecewiseGeodesicPath, dyadic_times
+from .paths import PiecewiseGeodesicPath, _interpolate, dyadic_times
 from .transport import (
     dyadic_pattern_pairs,
     glue_chain,
@@ -49,23 +49,55 @@ class WassersteinCurve:
             if not -1e-15 <= t <= 1 + 1e-15:  # eval_many's slack
                 raise ValidationError(f"time {t} outside [0, 1]")
             self._cache[t] = self._evaluator(t)
-            if len(self._cache) > 4096:
-                self._cache.clear()
+            if len(self._cache) > 4096:  # evict the oldest entry
+                del self._cache[next(iter(self._cache))]
         return self._cache[t]
 
 
 @dataclass(frozen=True)
 class Lift:
-    """Finite weighted bundle of piecewise-geodesic paths."""
+    """Finite weighted bundle of piecewise-geodesic paths, all on one space
+    at one level n.  `breakpoints` is their (K, 2^n + 1, dim) breakpoint
+    tensor, stacked once; marginals, pair checks and the batched lift
+    functionals read it instead of evaluating K path objects."""
 
     paths: tuple
     weights: np.ndarray
     level: int
     multicoupling: transport.MultiCoupling | None = None
+    breakpoints: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        paths = tuple(self.paths)
+        w = np.asarray(self.weights, dtype=float)
+        if not paths:
+            raise ValidationError("a lift needs at least one path")
+        if not all(isinstance(x, PiecewiseGeodesicPath) for x in paths):
+            raise ValidationError("lift paths must be piecewise-geodesic paths")
+        if any(x.level != self.level for x in paths):
+            raise ValidationError(f"every lift path must have level {self.level}")
+        if any(x.space != paths[0].space for x in paths):
+            raise ValidationError("lift paths must lie on one space")
+        if w.shape != (len(paths),):
+            raise ValidationError(f"need {len(paths)} weights, got shape {w.shape}")
+        if not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise ValidationError("lift weights must be finite and nonnegative")
+        X = np.stack([x.breakpoints for x in paths])
+        X.setflags(write=False)
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "breakpoints", X)
+
+    @property
+    def space(self) -> spaces.Space:
+        return self.paths[0].space
+
+    def points_at(self, ts) -> np.ndarray:
+        """Every path at every time: (K, len(ts), dim)."""
+        return _interpolate(self.space, self.breakpoints, ts)
 
     def marginal_at(self, t: float) -> DiscreteMeasure:
-        atoms = np.stack([path(t) for path in self.paths])
-        return make_measure(self.paths[0].space, atoms, self.weights)
+        return make_measure(self.space, self.points_at([t])[:, 0], self.weights)
 
 
 @dataclass(frozen=True)
@@ -112,13 +144,16 @@ class _Functional:
     """A registry entry: the parameter names besides p; the value on a
     piecewise-geodesic path, as path(x, params, grid level M); the value on a
     curve of measures, as curve(c, params, M, dist), or None when there is no
-    curve version; and whether those values are already p-th powers (else
-    they are the norm itself)."""
+    curve version; whether those values are already p-th powers (else they
+    are the norm itself); and, optionally, the values on every path of a
+    lift at once, as lift(lift, params, M), for functionals batched over the
+    lift's breakpoint tensor (else `path` is applied path by path)."""
 
     params: tuple
     path: object
     curve: object
     power: bool
+    lift: object = None
 
 
 def _holder(x, q, M, dist=None):
@@ -132,6 +167,13 @@ def _modulus(x, q, M, dist=None):
 def _curve_w1p(c, q, M, dist):
     """Speed^p integrated over the level-M grid: 2^{M(p-1)} S_M."""
     return 2.0 ** (M * (q["p"] - 1.0)) * norms._level_power_sum(c, M, q["p"], dist)
+
+
+def _lift_variation(lift, q, M):
+    """Vertex q-variation norm of every path, in one batched DP."""
+    norms._check_exponent(q["q"], "q")
+    V = norms._vertex_variation(lift.space, lift.breakpoints, q["q"])
+    return [v ** (1.0 / q["q"]) for v in V.tolist()]
 
 
 # lift energies, curve norms and the CLI dispatch on a functional's tag here
@@ -157,6 +199,7 @@ _FUNCTIONALS = {
         lambda x, q, M: norms.p_variation(x, q["q"], mode="vertex"),
         lambda c, q, M, dist: norms.p_variation(c, q["q"], "dyadic", M, dist=dist),
         False,
+        _lift_variation,
     ),
     "modulus": _Functional(("delta",), _modulus, _modulus, False),
 }
@@ -169,13 +212,17 @@ def lift_energy(lift: Lift, spec: EnergySpec, M=None) -> float:
     entry = _FUNCTIONALS.get(spec.tag)
     if entry is None:
         raise ValidationError(f"unknown energy tag {spec.tag!r}")
+    M = M if M is not None else max(lift.level + 2, 6)
+    if entry.lift is not None:
+        vals = entry.lift(lift, spec.params, M)
+    else:
+        vals = [entry.path(path, spec.params, M) for path in lift.paths]
     total = 0.0
-    for path, w in zip(lift.paths, lift.weights):
-        val = entry.path(path, spec.params, M if M is not None else max(path.level + 2, 6))
+    for x0, w, val in zip(lift.breakpoints[:, 0], lift.weights, vals):
         if not entry.power:
             val = val**spec.p
         if spec.base_point is not None:
-            val += spaces.distance(path.space, path(0.0), spec.base_point) ** spec.p
+            val += spaces.distance(lift.space, x0, spec.base_point) ** spec.p
         total += w * val
     return float(total)
 
@@ -308,11 +355,13 @@ def pairwise_optimality_check(
     """For each time pair (s,t): lift transport cost vs W_p^p(mu_s, mu_t)."""
     pairs, gaps = list(pairs), {}
     opt = wasserstein_many([(curve(s), curve(t)) for (s, t) in pairs], p)
-    for (s, t), wpp in zip(pairs, opt):
-        Xs = np.stack([path(s) for path in lift.paths])
-        Xt = np.stack([path(t) for path in lift.paths])
-        d = spaces._distance_arrays(lift.paths[0].space, Xs, Xt)
-        cost = float(np.sum(lift.weights * d**p))
+    X = lift.points_at([t for pair in pairs for t in pair])
+    X = X.reshape(len(lift.paths), len(pairs), 2, lift.space.dim)
+    # one contiguous row of K path distances per pair, so that each pair's
+    # power and sum run exactly as on a single pair's 1-D array
+    d = np.ascontiguousarray(spaces._distance_arrays(lift.space, X[..., 0, :], X[..., 1, :]).T)
+    for (s, t), wpp, row in zip(pairs, opt, d):
+        cost = float(np.sum(lift.weights * row**p))
         gaps[(float(s), float(t))] = cost - float(wpp)
     worst = max(gaps.values()) if gaps else 0.0
     return {"gaps": gaps, "max_gap": worst, "passed": worst <= tol}

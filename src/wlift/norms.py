@@ -9,7 +9,9 @@ level sums come from one provider, `_level_power_sum`, which also serves
 `limsup_variation_dyadic` and the curve W^{1,p} sum; `_pairwise` supplies
 the distance matrices of the Hölder / variation / modulus functionals.
 Both hand their whole list of curve pairs to the distance callback at once
-when it offers a batched `many` form (`_distances`).
+when it offers a batched `many` form (`_distances`).  Every q-variation,
+on a dyadic grid or over the breakpoints of one path or of all K paths of
+a lift together, is one dynamic program, `_variation_dp`.
 
 Conventions:
   * `*_norm_*` functions return the norm itself (p-th or q-th root);
@@ -22,6 +24,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -189,13 +192,19 @@ def frac_sobolev_energy(
     [a, c] x [c, b] is cut at c - (c - a) 2^{-k} and c + (b - c) 2^{-k},
     k = 1..corner_splits, into (corner_splits + 1)^2 sub-cells of order
     max(4, gl_order - 2).  All rectangles of one order are evaluated
-    together, in chunks of bounded size (`_rectangle_quad`).  Their count,
-    (N-1)(N-2)/2 + (N-1)(corner_splits+1)^2 for N cells, is checked against
+    together, in chunks of bounded size (`_rectangle_quad`).  `gl_order`^2
+    may not exceed _QUAD_NODE_PAIRS (ValidationError), so every rectangle
+    fits one chunk, and the rectangle count, (N-1)(N-2)/2 +
+    (N-1)(corner_splits+1)^2 for N cells, is checked against
     `transport.product_budget()` before anything is evaluated
-    (BudgetExceededError).
+    (BudgetExceededError); together they bound the work.
     """
     _check_alpha_p(alpha, p)
     _check_count(gl_order, "gl_order", 1)
+    if gl_order**2 > _QUAD_NODE_PAIRS:
+        raise ValidationError(
+            f"gl_order must be at most {math.isqrt(_QUAD_NODE_PAIRS)}, got {gl_order}"
+        )
     _check_count(corner_splits, "corner_splits", 0)
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 <= lo < hi <= 1.0):
@@ -281,16 +290,43 @@ def modulus_of_continuity(curve, delta: float, M: int, dist=None) -> float:
     return float(np.max(D[iu[sel], ju[sel]]))
 
 
-def _variation_dp(D: np.ndarray, q: float) -> float:
-    """max over partitions (as index subsets containing both endpoints) of
-    sum d^q, by dynamic programming."""
-    n = D.shape[0]
-    Dq = D**q
-    V = np.full(n, -np.inf)
-    V[0] = 0.0
-    for j in range(1, n):
-        V[j] = np.max(V[:j] + Dq[:j, j])
-    return float(V[-1])
+# most distances one column block of the variation DP builds, over all K
+# paths together: like _QUAD_NODE_PAIRS, it keeps each of a block's few
+# float arrays within 64 KiB, in cache
+_VARIATION_ENTRIES = 2**13
+
+
+def _variation_dp(block, K: int, N: int, q: float) -> np.ndarray:
+    """max over partitions (index subsets containing both endpoints) of
+    sum d^q, for K sequences of N points at once, by the dynamic program
+    V[:, j] = max_{i<j} (V[:, i] + d(x_i, x_j)^q).  `block(j0, j1)` gives
+    d(x_i, x_j)^q for columns j0 <= j < j1 and rows i < j1 - 1 as a
+    (K, j1 - j0, j1 - 1) array; columns are taken in blocks of at most
+    _VARIATION_ENTRIES entries (one column when a column alone is larger).
+    Returns V[:, -1]."""
+    V = np.full((K, N), -np.inf)
+    V[:, 0] = 0.0
+    width = max(1, _VARIATION_ENTRIES // (K * (N - 1)))
+    for j0 in range(1, N, width):
+        j1 = min(N, j0 + width)
+        Dq = block(j0, j1)
+        for j in range(j0, j1):
+            V[:, j] = (V[:, :j] + Dq[:, j - j0, :j]).max(axis=1)
+    return V[:, -1]
+
+
+def _vertex_variation(space, X: np.ndarray, q: float) -> np.ndarray:
+    """Vertex q-variation, as the q-th power, of the K piecewise-geodesic
+    paths whose canonical breakpoints are X (K, N, dim): partitions over the
+    breakpoints, which is exact for q >= 1.  Distances are built block by
+    block (`_variation_dp`), never as a full N x N matrix per path."""
+    K, N = X.shape[:2]
+
+    def block(j0, j1):
+        rows, cols = X[:, None, : j1 - 1, :], X[:, j0:j1, None, :]
+        return spaces._distance_arrays(space, rows, cols, canonical=True) ** q
+
+    return _variation_dp(block, K, N, q)
 
 
 def p_variation(curve, q: float, mode: str = "dyadic", M: int = 8, dist=None) -> float:
@@ -304,12 +340,14 @@ def p_variation(curve, q: float, mode: str = "dyadic", M: int = 8, dist=None) ->
     if mode == "vertex":
         if not isinstance(curve, PiecewiseGeodesicPath):
             raise ValidationError("vertex mode needs a piecewise-geodesic path")
-        D = spaces.distance_matrix(curve.space, curve.breakpoints, curve.breakpoints)
-        return _variation_dp(D, q) ** (1.0 / q)
-    if mode != "dyadic":
+        V = _vertex_variation(curve.space, curve.breakpoints[None], q)
+    elif mode == "dyadic":
+        _, D = _pairwise(curve, M, dist)
+        DqT = (D**q).T
+        V = _variation_dp(lambda j0, j1: DqT[None, j0:j1, : j1 - 1], 1, len(D), q)
+    else:
         raise ValidationError(f"unknown mode {mode!r}")
-    _, D = _pairwise(curve, M, dist)
-    return _variation_dp(D, q) ** (1.0 / q)
+    return float(V[0]) ** (1.0 / q)
 
 
 def limsup_variation_dyadic(curve, q: float, levels, dist=None) -> np.ndarray:

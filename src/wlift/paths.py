@@ -15,6 +15,31 @@ def dyadic_times(m: int) -> np.ndarray:
     return np.arange(2**m + 1, dtype=float) / 2**m
 
 
+def _interpolate(space: spaces.Space, X: np.ndarray, ts) -> np.ndarray:
+    """Points at times `ts` of the piecewise-geodesic paths whose canonical
+    breakpoints X (..., 2^n + 1, dim) sit at the level-n dyadic times, as
+    (..., len(ts), dim).  The one geodesic interpolation: a single path and
+    every path of a lift are its cases."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValidationError("times must be a 1-D sequence")
+    if not np.all((ts >= -1e-15) & (ts <= 1 + 1e-15)):  # NaN fails too
+        raise ValidationError("time outside [0, 1]")
+    n = X.shape[-2] - 1
+    scaled = np.clip(ts, 0.0, 1.0) * n
+    seg = np.minimum(scaled.astype(int), n - 1)
+    loc = scaled - seg
+    a = X[..., seg, :]
+    b = X[..., seg + 1, :]
+    out = a + loc[:, None] * (b - a)
+    if space.kind == "euclidean":
+        return out
+    P = space.perimeter
+    delta = spaces._signed_arc(P, a[..., 0], b[..., 0])
+    out[..., 0] = spaces._wrap_arc(P, a[..., 0] + loc * delta)
+    return out
+
+
 class PiecewiseGeodesicPath:
     """Path on [0,1] given by 2^n + 1 breakpoints at dyadic times k/2^n,
     joined by constant-speed geodesic segments."""
@@ -38,22 +63,7 @@ class PiecewiseGeodesicPath:
         return self.eval_many([t])[0]
 
     def eval_many(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if np.any((ts < -1e-15) | (ts > 1 + 1e-15)):
-            raise ValidationError("time outside [0, 1]")
-        n = 2**self.level
-        scaled = np.clip(ts, 0.0, 1.0) * n
-        seg = np.minimum(scaled.astype(int), n - 1)
-        loc = scaled - seg
-        a = self.breakpoints[seg]
-        b = self.breakpoints[seg + 1]
-        out = a + loc[:, None] * (b - a)
-        if self.space.kind == "euclidean":
-            return out
-        P = self.space.perimeter
-        delta = spaces._signed_arc(P, a[:, 0], b[:, 0])
-        out[:, 0] = spaces._wrap_arc(P, a[:, 0] + loc * delta)
-        return out
+        return _interpolate(self.space, self.breakpoints, ts)
 
     def segment_lengths(self) -> np.ndarray:
         return spaces._distance_arrays(

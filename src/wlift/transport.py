@@ -82,8 +82,8 @@ _LP_COLUMNS = 2048
 def product_budget() -> int:
     """Size budget for compatibility LPs, in LP columns, for their glued
     certificates, in support tuples, and for fractional Sobolev quadrature,
-    in rectangles (env var WLIFT_BUDGET overrides; it must be an integer
-    >= 1)."""
+    in rectangles of at most `norms._QUAD_NODE_PAIRS` node pairs each (env
+    var WLIFT_BUDGET overrides; it must be an integer >= 1)."""
     raw = os.environ.get("WLIFT_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET

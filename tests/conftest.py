@@ -141,3 +141,17 @@ def loop_frac_sobolev(path, alpha, p, interval=(0.0, 1.0), gl_order=8, corner_sp
                         path, u0, u1, v0, v1, alpha, p, max(4, gl_order - 2)
                     )
     return 2.0 * total
+
+
+def loop_vertex_variation(space, breakpoints, q):
+    """Reference vertex q-variation (q-th power) of one path: the full
+    distance matrix of its breakpoints, then max over partitions of
+    sum d^q, one column at a time."""
+    D = spaces.distance_matrix(space, breakpoints, breakpoints)
+    n = D.shape[0]
+    Dq = D**q
+    V = np.full(n, -np.inf)
+    V[0] = 0.0
+    for j in range(1, n):
+        V[j] = np.max(V[:j] + Dq[:j, j])
+    return float(V[-1])

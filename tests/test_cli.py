@@ -122,6 +122,16 @@ def test_norms_frac_sobolev_budget_is_exit_3(tmp_path, monkeypatch, capsys):
     assert main(argv + ["--out", str(tmp_path / "out.json")]) == EXIT_OK
 
 
+def test_norms_frac_sobolev_order_beyond_one_chunk_is_exit_2(monkeypatch, capsys):
+    """An order whose g^2 node pairs exceed one quadrature chunk is an input
+    error; the chunk is shrunk here so that the CLI's order 8 exceeds it."""
+    from wlift import norms
+
+    monkeypatch.setattr(norms, "_QUAD_NODE_PAIRS", 63)
+    assert main(["norms", "--norm", "frac_sobolev", "--builtin", "tent"]) == EXIT_INPUT
+    assert "gl_order must be at most 7, got 8" in capsys.readouterr().err
+
+
 def test_norms_curve_frac_sobolev_is_input_error():
     assert main(["norms", "--norm", "frac_sobolev", "--family", "two_tent"]) == EXIT_INPUT
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import wlift as w
-from conftest import loop_glue_chain, random_measure, random_path
-from wlift.lifts import EnergySpec, curve_besov_norm
+from conftest import ALL_SPACES, loop_glue_chain, random_measure, random_path
+from wlift.lifts import EnergySpec, _lift_from_breakpoints, curve_besov_norm
 from wlift.paths import dyadic_times
 
 
@@ -32,6 +32,125 @@ def test_curve_rejects_times_outside_unit_interval():
     # times within eval_many's 1e-15 slack of [0, 1] are evaluated
     for t, end in ((1.0 + 1e-16, 1.0), (-1e-16, 0.0)):
         assert np.allclose(curve(t).atoms, curve(end).atoms, rtol=0.0, atol=1e-15)
+
+
+def test_curve_cache_evicts_oldest_entry():
+    """A sweep over more than the cache's 4096 times keeps the most recent
+    4096 measures, so re-querying them evaluates nothing."""
+    calls = []
+
+    def ev(t):
+        calls.append(t)
+        return w.dirac(w.euclidean(1), [t])
+
+    curve = w.WassersteinCurve(w.euclidean(1), ev)
+    ts = np.arange(5000) / 4999
+    for t in ts:
+        curve(t)
+    assert len(calls) == 5000
+    for t in ts[-100:]:
+        curve(t)
+    for t in ts[-4096:]:
+        curve(t)
+    assert len(calls) == 5000
+    curve(ts[0])
+    assert len(calls) == 5001
+
+
+def _lift_times():
+    # dyadic knots, times inside segments, both ends and the 1e-15 slack
+    return np.concatenate([np.linspace(0.0, 1.0, 37), [0.3, 0.999, 1.0, 1.0 + 1e-16, -1e-16]])
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+def test_points_at_and_marginals_equal_per_path_evaluation(space):
+    rng = np.random.default_rng(ALL_SPACES.index(space) + 70)
+    ts = _lift_times()
+    for level in (0, 1, 3, 5):
+        K = 4
+        X = np.stack([random_path(rng, space, level).breakpoints for _ in range(K)])
+        lift = _lift_from_breakpoints(space, X, rng.uniform(0.2, 1.0, K), level)
+        want = np.stack([path.eval_many(ts) for path in lift.paths])
+        assert np.array_equal(lift.points_at(ts), want)
+        for t in ts:
+            atoms = np.stack([path(t) for path in lift.paths])
+            assert lift.marginal_at(t) == w.make_measure(space, atoms, lift.weights)
+
+
+@pytest.mark.parametrize("space", [w.circle(2.0), w.cylinder(2.0)], ids=["circle", "cylinder"])
+def test_points_at_wraps_around_the_circle(space):
+    """Segments that cross arc coordinate 0 in either direction."""
+    arcs = np.array([[1.9, 0.1, 1.95, 0.0, 1.0], [0.05, 1.85, 0.2, 1.99, 0.0]])
+    X = np.stack([arcs, np.zeros_like(arcs)], axis=-1)[..., : space.dim]
+    lift = _lift_from_breakpoints(space, X, [1.0, 3.0], 2)
+    ts = _lift_times()
+    got = lift.points_at(ts)
+    assert np.array_equal(got, np.stack([path.eval_many(ts) for path in lift.paths]))
+    assert np.all((got[..., 0] >= 0.0) & (got[..., 0] < 2.0))
+    x = lift.points_at([0.125])[0, 0, 0]  # halfway along the short arc 1.9 -> 0.1
+    assert min(x, 2.0 - x) < 1e-12
+    assert lift.marginal_at(1.0) == w.make_measure(space, X[:, -1], lift.weights)
+
+
+@pytest.mark.parametrize("t", [1.5, -0.25, 1.0 + 1e-9, float("nan")])
+def test_points_at_rejects_times_outside_unit_interval(t):
+    lift = w.known_lift(w.two_tent()).discretize(2)
+    with pytest.raises(w.ValidationError):
+        lift.points_at([0.5, t])
+    with pytest.raises(w.ValidationError):
+        lift.marginal_at(t)
+    with pytest.raises(w.ValidationError, match="1-D"):
+        lift.points_at(0.5)
+
+
+def test_pairwise_check_equals_per_path_costs():
+    """Each pair's cost is the weighted sum over the paths evaluated one
+    at a time, bit for bit."""
+    curve = w.make_curve(w.circle_splitting(2))
+    lift = w.construct_lift_A(curve, 4, 2.0)
+    ts = dyadic_times(4)
+    pairs = [(ts[k], ts[k + 1]) for k in range(16)] + [(0.1, 0.9), (0.0, 1.0)]
+    gaps = w.pairwise_optimality_check(lift, curve, pairs, 2.0, 1e-10)["gaps"]
+    for (s, t) in pairs:
+        Xs = np.stack([path(s) for path in lift.paths])
+        Xt = np.stack([path(t) for path in lift.paths])
+        d = w.spaces._distance_arrays(lift.space, Xs, Xt)
+        cost = float(np.sum(lift.weights * d**2.0))
+        assert gaps[(s, t)] == cost - w.wasserstein_power(curve(s), curve(t), 2.0)
+
+
+def _bad_lifts():
+    line, circ = w.euclidean(1), w.circle(2.0)
+    a = w.PiecewiseGeodesicPath(line, [[0.0], [1.0], [0.0]], 1)
+    b = w.PiecewiseGeodesicPath(line, [[1.0], [0.5], [0.0]], 1)
+    return {
+        "no_paths": ((), np.ones(0), 1),
+        "not_a_path": ((a, np.zeros((3, 1))), np.full(2, 0.5), 1),
+        "level_differs": ((a, w.geodesic_segment(line, [0.0], [1.0])), np.full(2, 0.5), 1),
+        "lift_level_differs": ((a, b), np.full(2, 0.5), 2),
+        "two_spaces": ((a, w.PiecewiseGeodesicPath(circ, [[0.0], [1.0], [0.0]], 1)),
+                       np.full(2, 0.5), 1),
+        "short_weights": ((a, b), np.ones(1), 1),
+        "long_weights": ((a, b), np.full(3, 1 / 3), 1),
+        "nan_weight": ((a, b), np.array([0.5, np.nan]), 1),
+        "inf_weight": ((a, b), np.array([np.inf, 0.5]), 1),
+        "negative_weight": ((a, b), np.array([1.5, -0.5]), 1),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_lifts()))
+def test_lift_rejects_malformed_bundles(case):
+    paths, weights, level = _bad_lifts()[case]
+    with pytest.raises(w.ValidationError):
+        w.Lift(paths, weights, level)
+
+
+def test_lift_keeps_its_constructor():
+    a = w.PiecewiseGeodesicPath(w.euclidean(1), [[0.0], [1.0], [0.0]], 1)
+    lift = w.Lift([a], [1.0], 1)
+    assert lift.paths == (a,) and lift.weights.dtype == float
+    assert np.array_equal(lift.breakpoints, a.breakpoints[None])
+    assert not lift.breakpoints.flags.writeable
 
 
 def test_lift_energy_besov_two_tent():

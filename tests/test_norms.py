@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import wlift as w
-from conftest import ALL_SPACES, loop_frac_sobolev, random_path
+from conftest import ALL_SPACES, loop_frac_sobolev, loop_vertex_variation, random_path
 from wlift import norms
 from wlift.norms import besov_energy_pg, besov_norm_truncated
 from wlift.paths import PiecewiseGeodesicPath, dyadic_times
@@ -203,7 +203,8 @@ def test_frac_sobolev_chunks(monkeypatch, gl_order, cap):
 
 
 BAD_QUAD = [{"gl_order": 0}, {"gl_order": -3}, {"gl_order": 2.5}, {"gl_order": True},
-            {"corner_splits": -1}, {"corner_splits": 2.5}]
+            {"gl_order": 91}, {"gl_order": 300}, {"corner_splits": -1},
+            {"corner_splits": 2.5}]
 
 
 @pytest.mark.parametrize("quad", BAD_QUAD, ids=lambda q: "-".join(map(str, *q.items())))
@@ -214,6 +215,17 @@ def test_frac_sobolev_rejects_bad_orders(level, quad):
         w.frac_sobolev_energy(path, 0.75, 2.0, **quad)
     with pytest.raises(w.ValidationError, match=next(iter(quad))):
         w.grr_check(path, 0.75, 2.0, level=1, **quad)
+
+
+def test_frac_sobolev_largest_order_fits_one_chunk(monkeypatch):
+    """gl_order 90 is the largest with gl_order^2 <= _QUAD_NODE_PAIRS, so
+    each of its rectangles is evaluated within one chunk."""
+    tent = PiecewiseGeodesicPath(w.euclidean(1), [[0.0], [1.0], [0.0]], 1)
+    assert 90**2 <= norms._QUAD_NODE_PAIRS < 91**2
+    sizes = eval_many_spy(monkeypatch)
+    value = w.frac_sobolev_energy(tent, 0.75, 2.0, gl_order=90)
+    assert max(sizes) == 2 * 88  # one corner sub-cell of order 88 per chunk
+    assert value == pytest.approx(w.frac_sobolev_energy(tent, 0.75, 2.0), rel=1e-6)
 
 
 def test_frac_sobolev_accepts_numpy_integer_orders():
@@ -266,6 +278,29 @@ def test_variation_matches_exhaustive_oracle():
             got = w.p_variation(path, q, mode="vertex")
             want = variation_oracle(path.breakpoints, space, q)
             assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("entries", [None, 1, 50])
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+def test_vertex_variation_matches_dense_loop_reference(space, entries, monkeypatch):
+    """The batched, column-blocked DP gives the dense per-path DP's values
+    bit for bit, at the default block size, one column per block, and
+    blocks of a few columns."""
+    if entries is not None:
+        monkeypatch.setattr(norms, "_VARIATION_ENTRIES", entries)
+    rng = np.random.default_rng(ALL_SPACES.index(space))
+    for level in range(8):
+        for K in (1, 3, 62):
+            if entries is not None and K * level > 3 * 7:
+                continue  # tiny blocks on large tensors only add run time
+            X = np.stack([random_path(rng, space, level).breakpoints for _ in range(K)])
+            for q in (1.0, 1.5, 2.0, 3.0):
+                got = norms._vertex_variation(space, X, q)
+                want = [loop_vertex_variation(space, x, q) for x in X]
+                assert np.array_equal(got, want), (level, K, q)
+                if K == 1:
+                    assert w.p_variation(PiecewiseGeodesicPath(space, X[0], level), q,
+                                         mode="vertex") == want[0] ** (1.0 / q)
 
 
 def test_variation_1_is_total_length():
