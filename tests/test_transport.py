@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import wlift as w
 from conftest import ALL_SPACES, loop_glue_chain, measure_strategy, random_measure, random_points
 from wlift.spaces import distance_matrix
+from wlift.transport import Coupling
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +278,11 @@ def test_many_edge_cases():
 # _highs_solve, the direct HiGHS call, against scipy's linprog
 
 
-def linprog_plan(mu, nu, p):
+def linprog_plan(mu, nu, p, presolve=False):
     """The transport plan scipy's `linprog` finds on a dense constraint
     matrix built here: all row sums of the plan, then all column sums but
-    the last."""
+    the last.  Presolve is off by default, as in the adapter; on is
+    HiGHS's default."""
     from scipy.optimize import linprog
 
     D = distance_matrix(mu.space, mu.atoms, nu.atoms) ** p
@@ -289,7 +291,8 @@ def linprog_plan(mu, nu, p):
     res = linprog(
         D.reshape(-1), A_eq=A, b_eq=np.concatenate([mu.weights, nu.weights[:-1]]),
         bounds=(0, None), method="highs",
-        options={"primal_feasibility_tolerance": w.transport.MARGINAL_TOL},
+        options={"primal_feasibility_tolerance": w.transport.MARGINAL_TOL,
+                 "presolve": presolve},
     )
     assert res.success
     x = res.x
@@ -297,15 +300,62 @@ def linprog_plan(mu, nu, p):
     return x.reshape(n, m)
 
 
-@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
-def test_highs_solve_plans_match_linprog(space):
+def highs_probes(space):
     rng = np.random.default_rng(113)
     for p in (1.0, 1.5, 2.0, 3.0):
         for _ in range(8):
-            mu = random_measure(rng, space, rng.integers(2, 8))
-            nu = random_measure(rng, space, rng.integers(2, 8))
-            coupling, _ = w.optimal_coupling(mu, nu, p)
-            assert np.array_equal(coupling.weights, linprog_plan(mu, nu, p))
+            yield (random_measure(rng, space, rng.integers(2, 8)),
+                   random_measure(rng, space, rng.integers(2, 8)), p)
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+def test_highs_solve_plans_match_linprog(space):
+    for mu, nu, p in highs_probes(space):
+        coupling, _ = w.optimal_coupling(mu, nu, p)
+        assert np.array_equal(coupling.weights, linprog_plan(mu, nu, p))
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+def test_highs_solve_values_match_presolving_linprog(space):
+    # `linprog` with presolve on, HiGHS's default, is an independent oracle
+    # of the optimal value; the optimal vertex may differ on ties
+    for mu, nu, p in highs_probes(space):
+        coupling, _ = w.optimal_coupling(mu, nu, p)
+        want = Coupling(mu, nu, linprog_plan(mu, nu, p, presolve=True)).cost(p)
+        assert abs(coupling.cost(p) - want) <= 1e-12 * want
+        assert max(coupling.marginal_errors()) <= w.transport.MARGINAL_TOL
+
+
+def test_presolve_leaves_values_and_verdicts(monkeypatch):
+    # the adapter solves with presolve off; HiGHS's default, presolve on,
+    # gives the same W_p values, compatibility verdicts and gaps
+    rng = np.random.default_rng(116)
+    pairs, collections = [], []
+    for space in ALL_SPACES:
+        pairs += [(random_measure(rng, space, rng.integers(2, 8)),
+                   random_measure(rng, space, rng.integers(2, 8))) for _ in range(12)]
+        collections += [[random_measure(rng, space, rng.integers(1, 4)) for _ in range(5)]
+                        for _ in range(4)]
+    curve = w.make_curve(w.circle_splitting(1))
+
+    def solve_all():
+        values = {p: w.wasserstein_many(pairs, p) for p in (1.0, 1.5, 2.0, 3.0)}
+        reports = [w.compatibility_multicoupling(ms, 2.0, pairs=w.dyadic_pattern_pairs(2))
+                   for ms in collections]
+        with pytest.raises(w.IncompatibleCurveError) as exc_info:
+            w.construct_lift_B(curve, 3, 2.0)
+        return values, reports + [exc_info.value.report]
+
+    off = solve_all()
+    monkeypatch.setitem(w.transport._HIGHS_OPTIONS, "presolve", "on")
+    on = solve_all()
+    for p, values in off[0].items():
+        assert np.all(np.abs(values - on[0][p]) <= 1e-12 * on[0][p])
+    for a, b in zip(off[1], on[1]):
+        assert a.feasible == b.feasible
+        scale = max(1.0, sum(b.pair_costs.values()))
+        assert abs(a.max_pair_gap - b.max_pair_gap) <= 1e-12 * scale
+    assert {r.feasible for r in off[1]} == {True, False}
 
 
 def test_highs_solve_compatibility_reports_match_linprog(monkeypatch):
@@ -360,6 +410,22 @@ def test_highs_solve_infeasible_raises(monkeypatch, bindings):
     assert np.allclose(x, [0.3, 0.2, 0.0, 0.5]) and objective == pytest.approx(0.2)
     with pytest.raises(RuntimeError, match="(?i)infeasible"):
         w.transport._highs_solve(c, indptr, indices, np.array([0.5, 0.5, 2.0]))
+
+
+@pytest.mark.parametrize("bindings", [True, False], ids=["highs", "linprog"])
+def test_highs_solve_refuses_what_int32_cannot_index(monkeypatch, bindings):
+    # HiGHS takes 32-bit indices; the sizes are faked (a two-entry indptr, a
+    # zero-stride cost vector), so nothing large is allocated
+    if not bindings:
+        monkeypatch.setattr(w.transport, "_highs", None)
+    one, rows = np.ones(1), np.zeros(1, dtype=np.int64)
+    with pytest.raises(w.BudgetExceededError, match="entries 2147483648 exceeds budget 2147483647"):
+        w.transport._highs_solve(one, np.array([0, 2**31]), rows, one)
+    wide = np.broadcast_to(1.0, 2**31)
+    with pytest.raises(w.BudgetExceededError, match="entries 2147483648 exceeds"):
+        w.transport._highs_solve(wide, np.array([0, 1]), rows, one)
+    x, objective = w.transport._highs_solve(one, np.array([0, 1]), rows, one)
+    assert (x.tolist(), objective) == ([1.0], 1.0)
 
 
 # ---------------------------------------------------------------------------
