@@ -43,15 +43,40 @@ def _parse_params(items):
     return out
 
 
+def _number(text, kind, what):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"{what} expects {kind.__name__} values, got {text!r}") from None
+
+
 def _parse_levels(text):
     if ".." in text:
-        a, b = text.split("..", 1)
-        return list(range(int(a), int(b) + 1))
-    return [int(x) for x in text.split(",") if x]
+        a, b = (_number(x, int, "--levels") for x in text.split("..", 1))
+        levels = list(range(a, b + 1))
+    else:
+        levels = [_number(x, int, "--levels") for x in text.split(",") if x]
+    if not levels:
+        raise ValidationError(f"--levels {text!r} names no level")
+    return levels
 
 
 def _parse_times(text):
-    return [float(x) for x in text.split(",") if x]
+    return [_number(x, float, "--times") for x in text.split(",") if x]
+
+
+def _int_param(params, key, default):
+    value = params.get(key, default)
+    if type(value) is not int:
+        raise ValidationError(f"--param {key} expects an integer, got {value!r}")
+    return value
+
+
+def _float_param(params, key, default):
+    value = params.get(key, default)
+    if type(value) not in (int, float):
+        raise ValidationError(f"--param {key} expects a number, got {value!r}")
+    return float(value)
 
 
 def _family_spec(name, params, args):
@@ -60,20 +85,20 @@ def _family_spec(name, params, args):
     if name == "two_tent":
         return families.two_tent()
     if name == "circle_splitting":
-        return families.circle_splitting(int(params.get("j", 0)))
+        return families.circle_splitting(_int_param(params, "j", 0))
     if name == "oscillating_tents":
         return families.oscillating_tents(
-            int(params.get("J", 4)),
-            float(params.get("p", args.p)),
-            float(params.get("upsilon", 0.8)),
-            float(params.get("a", 2.0)),
+            _int_param(params, "J", 4),
+            _float_param(params, "p", args.p),
+            _float_param(params, "upsilon", 0.8),
+            _float_param(params, "a", 2.0),
         )
     if name == "cylinder_family":
         return families.cylinder_family(
-            int(params.get("J", 4)),
-            float(params.get("p", args.p)),
-            float(params.get("alpha", args.alpha)),
-            float(params.get("a", 3.0)),
+            _int_param(params, "J", 4),
+            _float_param(params, "p", args.p),
+            _float_param(params, "alpha", args.alpha),
+            _float_param(params, "a", 3.0),
         )
     raise ValidationError(f"unknown family {name!r}")
 

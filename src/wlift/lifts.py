@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import norms, spaces, transport
-from .errors import IncompatibleCurveError, ValidationError
+from .errors import BudgetExceededError, IncompatibleCurveError, ValidationError
 from .measures import DiscreteMeasure, make_measure
 from .paths import PiecewiseGeodesicPath, _interpolate, dyadic_times
 from .transport import (
@@ -284,7 +284,13 @@ def _lift_from_multicoupling(mc: transport.MultiCoupling, n: int) -> Lift:
 
 def _glued_chain(curve: WassersteinCurve, n: int, p: float):
     """The level-n dyadic times, the measures there, the left-to-right glue
-    of the consecutive optimal couplings, and those couplings' costs."""
+    of the consecutive optimal couplings, and those couplings' costs.  Every
+    path of a level-n lift has 2^n + 1 breakpoints, so a level where that
+    alone exceeds `transport.product_budget()` raises BudgetExceededError
+    before anything is allocated."""
+    cap = transport.product_budget()
+    if 2**n + 1 > cap:
+        raise BudgetExceededError(2**n + 1, cap, "lift breakpoints per path")
     ts = dyadic_times(n)
     mus = [curve(t) for t in ts]
     plans = [optimal_coupling(mus[k], mus[k + 1], p) for k in range(2**n)]

@@ -40,28 +40,79 @@ Math. Prog. Comp. 2018) through scipy's bindings, so the solutions are the
 ones `linprog(method="highs")` returns under the same options, without its
 per-call input checks and conversions.  HiGHS's presolve is off, for the
 reason given at _TRANSPORT_LP_OPTIONS.
-Where scipy lacks those bindings (older releases), `linprog` itself solves.
 HiGHS's primal feasibility tolerance is tightened from its default 1e-7 to
 MARGINAL_TOL, so each marginal constraint of a returned plan or certificate
 holds to MARGINAL_TOL.
+
+The bindings, `_highs`, are the extension module
+scipy.optimize._highspy._core, which `_load_highs` loads from its file in
+scipy's package directory without running scipy.optimize's __init__: that
+imports all of scipy.optimize and scipy.sparse, ~550 modules and ~0.5 s,
+against a few ms for the extension alone.  The module is registered in
+sys.modules under its own name, so a later `import scipy.optimize` reuses
+the same module object, and an entry already there is reused the same way.
+(Import statements find it there; the package scipy.optimize._highspy,
+imported later, does not hold it as its attribute `_core`.)  If the file
+load fails for any reason, the normal import runs instead, and `_highs` is
+None where scipy lacks the bindings (older releases); then `linprog`
+solves.  `linprog` is not imported with this module: its __getattr__
+imports it on first access as `transport.linprog`, which only that
+fallback and the tests use.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
-
-try:  # HiGHS's own bindings; private to scipy and missing from older releases
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:
-    _highs = None
 
 from . import spaces
 from .errors import BudgetExceededError, ValidationError
 from .measures import DiscreteMeasure, _check_exponent, check_same_space, measures_equal
+
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """HiGHS's bindings, loaded from their file (see the module docstring);
+    None if scipy has none."""
+    if _HIGHS_MODULE in sys.modules:
+        return sys.modules[_HIGHS_MODULE]
+    try:
+        folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                              "optimize", "_highspy")
+        path = next(f for f in (os.path.join(folder, "_core" + suffix)
+                                for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+                    if os.path.isfile(f))
+        spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS_MODULE] = module  # before it runs, as the import system does
+        spec.loader.exec_module(module)
+        return module
+    except Exception:  # noqa: BLE001 - any failure falls back to the normal import
+        sys.modules.pop(_HIGHS_MODULE, None)
+    try:  # private to scipy and missing from older releases
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        return None
+    return _core
+
+
+_highs = _load_highs()
+
+
+def __getattr__(name):
+    """`linprog`, imported from scipy.optimize on first access (PEP 562)."""
+    if name != "linprog":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import linprog
+
+    globals()["linprog"] = linprog
+    return linprog
 
 DEFAULT_BUDGET = 10**6
 MARGINAL_TOL = 1e-10
@@ -201,6 +252,7 @@ def _highs_solve(c, indptr, indices, b, values=None):
         from scipy.sparse import csc_array
 
         A = csc_array((values, indices, indptr), shape=(b.size, c.size))
+        linprog = sys.modules[__name__].linprog  # through __getattr__ on first use
         res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
                       options=_TRANSPORT_LP_OPTIONS)
         if not res.success:
@@ -510,15 +562,19 @@ def compatibility_multicoupling(
         raise ValidationError("need at least one measure")
     for m in measures[1:]:
         check_same_space(measures[0], m)
+    if pairs is None:
+        pairs = all_pairs(N)
+    pairs = sorted(set(tuple(sorted(pr)) for pr in pairs))
+    for pr in pairs:
+        if (len(pr) != 2 or not all(isinstance(v, (int, np.integer)) for v in pr)
+                or not 0 <= pr[0] < pr[1] < N):
+            raise ValidationError(f"pairs must be integer (i, j), 0 <= i < j < {N}, got {pr}")
     if N == 1:
         mu = measures[0]
         cert = MultiCoupling(
             (mu,), np.arange(mu.size)[:, None], mu.weights.copy(), tuple(labels)
         )
         return CompatibilityReport(True, cert, 0.0, mu.size)
-    if pairs is None:
-        pairs = all_pairs(N)
-    pairs = sorted(set(tuple(sorted(pr)) for pr in pairs))
 
     sizes = [m.size for m in measures]
     K = int(np.prod(sizes, dtype=object))

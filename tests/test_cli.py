@@ -264,3 +264,25 @@ def test_unknown_family(capsys):
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == EXIT_INPUT
     assert main(["example", "jump", "--space", "nonsense"]) == EXIT_INPUT
+
+
+MALFORMED_NUMBERS = {
+    "param_not_a_number": ["example", "oscillating_tents", "--param", "J=abc"],
+    "param_not_an_integer": ["example", "circle_splitting", "--param", "j=1.5"],
+    "levels_not_integers": ["lift", "--family", "two_tent", "--levels", "1..x"],
+    "levels_empty_range": ["lift", "--family", "two_tent", "--levels", "3..1"],
+    "times_not_numbers": ["compat", "--family", "two_tent", "--times", "0,abc"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NUMBERS))
+def test_malformed_numbers_are_input_errors(capsys, case):
+    assert main(MALFORMED_NUMBERS[case]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
+def test_lift_level_beyond_budget_is_exit_3(capsys):
+    from wlift.cli import EXIT_RESOURCE
+
+    assert main(["lift", "--family", "two_tent", "--level", "100"]) == EXIT_RESOURCE
+    assert "lift breakpoints" in capsys.readouterr().err

@@ -426,3 +426,14 @@ def test_batched_curve_norms_match_per_pair(spec, monkeypatch):
     per_pair = [w.curve_norm_power(curve, e, M=4) for e in energies]
     for e, x, y in zip(energies, batched, per_pair):
         assert x == pytest.approx(y, rel=1e-12, abs=0.0), e.tag
+
+
+def test_lift_breakpoints_count_against_the_budget():
+    # 2^100 + 1 breakpoints per path: refused before the curve is evaluated
+    calls = []
+    curve = w.WassersteinCurve(w.euclidean(1), lambda t: calls.append(t))
+    for build in (w.construct_lift_A, w.construct_lift_B):
+        with pytest.raises(w.BudgetExceededError,
+                           match=f"lift breakpoints per path {2**100 + 1} exceeds"):
+            build(curve, 100, 2.0)
+    assert calls == []

@@ -1,0 +1,112 @@
+"""Start-up: `import wlift` loads HiGHS's bindings alone, not scipy.optimize.
+
+Each check runs in a fresh interpreter, so that the modules loaded by this
+test process do not hide what an import loads."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CORE = "scipy.optimize._highspy._core"
+
+# W_2^2 of circle pairs, all solved by the LP; printed as exact hex floats
+VALUES = """
+import numpy as np
+import wlift as w
+rng = np.random.default_rng(7)
+sp = w.circle(2.0)
+def measure(n):
+    wts = rng.uniform(0.2, 1.0, n)
+    return w.make_measure(sp, rng.uniform(0, 2.0, (n, 1)), wts / wts.sum())
+pairs = [(measure(4), measure(5)) for _ in range(6)]
+values = [float(v).hex() for v in w.wasserstein_many(pairs, 2.0)]
+"""
+
+
+def run(code):
+    """The JSON object the last line of `code`'s standard output holds."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_leaves_scipy_optimize_out():
+    out = run(
+        "import json, sys\n"
+        "import wlift, wlift.cli\n"
+        f"print(json.dumps({{m: m in sys.modules for m in "
+        f"('scipy.optimize', 'scipy.sparse', {CORE!r})}}))"
+    )
+    assert out == {"scipy.optimize": False, "scipy.sparse": False, CORE: True}
+
+
+def test_scipy_optimize_reuses_the_loaded_bindings():
+    out = run(
+        "import json, sys\n"
+        "import wlift\n"
+        "from wlift import transport\n"
+        "import scipy.optimize\n"
+        "from scipy.optimize._highspy import _core\n"
+        "res = scipy.optimize.linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], method='highs')\n"
+        "print(json.dumps({'same': _core is transport._highs is sys.modules[" + repr(CORE) + "],\n"
+        "                  'fun': res.fun}))"
+    )
+    assert out == {"same": True, "fun": 1.0}
+
+
+def test_linprog_resolves_on_first_access():
+    out = run(
+        "import json, sys\n"
+        "from wlift import transport\n"
+        "before = 'linprog' in vars(transport) or 'scipy.optimize' in sys.modules\n"
+        "solve = transport.linprog\n"
+        "print(json.dumps({'before': before, 'name': solve.__name__,\n"
+        "                  'module': solve.__module__.split('.')[:2]}))"
+    )
+    assert out == {"before": False, "name": "linprog", "module": ["scipy", "optimize"]}
+
+
+FAIL_FILE_LOAD = """
+import importlib.util
+def refuse(*args, **kwargs):
+    raise OSError("no file load")
+importlib.util.spec_from_file_location = refuse
+"""
+
+
+def test_loaded_ways_give_identical_values():
+    # the file load; an entry already in sys.modules; the file load failing,
+    # so that the normal import runs
+    report = VALUES + (
+        "import json, sys\n"
+        "from wlift import transport\n"
+        "print(json.dumps({'values': values, 'optimize': 'scipy.optimize' in sys.modules,\n"
+        f"                  'same': transport._highs is sys.modules[{CORE!r}]}}))"
+    )
+    loaded = run(report)
+    preloaded = run("import scipy.optimize\n" + report)
+    fallback = run(FAIL_FILE_LOAD + report)
+    assert (loaded["optimize"], loaded["same"]) == (False, True)
+    assert (preloaded["optimize"], preloaded["same"]) == (True, True)
+    assert (fallback["optimize"], fallback["same"]) == (True, True)
+    assert preloaded["values"] == fallback["values"] == loaded["values"]
+
+
+def test_missing_bindings_leave_highs_none():
+    # both loads failing, as on a scipy release without the bindings; and an
+    # import of the bindings blocked by a None entry, which is kept as well
+    report = (
+        "import json, sys\n"
+        "from wlift import transport\n"
+        f"print(json.dumps({{'highs': transport._highs, 'entry': sys.modules.get({CORE!r}, 0)}}))"
+    )
+    missing = run(FAIL_FILE_LOAD + "import sys\nsys.modules['scipy.optimize._highspy'] = None\n"
+                  + report)
+    blocked = run(f"import sys\nsys.modules[{CORE!r}] = None\n" + report)
+    assert missing == {"highs": None, "entry": 0}
+    assert blocked == {"highs": None, "entry": None}

@@ -586,6 +586,15 @@ def test_budget_enforced():
         w.compatibility_multicoupling(ms, 2.0, budget=100)
 
 
+@pytest.mark.parametrize("pairs", [[(0, 7)], [(0, -1)], [(1, 1)], w.dyadic_pattern_pairs(2)],
+                         ids=["beyond_last", "negative", "self_pair", "pattern_too_long"])
+def test_compatibility_rejects_pairs_outside_the_measures(pairs):
+    sp = w.euclidean(1)
+    ms = [w.make_measure(sp, [[0.0], [float(k)]], [0.5, 0.5]) for k in range(1, 5)]
+    with pytest.raises(w.ValidationError, match=r"0 <= i < j < 4"):
+        w.compatibility_multicoupling(ms, 2.0, pairs=pairs)
+
+
 def test_is_compatible_trivial_cases():
     sp = w.euclidean(1)
     assert w.is_compatible([w.dirac(sp, [0.0])], 2.0)
