@@ -41,10 +41,8 @@ from .transport import (
 )
 from .norms import (
     besov_energy_pg,
-    besov_norm_pg,
     besov_norm_truncated,
     frac_sobolev_energy,
-    frac_sobolev_norm_quadrature,
     geodesic_characterization_check,
     grr_check,
     grr_constant,

@@ -79,7 +79,25 @@ def _float_param(params, key, default):
     return float(value)
 
 
+# the --param keys each family reads; any other key is an input error
+_FAMILY_PARAMS = {
+    "jump": (),
+    "two_tent": (),
+    "circle_splitting": ("j",),
+    "oscillating_tents": ("J", "p", "upsilon", "a"),
+    "cylinder_family": ("J", "p", "alpha", "a"),
+}
+
+
 def _family_spec(name, params, args):
+    if name not in _FAMILY_PARAMS:
+        raise ValidationError(f"unknown family {name!r}")
+    unknown = sorted(set(params) - set(_FAMILY_PARAMS[name]))
+    if unknown:
+        known = ", ".join(_FAMILY_PARAMS[name]) or "none"
+        raise ValidationError(
+            f"family {name!r} takes no --param {', '.join(unknown)} (its keys: {known})"
+        )
     if name == "jump":
         return families.jump()
     if name == "two_tent":
@@ -93,14 +111,12 @@ def _family_spec(name, params, args):
             _float_param(params, "upsilon", 0.8),
             _float_param(params, "a", 2.0),
         )
-    if name == "cylinder_family":
-        return families.cylinder_family(
-            _int_param(params, "J", 4),
-            _float_param(params, "p", args.p),
-            _float_param(params, "alpha", args.alpha),
-            _float_param(params, "a", 3.0),
-        )
-    raise ValidationError(f"unknown family {name!r}")
+    return families.cylinder_family(  # the one family left in _FAMILY_PARAMS
+        _int_param(params, "J", 4),
+        _float_param(params, "p", args.p),
+        _float_param(params, "alpha", args.alpha),
+        _float_param(params, "a", 3.0),
+    )
 
 
 def cmd_ot(args):
@@ -198,7 +214,8 @@ def cmd_norms(args):
 
     params = {"p": args.p, "alpha": args.alpha, "gamma": args.gamma, "q": args.q,
               "delta": args.delta}
-    value = entry.path(path, params, args.truncation)
+    one_path = lifts.Lift((path,), np.ones(1), path.level)
+    value = entry.paths(one_path, params, args.truncation)[0]
     tail = None
     if args.norm == "besov":
         tail = norms.besov_norm_truncated(path, args.alpha, args.p, args.truncation)[1]

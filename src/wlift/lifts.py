@@ -141,19 +141,16 @@ class EnergySpec:
 
 @dataclass(frozen=True)
 class _Functional:
-    """A registry entry: the parameter names besides p; the value on a
-    piecewise-geodesic path, as path(x, params, grid level M); the value on a
-    curve of measures, as curve(c, params, M, dist), or None when there is no
-    curve version; whether those values are already p-th powers (else they
-    are the norm itself); and, optionally, the values on every path of a
-    lift at once, as lift(lift, params, M), for functionals batched over the
-    lift's breakpoint tensor (else `path` is applied path by path)."""
+    """A registry entry: the parameter names besides p; the K per-path values
+    of a lift (one path is K = 1), as paths(lift, params, grid level M), all
+    read off its breakpoint tensor at once; the value on a curve of measures,
+    as curve(c, params, M, dist), or None when there is no curve version; and
+    whether those values are already p-th powers (else the norm itself)."""
 
     params: tuple
-    path: object
+    paths: object
     curve: object
     power: bool
-    lift: object = None
 
 
 def _holder(x, q, M, dist=None):
@@ -162,18 +159,6 @@ def _holder(x, q, M, dist=None):
 
 def _modulus(x, q, M, dist=None):
     return norms.modulus_of_continuity(x, q["delta"], M, dist=dist)
-
-
-def _curve_w1p(c, q, M, dist):
-    """Speed^p integrated over the level-M grid: 2^{M(p-1)} S_M."""
-    return 2.0 ** (M * (q["p"] - 1.0)) * norms._level_power_sum(c, M, q["p"], dist)
-
-
-def _lift_variation(lift, q, M):
-    """Vertex q-variation norm of every path, in one batched DP."""
-    norms._check_exponent(q["q"], "q")
-    V = norms._vertex_variation(lift.space, lift.breakpoints, q["q"])
-    return [v ** (1.0 / q["q"]) for v in V.tolist()]
 
 
 # lift energies, curve norms and the CLI dispatch on a functional's tag here
@@ -186,12 +171,15 @@ _FUNCTIONALS = {
     ),
     "frac_sobolev": _Functional(
         ("alpha",),
-        lambda x, q, M: norms.frac_sobolev_energy(x, q["alpha"], q["p"]),
+        lambda x, q, M: [norms.frac_sobolev_energy(y, q["alpha"], q["p"]) for y in x.paths],
         None,
         True,
     ),
     "w1p": _Functional(
-        (), lambda x, q, M: norms.w1p_norm_pg(x, q["p"]) ** q["p"], _curve_w1p, True
+        (),
+        lambda x, q, M: norms._w1p_energy(x, q["p"], x.level),
+        lambda c, q, M, dist: norms._w1p_energy(c, q["p"], M, dist),
+        True,
     ),
     "holder": _Functional(("gamma",), _holder, _holder, False),
     "variation": _Functional(
@@ -199,7 +187,6 @@ _FUNCTIONALS = {
         lambda x, q, M: norms.p_variation(x, q["q"], mode="vertex"),
         lambda c, q, M, dist: norms.p_variation(c, q["q"], "dyadic", M, dist=dist),
         False,
-        _lift_variation,
     ),
     "modulus": _Functional(("delta",), _modulus, _modulus, False),
 }
@@ -213,10 +200,7 @@ def lift_energy(lift: Lift, spec: EnergySpec, M=None) -> float:
     if entry is None:
         raise ValidationError(f"unknown energy tag {spec.tag!r}")
     M = M if M is not None else max(lift.level + 2, 6)
-    if entry.lift is not None:
-        vals = entry.lift(lift, spec.params, M)
-    else:
-        vals = [entry.path(path, spec.params, M) for path in lift.paths]
+    vals = entry.paths(lift, spec.params, M)
     total = 0.0
     for x0, w, val in zip(lift.breakpoints[:, 0], lift.weights, vals):
         if not entry.power:

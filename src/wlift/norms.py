@@ -2,16 +2,18 @@
 piecewise geodesics), fractional Sobolev quadrature, Hölder / variation /
 modulus functionals on dyadic grids, and related checks.
 
-Every dyadic Besov sum, on a path or on a curve of measures, runs through
-one engine, `_dyadic_besov`: direct level sums up to the curve's exact
-level, then exact geodesic scaling and the closed-form geometric tail.  The
-level sums come from one provider, `_level_power_sum`, which also serves
-`limsup_variation_dyadic` and the curve W^{1,p} sum; `_pairwise` supplies
-the distance matrices of the Hölder / variation / modulus functionals.
-Both hand their whole list of curve pairs to the distance callback at once
-when it offers a batched `many` form (`_distances`).  Every q-variation,
-on a dyadic grid or over the breakpoints of one path or of all K paths of
-a lift together, is one dynamic program, `_variation_dp`.
+`besov_energy_pg`, `holder_norm_dyadic`, `modulus_of_continuity`,
+`p_variation` and `_w1p_energy` also take a lift, read its (K, 2^n + 1,
+dim) `breakpoints` as a path's, and give its K per-path values.  Every
+dyadic Besov sum runs through one engine, `_dyadic_besov`: direct level
+sums up to the exact level, then exact geodesic scaling and the closed-form
+geometric tail.  The level sums come from `_level_power_sum`, which also
+serves `limsup_variation_dyadic` and every W^{1,p} sum.  `_pairwise` gives
+the level-M grid distances in column blocks of at most _VARIATION_ENTRIES
+entries, built per block for paths and sliced from one matrix for a curve
+(whose pairs go to the callback at once when it has a batched `many` form,
+`_distances`).  Hölder and modulus are one masked max over the blocks,
+`_pair_max`; every q-variation is one dynamic program, `_variation_dp`.
 
 Conventions:
   * `*_norm_*` functions return the norm itself (p-th or q-th root);
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import spaces
 from .errors import BudgetExceededError, ValidationError
-from .paths import PiecewiseGeodesicPath, dyadic_times
+from .paths import PiecewiseGeodesicPath, _interpolate, dyadic_times
 from .transport import product_budget
 
 
@@ -67,16 +69,18 @@ def _distances(dist, pairs) -> np.ndarray:
 # Besov dyadic sums
 
 
-def _level_power_sum(curve, m: int, p: float, dist=None) -> float:
+def _level_power_sum(curve, m: int, p: float, dist=None):
     """Sum_k d(X_{t_k}, X_{t_{k+1}})^p over the level-m dyadic grid.
 
-    A piecewise-geodesic path reads its breakpoints (or evaluates itself
-    below its level); any other curve needs `dist`.  A curve that declares
-    an exact time `period` only samples one period of pairs."""
-    if isinstance(curve, PiecewiseGeodesicPath):
+    A path or a lift reads its breakpoints (or evaluates them below its
+    level), one sum per path; any other curve needs `dist`.  A curve that
+    declares an exact time `period` only samples one period of pairs."""
+    X = getattr(curve, "breakpoints", None)
+    if X is not None:
         step = 2 ** (curve.level - m) if m <= curve.level else 0
-        X = curve.breakpoints[::step] if step else curve.eval_many(dyadic_times(m))
-        return float(np.sum(spaces._distance_arrays(curve.space, X[:-1], X[1:]) ** p))
+        X = X[..., ::step, :] if step else _interpolate(curve.space, X, dyadic_times(m))
+        d = spaces._distance_arrays(curve.space, X[..., :-1, :], X[..., 1:, :])
+        return np.sum(d**p, axis=-1)
     if dist is None:
         raise ValidationError("generic curve evaluators need a distance callback")
     n_pairs = 2**m
@@ -97,13 +101,13 @@ def _level_power_sum(curve, m: int, p: float, dist=None) -> float:
 def _dyadic_besov(curve, alpha: float, p: float, M: int, dist=None):
     """The one dyadic Besov engine behind every b^{alpha,p} sum.
 
-    `curve` is a piecewise-geodesic path (exact level L = its breakpoint
-    level) or a curve evaluated through `dist` (L = its declared `level`,
-    if any).  Level sums S_m are computed directly for m <= min(L, M);
-    beyond L each level-L piece is a geodesic, so S_m = S_L 2^{(L-m)(p-1)}.
-    Returns the increments 2^{m(alpha p - 1)} S_m for m = 0..M and, when
-    L <= M, the closed-form sum of every increment beyond L,
-    2^{L(alpha p - 1)} / (2^{p - alpha p} - 1) S_L (else None).
+    `curve` is a path or a lift (exact level L = its breakpoint level) or a
+    curve evaluated through `dist` (L = its declared `level`, if any).
+    Level sums S_m are computed directly for m <= min(L, M); beyond L each
+    level-L piece is a geodesic, so S_m = S_L 2^{(L-m)(p-1)}.  Returns the
+    increments 2^{m(alpha p - 1)} S_m for m = 0..M (for a lift, one column
+    per path) and, when L <= M, the closed-form sum of every increment
+    beyond L, 2^{L(alpha p - 1)} / (2^{p - alpha p} - 1) S_L (else None).
     """
     _check_alpha_p(alpha, p)
     if M < 0:
@@ -119,17 +123,14 @@ def _dyadic_besov(curve, alpha: float, p: float, M: int, dist=None):
     return np.array([2.0 ** (m * (ap - 1)) * S for m, S in enumerate(sums)]), tail
 
 
-def besov_energy_pg(path: PiecewiseGeodesicPath, alpha: float, p: float) -> float:
+def besov_energy_pg(path, alpha: float, p: float) -> float | list:
     """Exact |X|_{b^{alpha,p}}^p for a level-n piecewise-geodesic path:
     the finite double sum over scales m <= n plus the geometric tail
-    2^{n(alpha p - 1)} / (2^{p - alpha p} - 1) * sum_i d(x_i, x_{i+1})^p.
+    2^{n(alpha p - 1)} / (2^{p - alpha p} - 1) * sum_i d(x_i, x_{i+1})^p;
+    for a lift, the list of its per-path energies.
     """
     incs, tail = _dyadic_besov(path, alpha, p, path.level)
-    return float(np.sum(incs)) + tail
-
-
-def besov_norm_pg(path: PiecewiseGeodesicPath, alpha: float, p: float) -> float:
-    return besov_energy_pg(path, alpha, p) ** (1.0 / p)
+    return (np.sum(incs, axis=0) + tail).tolist()
 
 
 def besov_norm_truncated(curve, alpha: float, p: float, M: int, dist=None):
@@ -244,71 +245,86 @@ def frac_sobolev_energy(
     return 2.0 * total
 
 
-def frac_sobolev_norm_quadrature(
-    path: PiecewiseGeodesicPath, alpha: float, p: float, **quad
-) -> float:
-    return frac_sobolev_energy(path, alpha, p, **quad) ** (1.0 / p)
-
-
 # ---------------------------------------------------------------------------
-# dyadic-grid functionals on paths or generic curve evaluators
+# dyadic-grid functionals on paths, lifts or generic curve evaluators
+
+
+# most distances one column block of a pair table holds, over all K paths
+# together: like _QUAD_NODE_PAIRS, it keeps each of a block's few float
+# arrays within 64 KiB, in cache
+_VARIATION_ENTRIES = 2**13
+
+
+def _column_blocks(K: int, N: int):
+    """Column ranges [j0, j1) of K paths' N x N pair tables, rows i < j1 - 1,
+    within _VARIATION_ENTRIES entries (one column when one alone is more)."""
+    width = max(1, _VARIATION_ENTRIES // (K * (N - 1)))
+    return [(j0, min(N, j0 + width)) for j0 in range(1, N, width)]
+
+
+def _point_blocks(space, G):
+    """block(j0, j1): d(G_i, G_j) of the K point sequences G (K, N, dim) for
+    columns j0 <= j < j1, rows i < j1 - 1, as a (K, j1 - j0, j1 - 1) array."""
+    return lambda j0, j1: spaces._distance_arrays(
+        space, G[:, None, : j1 - 1, :], G[:, j0:j1, None, :], canonical=True
+    )
 
 
 def _pairwise(curve, M: int, dist):
+    """The level-M dyadic times, the shape of the per-path values (() or
+    (K,)) and block(j0, j1) of d(X_{t_i}, X_{t_j}) as in `_point_blocks`:
+    from the grid points of paths, or sliced from a curve's `dist` matrix."""
     ts = dyadic_times(M)
-    if isinstance(curve, PiecewiseGeodesicPath):
-        X = curve.eval_many(ts)
-        return ts, spaces.distance_matrix(curve.space, X, X)
+    X = getattr(curve, "breakpoints", None)
+    if X is not None:
+        G = _interpolate(curve.space, X.reshape(-1, *X.shape[-2:]), ts)
+        return ts, X.shape[:-2], _point_blocks(curve.space, G)
     if dist is None:
         raise ValidationError("generic curve evaluators need a distance callback")
     vals = [curve(t) for t in ts]
     iu, ju = np.triu_indices(len(ts), k=1)
-    D = np.zeros((len(ts), len(ts)))
-    D[iu, ju] = _distances(dist, [(vals[i], vals[j]) for i, j in zip(iu, ju)])
-    return ts, D + D.T
+    DT = np.zeros((len(ts), len(ts)))  # DT[j, i] = d(X_{t_i}, X_{t_j}) for i < j
+    DT[ju, iu] = _distances(dist, [(vals[i], vals[j]) for i, j in zip(iu, ju)])
+    return ts, (), lambda j0, j1: DT[None, j0:j1, : j1 - 1]
 
 
-def holder_norm_dyadic(curve, gamma: float, M: int, dist=None) -> float:
-    """sup over level-M dyadic pairs of d(X_s, X_t) / |t-s|^gamma."""
+def _pair_max(pairs, divisor, keep):
+    """Per path, the max (0 if none) of d(X_s, X_t) / divisor(t - s) over the
+    grid pairs s < t with keep(t - s), one `_pairwise` block at a time."""
+    ts, shape, block = pairs
+    best = np.zeros(math.prod(shape))
+    for j0, j1 in _column_blocks(len(best), len(ts)):
+        dt = ts[j0:j1, None] - ts[: j1 - 1]
+        sel = (dt > 0) & keep(dt)
+        ratios = block(j0, j1)[:, sel] / divisor(dt[sel])
+        best = np.maximum(best, np.max(ratios, axis=1, initial=0.0))
+    return best.reshape(shape).tolist()
+
+
+def holder_norm_dyadic(curve, gamma: float, M: int, dist=None) -> float | list:
+    """sup over level-M dyadic pairs of d(X_s, X_t) / |t-s|^gamma (per path of a lift)."""
     if not (0 < gamma <= 1):
         raise ValidationError("gamma must lie in (0, 1]")
-    ts, D = _pairwise(curve, M, dist)
-    iu, ju = np.triu_indices(len(ts), k=1)
-    dt = ts[ju] - ts[iu]
-    return float(np.max(D[iu, ju] / dt**gamma, initial=0.0))
+    return _pair_max(_pairwise(curve, M, dist), lambda dt: dt**gamma, lambda dt: True)
 
 
-def modulus_of_continuity(curve, delta: float, M: int, dist=None) -> float:
-    """sup of d(X_s, X_t) over level-M dyadic pairs with |t-s| <= delta."""
+def modulus_of_continuity(curve, delta: float, M: int, dist=None) -> float | list:
+    """sup of d(X_s, X_t) over level-M dyadic pairs with |t-s| <= delta (per path of a lift)."""
     if not (0 < delta <= 1):
         raise ValidationError("delta must lie in (0, 1]")
-    ts, D = _pairwise(curve, M, dist)
-    iu, ju = np.triu_indices(len(ts), k=1)
-    sel = (ts[ju] - ts[iu]) <= delta + 1e-15
-    if not np.any(sel):
-        return 0.0
-    return float(np.max(D[iu[sel], ju[sel]]))
+    return _pair_max(_pairwise(curve, M, dist), lambda dt: 1.0, lambda dt: dt <= delta + 1e-15)
 
 
-# most distances one column block of the variation DP builds, over all K
-# paths together: like _QUAD_NODE_PAIRS, it keeps each of a block's few
-# float arrays within 64 KiB, in cache
-_VARIATION_ENTRIES = 2**13
-
-
-def _variation_dp(block, K: int, N: int, q: float) -> np.ndarray:
+def _variation_dp(block, K: int, N: int) -> np.ndarray:
     """max over partitions (index subsets containing both endpoints) of
     sum d^q, for K sequences of N points at once, by the dynamic program
     V[:, j] = max_{i<j} (V[:, i] + d(x_i, x_j)^q).  `block(j0, j1)` gives
     d(x_i, x_j)^q for columns j0 <= j < j1 and rows i < j1 - 1 as a
-    (K, j1 - j0, j1 - 1) array; columns are taken in blocks of at most
-    _VARIATION_ENTRIES entries (one column when a column alone is larger).
+    (K, j1 - j0, j1 - 1) array, over the blocks of `_column_blocks`.
     Returns V[:, -1]."""
     V = np.full((K, N), -np.inf)
     V[:, 0] = 0.0
-    width = max(1, _VARIATION_ENTRIES // (K * (N - 1)))
-    for j0 in range(1, N, width):
-        j1 = min(N, j0 + width)
+    for j0, j1 in _column_blocks(K, N):
         Dq = block(j0, j1)
         for j in range(j0, j1):
             V[:, j] = (V[:, :j] + Dq[:, j - j0, :j]).max(axis=1)
@@ -320,34 +336,30 @@ def _vertex_variation(space, X: np.ndarray, q: float) -> np.ndarray:
     paths whose canonical breakpoints are X (K, N, dim): partitions over the
     breakpoints, which is exact for q >= 1.  Distances are built block by
     block (`_variation_dp`), never as a full N x N matrix per path."""
-    K, N = X.shape[:2]
-
-    def block(j0, j1):
-        rows, cols = X[:, None, : j1 - 1, :], X[:, j0:j1, None, :]
-        return spaces._distance_arrays(space, rows, cols, canonical=True) ** q
-
-    return _variation_dp(block, K, N, q)
+    block = _point_blocks(space, X)
+    return _variation_dp(lambda j0, j1: block(j0, j1) ** q, *X.shape[:2])
 
 
-def p_variation(curve, q: float, mode: str = "dyadic", M: int = 8, dist=None) -> float:
-    """q-variation norm: (sup over partitions of sum d^q)^(1/q).
+def p_variation(curve, q: float, mode: str = "dyadic", M: int = 8, dist=None) -> float | list:
+    """q-variation norm: (sup over partitions of sum d^q)^(1/q), per path of a lift.
 
     mode="dyadic": partitions with points in the level-M dyadic grid.
-    mode="vertex": piecewise-geodesic paths only; partitions over the
-    breakpoints, which is exact for q >= 1.
+    mode="vertex": piecewise-geodesic paths and lifts only; partitions over
+    the breakpoints, which is exact for q >= 1.
     """
     _check_exponent(q, "q")
     if mode == "vertex":
-        if not isinstance(curve, PiecewiseGeodesicPath):
+        X = getattr(curve, "breakpoints", None)
+        if X is None:
             raise ValidationError("vertex mode needs a piecewise-geodesic path")
-        V = _vertex_variation(curve.space, curve.breakpoints[None], q)
+        shape = X.shape[:-2]
+        V = _vertex_variation(curve.space, X.reshape(-1, *X.shape[-2:]), q)
     elif mode == "dyadic":
-        _, D = _pairwise(curve, M, dist)
-        DqT = (D**q).T
-        V = _variation_dp(lambda j0, j1: DqT[None, j0:j1, : j1 - 1], 1, len(D), q)
+        ts, shape, block = _pairwise(curve, M, dist)
+        V = _variation_dp(lambda j0, j1: block(j0, j1) ** q, math.prod(shape), len(ts))
     else:
         raise ValidationError(f"unknown mode {mode!r}")
-    return float(V[0]) ** (1.0 / q)
+    return np.reshape([v ** (1.0 / q) for v in V.tolist()], shape).tolist()
 
 
 def limsup_variation_dyadic(curve, q: float, levels, dist=None) -> np.ndarray:
@@ -358,12 +370,15 @@ def limsup_variation_dyadic(curve, q: float, levels, dist=None) -> np.ndarray:
     return np.array([_level_power_sum(curve, m, q, dist) for m in levels])
 
 
+def _w1p_energy(curve, p: float, m: int, dist=None):
+    """Speed^p over the level-m grid, 2^{m(p-1)} S_m: exact at a path's level."""
+    _check_exponent(p, "p")
+    return 2.0 ** (m * (p - 1.0)) * _level_power_sum(curve, m, p, dist)
+
+
 def w1p_norm_pg(path: PiecewiseGeodesicPath, p: float) -> float:
     """Exact W^{1,p} norm of a piecewise-geodesic path (L^p norm of speed)."""
-    _check_exponent(p, "p")
-    dt = 1.0 / 2**path.level
-    seg = path.segment_lengths()
-    return float(np.sum(dt * (seg / dt) ** p)) ** (1.0 / p)
+    return float(_w1p_energy(path, p, path.level)) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

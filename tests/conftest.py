@@ -155,3 +155,54 @@ def loop_vertex_variation(space, breakpoints, q):
     for j in range(1, n):
         V[j] = np.max(V[:j] + Dq[:j, j])
     return float(V[-1])
+
+
+def _loop_grid_distances(path, M):
+    """The level-M dyadic times and the dense distance matrix of one path's
+    points there."""
+    ts = dyadic_times(M)
+    X = path.eval_many(ts)
+    return ts, spaces.distance_matrix(path.space, X, X)
+
+
+def loop_holder(path, gamma, M):
+    """Reference dyadic Hölder constant of one path: the max of
+    d / |t - s|^gamma over the upper triangle of the dense matrix."""
+    ts, D = _loop_grid_distances(path, M)
+    iu, ju = np.triu_indices(len(ts), k=1)
+    dt = ts[ju] - ts[iu]
+    return float(np.max(D[iu, ju] / dt**gamma, initial=0.0))
+
+
+def loop_modulus(path, delta, M):
+    """Reference modulus of continuity of one path: the max of d over the
+    upper triangle of the dense matrix where |t - s| <= delta."""
+    ts, D = _loop_grid_distances(path, M)
+    iu, ju = np.triu_indices(len(ts), k=1)
+    sel = (ts[ju] - ts[iu]) <= delta + 1e-15
+    if not np.any(sel):
+        return 0.0
+    return float(np.max(D[iu[sel], ju[sel]]))
+
+
+def loop_besov_energy(space, breakpoints, alpha, p):
+    """Reference Besov energy of one level-n path, one scalar distance at a
+    time: the double sum over scales m <= n of 2^{m(alpha p - 1)} S_m, plus
+    the geometric tail 2^{n(alpha p - 1)} / (2^{p - alpha p} - 1) S_n."""
+    n = (len(breakpoints) - 1).bit_length() - 1
+    ap = alpha * p
+    total = 0.0
+    for m in range(n + 1):
+        step = 2 ** (n - m)
+        S = sum(spaces.distance(space, breakpoints[k], breakpoints[k + step]) ** p
+                for k in range(0, 2**n, step))
+        total += 2.0 ** (m * (ap - 1)) * S
+    return total + 2.0 ** (n * (ap - 1)) / (2.0 ** (p - ap) - 1.0) * S
+
+
+def loop_w1p_energy(space, breakpoints, p):
+    """Reference W^{1,p} energy of one level-n path: sum of dt (d_i/dt)^p."""
+    n = (len(breakpoints) - 1).bit_length() - 1
+    dt = 2.0**-n
+    return sum(dt * (spaces.distance(space, a, b) / dt) ** p
+               for a, b in zip(breakpoints[:-1], breakpoints[1:]))

@@ -286,3 +286,30 @@ def test_lift_level_beyond_budget_is_exit_3(capsys):
 
     assert main(["lift", "--family", "two_tent", "--level", "100"]) == EXIT_RESOURCE
     assert "lift breakpoints" in capsys.readouterr().err
+
+
+UNKNOWN_PARAMS = {
+    "circle_splitting_k": ["example", "circle_splitting", "--param", "k=1"],
+    "two_tent_foo": ["example", "two_tent", "--param", "foo=3"],
+    "cylinder_family_j": ["example", "cylinder_family", "--param", "j=2"],
+    "lift_jump_J": ["lift", "--family", "jump", "--param", "J=2", "--level", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_PARAMS))
+def test_unknown_param_key_is_input_error(capsys, case):
+    assert main(UNKNOWN_PARAMS[case]) == EXIT_INPUT
+    assert "takes no --param" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "circle_splitting", "--param", "j=1"],
+    ["example", "oscillating_tents", "--param", "J=2", "--param", "p=2",
+     "--param", "upsilon=0.7", "--param", "a=1.5"],
+    ["example", "cylinder_family", "--param", "J=2", "--param", "p=2",
+     "--param", "alpha=0.8", "--param", "a=2.5"],
+    ["example", "two_tent"],
+], ids=["circle_splitting", "oscillating_tents", "cylinder_family", "no_params"])
+def test_known_param_keys_still_work(capsys, argv):
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["family"]

@@ -1,9 +1,13 @@
 """Source hygiene checks that stand in for a linter."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import pytest
+
+import wlift
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wlift"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -52,3 +56,19 @@ def test_only_transport_imports_lp_tools(module):
         or name in ("scipy.optimize", "scipy.optimize.linprog")
     ]
     assert not bad, f"{module.name} imports {bad}"
+
+
+ROOT = SRC.parents[1]
+
+
+def test_every_exported_function_has_a_user():
+    """Every function `wlift/__init__.py` re-exports is named somewhere in
+    the tests, the demos or the README; an export nobody calls is dead API."""
+    texts = [p.read_text() for d in ("tests", "demos") for p in sorted((ROOT / d).glob("*.py"))]
+    texts.append((ROOT / "README.md").read_text())
+    exported = [name for name in _imported_names(ast.parse((SRC / "__init__.py").read_text()))
+                if inspect.isfunction(getattr(wlift, name))]
+    assert exported
+    unused = [name for name in exported
+              if not any(re.search(rf"\b{name}\b", text) for text in texts)]
+    assert not unused, f"exported but named nowhere in tests/, demos/ or README.md: {unused}"

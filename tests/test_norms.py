@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 import wlift as w
-from conftest import ALL_SPACES, loop_frac_sobolev, loop_vertex_variation, random_path
+from conftest import (
+    ALL_SPACES,
+    loop_besov_energy,
+    loop_frac_sobolev,
+    loop_holder,
+    loop_modulus,
+    loop_vertex_variation,
+    loop_w1p_energy,
+    random_path,
+)
 from wlift import norms
 from wlift.norms import besov_energy_pg, besov_norm_truncated
 from wlift.paths import PiecewiseGeodesicPath, dyadic_times
@@ -301,6 +310,85 @@ def test_vertex_variation_matches_dense_loop_reference(space, entries, monkeypat
                 if K == 1:
                     assert w.p_variation(PiecewiseGeodesicPath(space, X[0], level), q,
                                          mode="vertex") == want[0] ** (1.0 / q)
+
+
+@pytest.mark.parametrize("entries", [None, 1, 50])
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+def test_grid_functionals_and_lift_energies_match_dense_loop_references(
+    space, entries, monkeypatch
+):
+    """Hölder, modulus and dyadic variation of paths, and the Hölder,
+    modulus and variation lift energies, from column blocks of the
+    breakpoint tensor, give the dense per-path references' values bit for
+    bit, at the default block size, one column per block, and blocks of a
+    few columns; the Besov and W^{1,p} lift energies match a per-path
+    double sum plus tail to 1e-12 relative."""
+    if entries is not None:
+        monkeypatch.setattr(norms, "_VARIATION_ENTRIES", entries)
+    rng = np.random.default_rng(100 + ALL_SPACES.index(space))
+
+    def weighted(lift, refs, p):  # lift_energy's own sum, over reference values
+        total = 0.0
+        for wk, val in zip(lift.weights, refs):
+            total += wk * val**p
+        return float(total)
+
+    for K in (1, 3, 62):
+        for level in (0, 2, 3):
+            paths = tuple(random_path(rng, space, level) for _ in range(K))
+            wts = rng.uniform(0.2, 1.0, size=K)
+            lift = w.Lift(paths, wts / wts.sum(), level)
+            M = level + 2
+            for path in paths[:3]:
+                for g in (0.4, 1.0):
+                    assert w.holder_norm_dyadic(path, g, M) == loop_holder(path, g, M)
+                for d in (1e-3, 0.3, 1.0):
+                    assert w.modulus_of_continuity(path, d, M) == loop_modulus(path, d, M)
+                grid = path.eval_many(dyadic_times(M))
+                for q in (1.0, 2.5):
+                    want = loop_vertex_variation(space, grid, q) ** (1.0 / q)
+                    assert w.p_variation(path, q, "dyadic", M) == want
+            for p in (2.0, 3.0):
+                spec = w.EnergySpec.holder(0.6, p)
+                want = weighted(lift, [loop_holder(x, 0.6, M) for x in paths], p)
+                assert w.lift_energy(lift, spec, M) == want, (K, level, p)
+                spec = w.EnergySpec.modulus(0.3, p)
+                want = weighted(lift, [loop_modulus(x, 0.3, M) for x in paths], p)
+                assert w.lift_energy(lift, spec, M) == want, (K, level, p)
+                spec = w.EnergySpec.variation(2.5, p)
+                refs = [loop_vertex_variation(space, x.breakpoints, 2.5) ** (1 / 2.5) for x in paths]
+                assert w.lift_energy(lift, spec, M) == weighted(lift, refs, p), (K, level, p)
+                want = weighted(lift, [loop_besov_energy(space, x.breakpoints, 0.75, p)
+                                       for x in paths], 1.0)
+                got = w.lift_energy(lift, w.EnergySpec.besov(0.75, p))
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (K, level, p)
+                want = weighted(lift, [loop_w1p_energy(space, x.breakpoints, p) for x in paths], 1.0)
+                got = w.lift_energy(lift, w.EnergySpec.w1p(p))
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (K, level, p)
+
+
+def test_holder_and_modulus_lift_energies_hold_one_block_of_distances(monkeypatch):
+    """No distance array a Hölder or modulus lift energy builds holds more
+    than _VARIATION_ENTRIES entries, or one column of K (N - 1) entries when
+    a single column is larger: level-6 lift, K = 62, grid level M = 9."""
+    rng = np.random.default_rng(7)
+    space, K, M = w.cylinder(2.0), 62, 9
+    paths = tuple(random_path(rng, space, 6) for _ in range(K))
+    lift = w.Lift(paths, np.full(K, 1.0 / K), 6)
+    cap = max(norms._VARIATION_ENTRIES, K * 2**M)
+    sizes = []
+    real = w.spaces._distance_arrays
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(w.spaces, "_distance_arrays", counted)
+    for spec in (w.EnergySpec.holder(0.7, 2.0), w.EnergySpec.modulus(0.2, 2.0)):
+        sizes.clear()
+        assert w.lift_energy(lift, spec, M) > 0.0
+        assert sizes and max(sizes) <= cap, (spec.tag, max(sizes), cap)
 
 
 def test_variation_1_is_total_length():
