@@ -171,7 +171,7 @@ _FUNCTIONALS = {
     ),
     "frac_sobolev": _Functional(
         ("alpha",),
-        lambda x, q, M: [norms.frac_sobolev_energy(y, q["alpha"], q["p"]) for y in x.paths],
+        lambda x, q, M: norms.frac_sobolev_energy(x, q["alpha"], q["p"]),
         None,
         True,
     ),

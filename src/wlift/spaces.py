@@ -121,6 +121,34 @@ def _distance_arrays(
     return np.sqrt(arc * arc + dz * dz)
 
 
+# relative slack of `_diameter_bound`, far above the few ulps by which a
+# computed distance and the computed bound can round apart
+_BOUND_MARGIN = 1e-9
+
+
+def _diameter_bound(space: Space, X: np.ndarray) -> np.ndarray:
+    """Per sequence of canonical points X (..., N, dim), a number at least
+    every computed `_distance_arrays(..., canonical=True)` between two of
+    its points: the diagonal of the coordinate box in R^d; on the circle
+    min(P/2, arc extent), the extent being P less the widest gap between
+    neighbouring arc coordinates, with an absolute slack of margin * P for
+    the rounding of arc differences; on the cylinder that arc bound
+    combined with the height extent.  All carry the relative margin
+    _BOUND_MARGIN."""
+    if space.kind == "euclidean":
+        box = np.ptp(X, axis=-2)
+        return np.sqrt(np.sum(box * box, axis=-1)) * (1.0 + _BOUND_MARGIN)
+    P = space.perimeter
+    arc = np.sort(X[..., 0], axis=-1)
+    gap = np.maximum(np.max(np.diff(arc, axis=-1), axis=-1, initial=0.0),
+                     arc[..., 0] + P - arc[..., -1])
+    bound = np.minimum(P / 2.0, P - gap + _BOUND_MARGIN * P)
+    if space.kind == "cylinder":
+        height = np.ptp(X[..., 1], axis=-1)
+        bound = np.sqrt(bound * bound + height * height)
+    return bound * (1.0 + _BOUND_MARGIN)
+
+
 def distance_matrix(space: Space, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """All pairwise distances between rows of X (n, dim) and Y (m, dim)."""
     X = canonicalize_points(space, X)

@@ -72,3 +72,35 @@ def test_every_exported_function_has_a_user():
     unused = [name for name in exported
               if not any(re.search(rf"\b{name}\b", text) for text in texts)]
     assert not unused, f"exported but named nowhere in tests/, demos/ or README.md: {unused}"
+
+
+def _private_definitions(tree):
+    """Module-level functions, classes and assignments whose names start
+    with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def test_every_private_function_has_a_caller():
+    """Every module-level private name in src/wlift is read somewhere in
+    src/wlift, as a name or an attribute: a helper nothing calls is dead
+    code."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = [(mod, name) for mod, tree in trees.items() for name in _private_definitions(tree)]
+    assert len(defined) > 20
+    dead = [f"{mod}:{name}" for mod, name in defined if name not in read]
+    assert not dead, f"defined but never read in src/wlift: {dead}"

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -437,3 +438,27 @@ def test_lift_breakpoints_count_against_the_budget():
                            match=f"lift breakpoints per path {2**100 + 1} exceeds"):
             build(curve, 100, 2.0)
     assert calls == []
+
+
+def test_frac_sobolev_lift_energy_checks_the_budget_once_for_all_paths():
+    """The fractional Sobolev lift energy counts the quadrature rectangles
+    of all K paths against the budget before evaluating any: the level-10,
+    62-path cylinder lift (62 x 646 536 rectangles) is refused at once."""
+    lift = w.known_lift(w.cylinder_family(4, 2.0, 0.75)).discretize(10)
+    start = time.perf_counter()
+    with pytest.raises(w.BudgetExceededError, match=f"{62 * 646_536} exceeds"):
+        w.lift_energy(lift, EnergySpec.frac_sobolev(0.75, 2.0))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_frac_sobolev_lift_energy_is_the_weighted_path_sum():
+    rng = np.random.default_rng(31)
+    space = w.cylinder(2.0)
+    paths = tuple(random_path(rng, space, 3) for _ in range(3))
+    lift = w.Lift(paths, np.array([0.2, 0.3, 0.5]), 3)
+    want = 0.0
+    for wk, path in zip(lift.weights, paths):
+        want += wk * w.frac_sobolev_energy(path, 0.75, 2.0)
+    assert w.lift_energy(lift, EnergySpec.frac_sobolev(0.75, 2.0)) == want
+    assert w.frac_sobolev_energy(lift, 0.75, 2.0) == [
+        w.frac_sobolev_energy(path, 0.75, 2.0) for path in paths]

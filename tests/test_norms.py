@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -389,6 +390,149 @@ def test_holder_and_modulus_lift_energies_hold_one_block_of_distances(monkeypatc
         sizes.clear()
         assert w.lift_energy(lift, spec, M) > 0.0
         assert sizes and max(sizes) <= cap, (spec.tag, max(sizes), cap)
+
+
+def _pruning_cases():
+    """(name, space, breakpoint tensor) inputs for the windowed variation
+    DP: known lifts whose rows drop out fast, slowly or never, random
+    lifts, and point sets whose distances reach the diameter bound exactly
+    (antipodal arcs, box corners)."""
+    rng = np.random.default_rng(13)
+    cases = []
+    for spec, levels in ((w.cylinder_family(2, 2.0, 0.75), (6, 7, 8)),
+                         (w.cylinder_family(3, 2.0, 0.75), (8,)),
+                         (w.oscillating_tents(5, 2.0, 0.8), (6, 7, 8)),
+                         (w.circle_splitting(2), (6, 7, 8))):
+        for n in levels:
+            lift = w.known_lift(spec).discretize(n)
+            cases.append((f"{spec.name}{n}", lift.space, lift.breakpoints))
+    for space in ALL_SPACES:
+        for level in (3, 6):
+            X = np.stack([random_path(rng, space, level).breakpoints for _ in range(62)])
+            cases.append((f"random{space.kind}{space.dim}-{level}", space, X))
+    for space in (w.circle(2.0), w.cylinder(2.0)):
+        arcs = rng.choice([0.0, 0.5, 1.0, 1.5], size=(16, 65))
+        pts = arcs[..., None] if space.dim == 1 else np.stack(
+            [arcs, rng.choice([0.0, 0.75], size=arcs.shape)], axis=-1)
+        cases.append((f"antipodal{space.kind}", space, pts))
+    for d in (1, 2, 3):
+        corners = rng.integers(0, 2, size=(16, 65, d)) * np.array([1.0, 3.0, 0.1])[:d]
+        cases.append((f"corners{d}", w.euclidean(d), corners))
+    return cases
+
+
+@functools.lru_cache(maxsize=None)
+def _pruning_references():
+    """Per `_pruning_cases` input: its lift, grid level M, and per q the
+    dense loop DP's vertex values and level-M dyadic values (q-th roots)."""
+    out = []
+    for name, space, X in _pruning_cases():
+        level = (X.shape[1] - 1).bit_length() - 1
+        lift = w.Lift(tuple(PiecewiseGeodesicPath(space, x, level) for x in X),
+                      np.full(len(X), 1.0 / len(X)), level)
+        M = min(level, 6)
+        grids = lift.points_at(dyadic_times(M))
+        refs = {q: ([loop_vertex_variation(space, x, q) for x in X],
+                    [loop_vertex_variation(space, g, q) ** (1.0 / q) for g in grids])
+                for q in (1.0, 1.5, 2.0, 3.0)}
+        out.append((name, lift, M, refs))
+    return out
+
+
+@pytest.mark.parametrize("entries", [None, 1, 50])
+def test_windowed_variation_dp_matches_dense_loop_reference(entries, monkeypatch):
+    """Vertex and dyadic q-variation of lifts, paths and a generic curve
+    give the dense per-path DP's values bit for bit on inputs where the
+    diameter bound drops most rows, few or none, and where distances equal
+    the bound; at the default block size, one column per block and blocks
+    of a few columns."""
+    if entries is not None:
+        monkeypatch.setattr(norms, "_VARIATION_ENTRIES", entries)
+    for name, lift, M, refs in _pruning_references():
+        space, X, path = lift.space, lift.breakpoints, lift.paths[0]
+
+        def dist(a, b):
+            return w.spaces.distance(space, a, b)
+
+        for q, (vertex, dyadic) in refs.items():
+            assert np.array_equal(norms._vertex_variation(space, X, q), vertex), (name, q)
+            assert w.p_variation(lift, q, "vertex") == [v ** (1.0 / q) for v in vertex]
+            assert w.p_variation(lift, q, "dyadic", M) == dyadic, (name, q)
+            assert w.p_variation(path, q, "dyadic", M) == dyadic[0]
+            if q in (1.5, 3.0):  # the same grid as a generic curve, one distance per call
+                assert w.p_variation(path, q, "dyadic", M, dist=dist) == dyadic[0], (name, q)
+
+
+def test_windowed_variation_dp_builds_a_quarter_of_the_pairs(monkeypatch):
+    """On the level-10, 62-path known lift of cylinder_family(4), the vertex
+    variation builds at most a quarter of the K N (N - 1) / 2 distances of
+    the full DP (about a sixth), with the full DP's values."""
+    lift = w.known_lift(w.cylinder_family(4, 2.0, 0.75)).discretize(10)
+    X = lift.breakpoints
+    K, N = X.shape[:2]
+    built = []
+    real = w.spaces._distance_arrays
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        built.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(w.spaces, "_distance_arrays", counted)
+    got = norms._vertex_variation(lift.space, X, 2.0)
+    assert sum(built) <= 0.25 * K * N * (N - 1) / 2, sum(built) / (K * N * (N - 1) / 2)
+    monkeypatch.setattr(w.spaces, "_distance_arrays", real)
+    for k in (0, 2, 6, 14, 30, 61):  # the first path of each circle, and the last
+        assert got[k] == loop_vertex_variation(lift.space, X[k], 2.0), k
+
+
+def test_variation_lift_energy_holds_one_block_of_distances(monkeypatch):
+    """No distance array the variation lift energy builds holds more than
+    _VARIATION_ENTRIES entries, or one column of K (N - 1) entries when a
+    single column is larger: a random and a known level-8 lift."""
+    rng = np.random.default_rng(8)
+    space = w.cylinder(2.0)
+    random_lift = w.Lift(tuple(random_path(rng, space, 8) for _ in range(62)),
+                         np.full(62, 1.0 / 62), 8)
+    known = w.known_lift(w.cylinder_family(3, 2.0, 0.75)).discretize(8)
+    sizes = []
+    real = w.spaces._distance_arrays
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(w.spaces, "_distance_arrays", counted)
+    for lift in (random_lift, known):
+        sizes.clear()
+        K, N = lift.breakpoints.shape[:2]
+        assert w.lift_energy(lift, w.EnergySpec.variation(2.0, 2.0)) > 0.0
+        cap = max(norms._VARIATION_ENTRIES, K * (N - 1))
+        assert sizes and max(sizes) <= cap, (max(sizes), cap)
+
+
+def test_vertex_variation_is_a_lower_bound_off_euclidean_space():
+    """On the circle a partition point inside a segment can beat both its
+    ends: vertex mode gives 1.0, the level-10 dyadic grid 1.16 through the
+    point 1.0 antipodal to 0."""
+    path = w.PiecewiseGeodesicPath(w.circle(2.0), [[0.0], [0.6], [1.4]], 1)
+    assert w.p_variation(path, 2.0, "vertex") ** 2 == pytest.approx(1.0, rel=1e-12)
+    assert w.p_variation(path, 2.0, "dyadic", M=10) ** 2 == pytest.approx(1.16, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_vertex_variation_dominates_dyadic_in_euclidean_space(d):
+    """In R^d distance is convex along segments, so vertex mode is the exact
+    q-variation and no dyadic partition exceeds it."""
+    rng = np.random.default_rng(40 + d)
+    for level in (1, 3, 4):
+        for _ in range(4):
+            path = random_path(rng, w.euclidean(d), level)
+            for q in (1.0, 1.5, 2.0, 3.0):
+                vertex = w.p_variation(path, q, "vertex")
+                for M in (level, level + 2, 7):
+                    assert vertex >= w.p_variation(path, q, "dyadic", M) * (1 - 1e-12)
 
 
 def test_variation_1_is_total_length():

@@ -124,3 +124,39 @@ def test_signed_arc_canonical_matches_modulo(P):
             w.spaces.distance_matrix(sp, X, X),
             w.spaces._distance_arrays(sp, X[:, None, :], X[None, :, :]),
         )
+
+
+def _bound_points(space):
+    """Point sequences for the diameter bound: random coordinates, edge
+    coordinates of the arc (0, just below P, P/2, the smallest subnormal)
+    and, when asked, each point's antipode exactly P/2 away in arc."""
+    P = space.perimeter
+    coord = st.one_of(st.floats(-5, 5, allow_nan=False),
+                      st.sampled_from([0.0, np.nextafter(P, 0.0), P / 2, 5e-324, -1e-17]))
+    n = st.integers(1, 12)
+    return st.tuples(n.flatmap(lambda k: st.lists(coord, min_size=k * space.dim,
+                                                  max_size=k * space.dim)),
+                     st.booleans())
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+def test_diameter_bound_holds_every_distance(space):
+    """`_diameter_bound` is at least every computed canonical distance
+    between two points of its sequence, also for points exactly P/2 apart."""
+
+    @given(_bound_points(space))
+    @settings(max_examples=150, deadline=None)
+    def check(case):
+        coords, antipodes = case
+        X = w.spaces.canonicalize_points(space, np.reshape(coords, (-1, space.dim)))
+        if antipodes and space.kind != "euclidean":
+            Y = X.copy()
+            Y[:, 0] += space.perimeter / 2
+            X = w.spaces.canonicalize_points(space, np.concatenate([X, Y]))
+        seqs = np.stack([X, X[::-1], np.roll(X, 1, axis=0)])
+        bounds = w.spaces._diameter_bound(space, seqs)
+        for S, bound in zip(seqs, bounds):
+            D = w.spaces._distance_arrays(space, S[:, None, :], S[None, :, :], canonical=True)
+            assert D.max() <= bound
+
+    check()
