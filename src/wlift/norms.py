@@ -15,7 +15,8 @@ level-M grid distances in column blocks of at most _VARIATION_ENTRIES
 entries, built per block for paths and sliced from one matrix for a curve
 (whose pairs go to the callback at once when it has a batched `many` form,
 `_distances`), together with a per-path bound on them.  Hölder and modulus
-are one masked max over the blocks, `_pair_max`; every q-variation is one
+are one masked max over the blocks, `_pair_max`, which builds only the rows
+within the modulus's delta of each column; every q-variation is one
 dynamic program, `_variation_dp`, which builds only the rows of each
 column that the path's distance bound leaves able to win it (on the
 level-10, 62-path cylinder lift about a sixth of the K N(N-1)/2 pairs,
@@ -328,15 +329,19 @@ def _pairwise(curve, M: int, dist):
     return ts, (), block, lambda: np.array([DT.max()])
 
 
-def _pair_max(pairs, divisor, keep):
+def _pair_max(pairs, divisor, reach=None):
     """Per path, the max (0 if none) of d(X_s, X_t) / divisor(t - s) over the
-    grid pairs s < t with keep(t - s), one `_pairwise` block at a time."""
+    grid pairs s < t at most `reach` grid steps apart (any when None), one
+    `_pairwise` block at a time.  Each block is built only from the first
+    row that one of its columns can reach."""
     ts, shape, block, _ = pairs
     best = np.zeros(math.prod(shape))
+    reach = len(ts) if reach is None else reach
     for j0, j1 in _column_blocks(len(best), len(ts)):
-        dt = ts[j0:j1, None] - ts[: j1 - 1]
-        sel = (dt > 0) & keep(dt)
-        D = block(j0, j1, 0).reshape(j1 - j0, len(best), j1 - 1).swapaxes(0, 1)
+        r = max(0, j0 - reach)
+        dt = ts[j0:j1, None] - ts[r : j1 - 1]  # exact multiples of ts[1] = 2^-M
+        sel = (dt > 0) & (dt <= reach * ts[1])
+        D = block(j0, j1, r).reshape(j1 - j0, len(best), j1 - 1 - r).swapaxes(0, 1)
         ratios = D[:, sel] / divisor(dt[sel])
         best = np.maximum(best, np.max(ratios, axis=1, initial=0.0))
     return best.reshape(shape).tolist()
@@ -346,14 +351,17 @@ def holder_norm_dyadic(curve, gamma: float, M: int, dist=None) -> float | list:
     """sup over level-M dyadic pairs of d(X_s, X_t) / |t-s|^gamma (per path of a lift)."""
     if not (0 < gamma <= 1):
         raise ValidationError("gamma must lie in (0, 1]")
-    return _pair_max(_pairwise(curve, M, dist), lambda dt: dt**gamma, lambda dt: True)
+    return _pair_max(_pairwise(curve, M, dist), lambda dt: dt**gamma)
 
 
 def modulus_of_continuity(curve, delta: float, M: int, dist=None) -> float | list:
     """sup of d(X_s, X_t) over level-M dyadic pairs with |t-s| <= delta (per path of a lift)."""
     if not (0 < delta <= 1):
         raise ValidationError("delta must lie in (0, 1]")
-    return _pair_max(_pairwise(curve, M, dist), lambda dt: 1.0, lambda dt: dt <= delta + 1e-15)
+    # grid pairs are exact multiples of 2^-M apart: |t-s| <= delta + 1e-15
+    # holds for exactly those at most this many steps apart
+    reach = math.floor((delta + 1e-15) * 2**M)
+    return _pair_max(_pairwise(curve, M, dist), lambda dt: 1.0, reach)
 
 
 # columns between two moves of the variation DP's window starts: a move

@@ -34,7 +34,9 @@ disintegration (`_glue`, of which `glue_chain` is the path case).
 Every LP here has one form, min c.x subject to A x = b, x >= 0, and is
 solved by one adapter, `_highs_solve`.  A is 0/1 except for the -1 of the
 compatibility LP's separator rows.  Both LP builders write A straight into
-compressed-column arrays.
+compressed-column arrays; a transport block's row indices depend only on
+its shape, so `_block_pattern` caches them by (n, m), already as the int32
+HiGHS takes.
 The adapter hands them by pointer to the HiGHS solver (Huangfu & Hall,
 Math. Prog. Comp. 2018) through scipy's bindings, so the solutions are the
 ones `linprog(method="highs")` returns under the same options, without its
@@ -43,6 +45,16 @@ reason given at _TRANSPORT_LP_OPTIONS.
 HiGHS's primal feasibility tolerance is tightened from its default 1e-7 to
 MARGINAL_TOL, so each marginal constraint of a returned plan or certificate
 holds to MARGINAL_TOL.
+Each thread solves on one HiGHS solver of its own (`_solver`, kept in the
+thread-local `_thread`), made with _HIGHS_OPTIONS on its first LP and
+reused: making a solver and setting its options costs ~0.1 ms, as much as
+the simplex of a small LP.  Its model is cleared after every LP, solved or
+not, so no model outlives its call, and the plans and objectives are those
+of a fresh solver, bit for bit.  After an LP of more than _LP_COLUMNS
+columns the solver is dropped, because a reused one keeps the capacity of
+its buffers: kept after the 65 536- and 78 125-column product LPs of the
+benchmark's compat_lp workload, it raised that run's peak RSS from 113.7
+to 127.3 MiB.
 
 The bindings, `_highs`, are the extension module
 scipy.optimize._highspy._core, which `_load_highs` loads from its file in
@@ -62,10 +74,12 @@ fallback and the tests use.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,6 +147,8 @@ _HIGHS_OPTIONS = {
 }
 # most plan entries one batched transport LP takes (see the module docstring)
 _LP_COLUMNS = 2048
+# `highs`: this thread's HiGHS solver, reused from LP to LP (`_solver`)
+_thread = threading.local()
 
 
 def product_budget() -> int:
@@ -236,16 +252,32 @@ def _point_mass_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     return nu.weights[None, :].copy() if mu.size == 1 else mu.weights[:, None].copy()
 
 
+def _check_lp_size(columns: int, entries: int):
+    """BudgetExceededError if an LP has 2^31 or more columns or entries,
+    which HiGHS's 32-bit indices cannot address."""
+    if max(columns, entries) >= 2**31:
+        raise BudgetExceededError(max(columns, entries), 2**31 - 1, "LP columns or entries")
+
+
+def _solver():
+    """This thread's HiGHS solver, made with _HIGHS_OPTIONS on first use."""
+    solver = getattr(_thread, "highs", None)
+    if solver is None:
+        solver = _thread.highs = _highs._Highs()
+        for key, value in _HIGHS_OPTIONS.items():
+            solver.setOptionValue(key, value)
+    return solver
+
+
 def _highs_solve(c, indptr, indices, b, values=None):
     """Solve min c.x subject to A x = b, x >= 0, where column k of A holds
     values[indptr[k]:indptr[k + 1]] (ones when `values` is None) in rows
     indices[indptr[k]:indptr[k + 1]] (compressed columns).  Returns
     (x, objective).  Raises RuntimeError, naming HiGHS's model status,
     unless it is optimal, and BudgetExceededError if the LP has 2^31 or
-    more columns or entries, which HiGHS's 32-bit indices cannot address."""
+    more columns or entries (`_check_lp_size`)."""
     num_nz = int(indptr[-1])
-    if max(c.size, num_nz) >= 2**31:
-        raise BudgetExceededError(max(c.size, num_nz), 2**31 - 1, "LP columns or entries")
+    _check_lp_size(c.size, num_nz)
     if values is None:
         values = np.ones(indices.size)
     if _highs is None:
@@ -258,21 +290,36 @@ def _highs_solve(c, indptr, indices, b, values=None):
         if not res.success:
             raise RuntimeError(f"LP not solved: {res.message}")
         return res.x, res.fun
-    solver = _highs._Highs()
-    for key, value in _HIGHS_OPTIONS.items():
-        solver.setOptionValue(key, value)
+    solver = _solver()
     n = c.size  # the pointer overload needs n integrality flags; with none it fails
-    if solver.passModel(
-        n, b.size, num_nz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize, 0.0,
-        c, np.zeros(n), np.full(n, np.inf), b, b, indptr[:-1].astype(np.int32),
-        indices.astype(np.int32), values, np.zeros(n, np.int32),
-    ) == _highs.HighsStatus.kError:
-        raise RuntimeError("LP not solved: HiGHS rejected the model")
-    solver.run()
-    status = solver.getModelStatus()
-    if status != _highs.HighsModelStatus.kOptimal:
-        raise RuntimeError(f"LP not solved: model status {solver.modelStatusToString(status)}")
-    return np.array(solver.getSolution().col_value), solver.getInfo().objective_function_value
+    try:
+        if solver.passModel(
+            n, b.size, num_nz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize, 0.0,
+            c, np.zeros(n), np.full(n, np.inf), b, b, indptr[:-1].astype(np.int32),
+            indices.astype(np.int32, copy=False), values, np.zeros(n, np.int32),
+        ) == _highs.HighsStatus.kError:
+            raise RuntimeError("LP not solved: HiGHS rejected the model")
+        solver.run()
+        status = solver.getModelStatus()
+        if status != _highs.HighsModelStatus.kOptimal:
+            raise RuntimeError(f"LP not solved: model status {solver.modelStatusToString(status)}")
+        return np.array(solver.getSolution().col_value), solver.getInfo().objective_function_value
+    finally:
+        solver.clearModel()
+        if n > _LP_COLUMNS:  # a reused solver would keep this LP's buffer capacity
+            _thread.highs = None
+
+
+@functools.lru_cache(maxsize=256)
+def _block_pattern(n: int, m: int):
+    """Row indices (int32) and per-column entry counts of an n x m transport
+    block's columns, rows numbered from the block's first row (see
+    `_transport_lp`); read-only, as they are shared."""
+    i, j = np.divmod(np.arange(n * m), m)
+    rows = np.stack([i, n + j], axis=1).ravel()
+    rows, counts = rows[rows < n + m - 1].astype(np.int32), np.where(j < m - 1, 2, 1)
+    rows.flags.writeable = counts.flags.writeable = False
+    return rows, counts
 
 
 def _transport_lp(blocks):
@@ -284,22 +331,22 @@ def _transport_lp(blocks):
     Plan entry (i, j) of a block is a column with ones in that block's
     row-sum row i and column-sum row n + j.  The last column-sum row of
     each block follows from the others and is dropped, so the columns with
-    j = m - 1 hold one entry."""
+    j = m - 1 hold one entry.  Each block's pattern comes from
+    `_block_pattern`, offset by the block's first row."""
+    c = np.concatenate([D.reshape(-1) for D, _, _ in blocks])
+    # before an int32 row offset could wrap
+    _check_lp_size(c.size, 2 * c.size - sum(D.shape[0] for D, _, _ in blocks))
     indices, counts, b = [], [], []
     r0 = 0
     for D, mu, nu in blocks:
         n, m = D.shape
-        i, j = np.divmod(np.arange(n * m), m)
-        rows = np.stack([r0 + i, r0 + n + j], axis=1).ravel()
-        indices.append(rows[rows < r0 + n + m - 1])
-        counts.append(np.where(j < m - 1, 2, 1))
+        rows, per_column = _block_pattern(n, m)
+        indices.append(rows + r0)
+        counts.append(per_column)
         b += [mu.weights, nu.weights[:-1]]
         r0 += n + m - 1
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    x, _ = _highs_solve(
-        np.concatenate([D.reshape(-1) for D, _, _ in blocks]),
-        indptr, np.concatenate(indices), np.concatenate(b),
-    )
+    x, _ = _highs_solve(c, indptr, np.concatenate(indices), np.concatenate(b))
     x[x < 0] = 0.0
     return x
 

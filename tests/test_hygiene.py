@@ -58,6 +58,13 @@ def test_only_transport_imports_lp_tools(module):
     assert not bad, f"{module.name} imports {bad}"
 
 
+def test_one_place_makes_highs_solvers():
+    """Every LP runs on its thread's one reused solver (`transport._solver`),
+    so the package constructs HiGHS solvers in one place only."""
+    sites = sum(p.read_text().count("_highs._Highs(") for p in SRC.glob("*.py"))
+    assert sites == 1
+
+
 ROOT = SRC.parents[1]
 
 

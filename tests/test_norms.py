@@ -486,6 +486,30 @@ def test_windowed_variation_dp_builds_a_quarter_of_the_pairs(monkeypatch):
         assert got[k] == loop_vertex_variation(lift.space, X[k], 2.0), k
 
 
+def test_modulus_builds_only_the_pairs_within_delta(monkeypatch):
+    """On the level-10, 62-path known lift of cylinder_family(4) at M = 10
+    and delta = 0.2, the modulus builds, per path and column j, only the
+    min(j, 204) rows within 204 = floor(0.2 * 2^10) grid steps: about 36 %
+    of the K N (N - 1) / 2 distances, with the dense reference's values."""
+    lift = w.known_lift(w.cylinder_family(4, 2.0, 0.75)).discretize(10)
+    K, N = lift.breakpoints.shape[:2]
+    built = []
+    real = w.spaces._distance_arrays
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        built.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(w.spaces, "_distance_arrays", counted)
+    got = w.modulus_of_continuity(lift, 0.2, 10)
+    assert sum(built) == K * sum(min(j, 204) for j in range(1, N)) == 11_667_780
+    assert sum(built) / (K * N * (N - 1) / 2) == pytest.approx(0.3586, abs=1e-4)
+    monkeypatch.setattr(w.spaces, "_distance_arrays", real)
+    for k in (0, 14, 61):
+        assert got[k] == loop_modulus(lift.paths[k], 0.2, 10), k
+
+
 def test_variation_lift_energy_holds_one_block_of_distances(monkeypatch):
     """No distance array the variation lift energy builds holds more than
     _VARIATION_ENTRIES entries, or one column of K (N - 1) entries when a

@@ -45,6 +45,19 @@ def test_import_leaves_scipy_optimize_out():
     assert out == {"scipy.optimize": False, "scipy.sparse": False, CORE: True}
 
 
+def test_import_makes_no_solver():
+    # the thread's HiGHS solver is made by its first LP, not by the import
+    out = run(
+        "import json\n"
+        "import wlift, wlift.cli\n"
+        "from wlift import transport\n"
+        "before = 'highs' in vars(transport._thread)\n"
+        + VALUES +
+        "print(json.dumps({'before': before, 'after': transport._thread.highs is not None}))"
+    )
+    assert out == {"before": False, "after": True}
+
+
 def test_scipy_optimize_reuses_the_loaded_bindings():
     out = run(
         "import json, sys\n"

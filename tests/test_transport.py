@@ -1,4 +1,7 @@
+import functools
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -348,7 +351,11 @@ def test_presolve_leaves_values_and_verdicts(monkeypatch):
 
     off = solve_all()
     monkeypatch.setitem(w.transport._HIGHS_OPTIONS, "presolve", "on")
+    # options are set when this thread's solver is made: drop it, so that
+    # the next one is made with presolve on
+    monkeypatch.setattr(w.transport._thread, "highs", None, raising=False)
     on = solve_all()
+    assert w.transport._solver().getOptionValue("presolve")[1] == "on"
     for p, values in off[0].items():
         assert np.all(np.abs(values - on[0][p]) <= 1e-12 * on[0][p])
     for a, b in zip(off[1], on[1]):
@@ -396,20 +403,24 @@ def test_highs_solve_falls_back_to_linprog(monkeypatch):
     assert calls == [60]
 
 
+def two_by_two_lp(first_column_sum):
+    """The 2 x 2 transport LP with row sums 0.5, 0.5: plan entries (0, 0),
+    (0, 1), (1, 0), (1, 1); rows 0 and 1 are the row sums, row 2 the first
+    column sum, infeasible above 1."""
+    return (np.array([0.0, 1.0, 1.0, 0.0]), np.array([0, 2, 3, 5, 6]),
+            np.array([0, 2, 0, 1, 2, 1]), np.array([0.5, 0.5, first_column_sum]))
+
+
 @pytest.mark.parametrize("bindings", [True, False], ids=["highs", "linprog"])
 def test_highs_solve_infeasible_raises(monkeypatch, bindings):
     if bindings and w.transport._highs is None:
         pytest.skip("scipy has no HiGHS bindings")
     if not bindings:
         monkeypatch.setattr(w.transport, "_highs", None)
-    # the 2 x 2 transport LP: plan entries (0, 0), (0, 1), (1, 0), (1, 1);
-    # rows 0 and 1 are the row sums, row 2 the first column sum
-    c = np.array([0.0, 1.0, 1.0, 0.0])
-    indptr, indices = np.array([0, 2, 3, 5, 6]), np.array([0, 2, 0, 1, 2, 1])
-    x, objective = w.transport._highs_solve(c, indptr, indices, np.array([0.5, 0.5, 0.3]))
+    x, objective = w.transport._highs_solve(*two_by_two_lp(0.3))
     assert np.allclose(x, [0.3, 0.2, 0.0, 0.5]) and objective == pytest.approx(0.2)
     with pytest.raises(RuntimeError, match="(?i)infeasible"):
-        w.transport._highs_solve(c, indptr, indices, np.array([0.5, 0.5, 2.0]))
+        w.transport._highs_solve(*two_by_two_lp(2.0))
 
 
 @pytest.mark.parametrize("bindings", [True, False], ids=["highs", "linprog"])
@@ -426,6 +437,125 @@ def test_highs_solve_refuses_what_int32_cannot_index(monkeypatch, bindings):
         w.transport._highs_solve(wide, np.array([0, 1]), rows, one)
     x, objective = w.transport._highs_solve(one, np.array([0, 1]), rows, one)
     assert (x.tolist(), objective) == ([1.0], 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the reused solver: one per thread, its model cleared after every LP
+
+needs_bindings = pytest.mark.skipif(w.transport._highs is None,
+                                    reason="scipy has no HiGHS bindings")
+
+
+@functools.lru_cache(maxsize=None)
+def probe_lps():
+    """The LPs (c, indptr, indices, b, values) `_highs_solve` gets for
+    `highs_probes` on every space, one pair at a time and batched, and for
+    product-support and clique-table compatibility LPs."""
+    lps = []
+    solve = w.transport._highs_solve
+
+    def capture(c, indptr, indices, b, values=None):
+        lps.append((c, indptr, indices, b, values))
+        return solve(c, indptr, indices, b, values)
+
+    rng = np.random.default_rng(118)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(w.transport, "_highs_solve", capture)
+        for space in ALL_SPACES:
+            probes = list(highs_probes(space))
+            for mu, nu, p in probes:
+                w.optimal_coupling(mu, nu, p)
+            w.wasserstein_many([(mu, nu) for mu, nu, _ in probes], 2.0)
+            w.compatibility_multicoupling([random_measure(rng, space, 3) for _ in range(3)], 2.0)
+            w.compatibility_multicoupling([random_measure(rng, space, 3) for _ in range(5)], 2.0,
+                                          pairs=w.dyadic_pattern_pairs(2))
+    return lps
+
+
+def fresh_solve(*lp):
+    """`_highs_solve` on a solver made for this call."""
+    w.transport._thread.highs = None
+    return w.transport._highs_solve(*lp)
+
+
+def assert_same_solution(got, want):
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+@needs_bindings
+def test_reused_solver_matches_a_fresh_one():
+    lps = probe_lps()
+    assert len(lps) > 150 and sum(lp[4] is not None for lp in lps) == 10
+    assert max(lp[0].size for lp in lps) <= w.transport._LP_COLUMNS  # none drops the solver
+    w.transport._highs_solve(*lps[0])
+    solver = w.transport._thread.highs
+    reused = [w.transport._highs_solve(*lp) for lp in lps]
+    assert w.transport._thread.highs is solver
+    for lp, got in zip(lps, reused):
+        assert_same_solution(got, fresh_solve(*lp))
+
+
+@needs_bindings
+def test_solve_after_an_infeasible_one_matches_a_fresh_solve():
+    lps = [two_by_two_lp(0.3)] + probe_lps()[:40]
+    want = [fresh_solve(*lp) for lp in lps]
+    solver = w.transport._thread.highs
+    for lp, expected in zip(lps, want):
+        with pytest.raises(RuntimeError, match="(?i)infeasible"):
+            w.transport._highs_solve(*two_by_two_lp(2.0))
+        assert_same_solution(w.transport._highs_solve(*lp), expected)
+    assert w.transport._thread.highs is solver
+
+
+@needs_bindings
+def test_threads_solve_with_their_own_solvers():
+    # four threads, more than the cores, solve the probe list in different
+    # orders, three times each, switching threads often
+    lps = probe_lps()
+    want = [fresh_solve(*lp) for lp in lps]
+    ks = list(range(len(lps)))
+    orders = [ks, ks[::-1], ks[::2] + ks[1::2], ks[1::2] + ks[::2]]
+    results, solvers = [[] for _ in orders], [None] * len(orders)
+    barrier = threading.Barrier(len(orders))
+
+    def work(t):
+        barrier.wait()
+        for _ in range(3):
+            results[t] += [(k, w.transport._highs_solve(*lps[k])) for k in orders[t]]
+        solvers[t] = w.transport._thread.highs
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert None not in solvers and len({id(s) for s in solvers}) == len(orders)
+    assert w.transport._thread.highs not in solvers
+    for got in results:
+        assert len(got) == 3 * len(lps)
+        for k, solution in got:
+            assert_same_solution(solution, want[k])
+
+
+@needs_bindings
+def test_no_solver_is_kept_after_an_lp_wider_than_the_batch_cap():
+    # a reused solver keeps the capacity of its buffers, so one that has
+    # solved a wide LP is dropped
+    rng = np.random.default_rng(119)
+    sp = w.euclidean(2)
+    cap = w.transport._LP_COLUMNS
+    for n, m, kept in ((3, 4, True), (32, cap // 32, True), (41, 50, False), (5, 6, True)):
+        mu, nu = random_measure(rng, sp, n), random_measure(rng, sp, m)
+        assert mu.size * nu.size == n * m
+        coupling, _ = w.optimal_coupling(mu, nu, 2.0)
+        assert (getattr(w.transport._thread, "highs", None) is not None) == kept, (n, m)
+        assert max(coupling.marginal_errors()) <= w.transport.MARGINAL_TOL
 
 
 # ---------------------------------------------------------------------------
