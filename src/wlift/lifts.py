@@ -268,16 +268,17 @@ def _lift_from_multicoupling(mc: transport.MultiCoupling, n: int) -> Lift:
 
 def _glued_chain(curve: WassersteinCurve, n: int, p: float):
     """The level-n dyadic times, the measures there, the left-to-right glue
-    of the consecutive optimal couplings, and those couplings' costs.  Every
-    path of a level-n lift has 2^n + 1 breakpoints, so a level where that
-    alone exceeds `transport.product_budget()` raises BudgetExceededError
-    before anything is allocated."""
+    of the consecutive optimal couplings, and those couplings' costs.  The
+    2^n couplings come from one batch (`transport._optimal_couplings`).
+    Every path of a level-n lift has 2^n + 1 breakpoints, so a level where
+    that alone exceeds `transport.product_budget()` raises
+    BudgetExceededError before anything is allocated."""
     cap = transport.product_budget()
     if 2**n + 1 > cap:
         raise BudgetExceededError(2**n + 1, cap, "lift breakpoints per path")
     ts = dyadic_times(n)
     mus = [curve(t) for t in ts]
-    plans = [optimal_coupling(mus[k], mus[k + 1], p) for k in range(2**n)]
+    plans = transport._optimal_couplings(zip(mus, mus[1:]), p)
     mc = glue_chain([c for c, _ in plans], labels=tuple(ts))
     return ts, mus, mc, [cost for _, cost in plans]
 

@@ -56,9 +56,7 @@ def make_measure(space, atoms, weights) -> DiscreteMeasure:
     atoms = atoms[order]
     weights = weights[order]
     keep = np.ones(len(weights), dtype=bool)
-    for i in range(1, len(weights)):
-        if np.array_equal(atoms[i], atoms[i - 1]):
-            keep[i] = False
+    keep[1:] = np.any(atoms[1:] != atoms[:-1], axis=1)
     if not keep.all():
         merged_w = np.zeros(keep.sum())
         idx = np.cumsum(keep) - 1

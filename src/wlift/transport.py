@@ -6,7 +6,8 @@ pair by the first rule that applies:
   1. equal measures: exactly 0;
   2. a point mass on either side: its only coupling, in closed form;
   3. the real line, euclidean(1): the monotone (north-west corner) plan on
-     the sorted atoms, in closed form;
+     the sorted atoms, in closed form (`_wpp_line`, the two-measure case of
+     `_comonotone`);
   4. otherwise: one block of a block-diagonal LP.  Blocks are taken in
      order into HiGHS solves of at most _LP_COLUMNS = 2048 plan entries
      (LP columns) each.  The LP separates by block, so each block's part of
@@ -18,18 +19,28 @@ pair by the first rule that applies:
 `wasserstein_distance` and `wasserstein_power` are its single-pair case.
 `_lp_wpp_many` is the same dispatch without rule 3; the checks of couplings
 built from LP solutions use it (see there).
-`optimal_coupling` solves one block and returns the LP's vertex plan.  One
+Rules 2 and 4 are one plan dispatch, `_plans`, which also returns each
+pair's plan: `_optimal_couplings` gives the plans of a whole pair list (a
+lift's glued chain takes its 2^n plans from one call, so from one LP per
+run of _LP_COLUMNS plan entries), and `optimal_coupling` is its single-pair
+case.  Each plan is an LP vertex; under ties a block of a batched LP can
+land on another optimal vertex than the same pair solved alone.  One
 builder, `_transport_lp`, writes the constraint matrix of every transport
 LP.
 
 `compatibility_multicoupling` decides whether a multi-coupling exists whose
-2-D marginals on a set of pairs are optimal.  It solves one LP, written by
-`_table_lp`, over tables on the cliques of a junction tree of the pair
-graph (`_junction_tree`): for the dyadic pattern the 2^n - 1 triangles
+2-D marginals on a set of pairs are optimal.  On the real line the answer
+needs no LP: the comonotone (quantile) coupling, `_comonotone`, is optimal
+for every pair at once for every p >= 1 (Santambrogio, Optimal Transport
+for Applied Mathematicians, 2015, ch. 2), and it has at most sum n_i
+support tuples.  Elsewhere it solves one LP, written by `_table_lp`, over
+tables on the cliques of a junction tree of the pair graph
+(`_junction_tree`): for the dyadic pattern the 2^n - 1 triangles
 (a, (a+b)/2, b), sum n_a n_m n_b columns; for any other pair set one clique
 of all measures, which is the LP over the full product support, prod n_i
 columns.  Its certificate is the tables glued down the tree by Markov
-disintegration (`_glue`, of which `glue_chain` is the path case).
+disintegration (`_glue`, of which `glue_chain` is the path case).  Either
+certificate is re-checked on its own support by the same code.
 
 Every LP here has one form, min c.x subject to A x = b, x >= 0, and is
 solved by one adapter, `_highs_solve`.  A is 0/1 except for the -1 of the
@@ -227,16 +238,17 @@ class MultiCoupling:
 
 @dataclass(frozen=True)
 class CompatibilityReport:
-    """`marginal_residual` and `pair_residual` are measured on the LP's
-    solution (the certificate when feasible): its largest 1-D marginal
-    error, and its largest pinned pair cost minus that pair's W_p^p.  A
-    certificate is returned only if the first is <= FEASIBILITY_TOL and the
-    second <= tol * max(1, sum of the pair optima)."""
+    """`marginal_residual` and `pair_residual` are measured on the candidate
+    certificate (the LP's glued solution, or on the real line the
+    comonotone coupling): its largest 1-D marginal error, and its largest
+    pinned pair cost minus that pair's W_p^p.  A certificate is returned
+    only if the first is <= FEASIBILITY_TOL and the second <= tol * max(1,
+    sum of the pair optima)."""
 
     feasible: bool
     certificate: MultiCoupling | None
-    max_pair_gap: float  # minimized total excess over pairwise optimal costs
-    product_size: int  # prod of the marginals' support sizes
+    max_pair_gap: float  # least total excess over pairwise optimal costs
+    product_size: int  # prod of the marginals' support sizes, also where no LP runs
     pair_costs: dict = field(default_factory=dict)
     marginal_residual: float = 0.0
     pair_residual: float = 0.0
@@ -244,7 +256,10 @@ class CompatibilityReport:
 
 
 def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> np.ndarray:
-    return spaces.distance_matrix(mu.space, mu.atoms, nu.atoms) ** p
+    """d^p between every atom of mu and every atom of nu.  A measure's atoms
+    are canonical already (`make_measure`), so they are not made so again."""
+    return spaces._distance_arrays(
+        mu.space, mu.atoms[:, None, :], nu.atoms[None, :, :], canonical=True) ** p
 
 
 def _point_mass_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
@@ -303,7 +318,7 @@ def _highs_solve(c, indptr, indices, b, values=None):
         status = solver.getModelStatus()
         if status != _highs.HighsModelStatus.kOptimal:
             raise RuntimeError(f"LP not solved: model status {solver.modelStatusToString(status)}")
-        return np.array(solver.getSolution().col_value), solver.getInfo().objective_function_value
+        return np.array(solver.getSolution().col_value), solver.getObjectiveValue()
     finally:
         solver.clearModel()
         if n > _LP_COLUMNS:  # a reused solver would keep this LP's buffer capacity
@@ -353,29 +368,50 @@ def _transport_lp(blocks):
 
 def optimal_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     """Exact optimal transport plan for cost d^p; returns (Coupling, cost).
-    The plan is an LP vertex (a point mass on one side is coupled directly)."""
-    check_same_space(mu, nu)
+    The plan is an LP vertex (a point mass on one side is coupled directly).
+    The single-pair case of `_optimal_couplings`."""
+    return _optimal_couplings([(mu, nu)], p)[0]
+
+
+def _optimal_couplings(pairs, p: float):
+    """(Coupling, cost) for every pair (mu, nu) of `pairs`, in order, from
+    `_plans`: a point mass on either side is coupled directly, the other
+    pairs share block-diagonal LPs.  Under ties a pair's block in a batched
+    LP can land on another optimal vertex than its solve alone."""
+    pairs = list(pairs)
+    for mu, nu in pairs:
+        check_same_space(mu, nu)
     _check_exponent(p)
-    D = _cost_matrix(mu, nu, p)
-    n, m = D.shape
-    if n == 1 or m == 1:
-        W = _point_mass_plan(mu, nu)
-        return Coupling(mu, nu, W), float(np.sum(W * D))
-    x = _transport_lp([(D, mu, nu)])
-    return Coupling(mu, nu, x.reshape(n, m)), float(np.dot(x, D.reshape(-1)))
+    out = [None] * len(pairs)
+    for k, W, cost in _plans(pairs, p):
+        out[k] = Coupling(*pairs[k], W), cost
+    return out
+
+
+def _comonotone(measures):
+    """The quantile (comonotone) multi-coupling of measures on the real line:
+    for every u in (0, 1) it joins the u-quantiles of all the measures.  Its
+    2-D marginals are the monotone (north-west corner) plans, optimal for
+    |x - y|^p for every p >= 1 at once.
+
+    The measures' cumulative weights are merged into one grid u, and tuple k
+    holds, per measure, the atom whose quantile interval holds (u_k, u_k+1],
+    found by one `searchsorted`.  Returns (indices (T, N) into each measure's
+    atoms, weights (T,) = diff(u)), T = sum(n_i - 1) + 1; a weight is 0
+    where breakpoints of two measures coincide."""
+    orders = [np.argsort(mu.atoms[:, 0]) for mu in measures]
+    cums = [np.cumsum(mu.weights[o])[:-1] for mu, o in zip(measures, orders)]
+    u = np.concatenate([[0.0], np.sort(np.concatenate(cums)), [1.0]])
+    idx = np.column_stack(
+        [o[np.searchsorted(c, u[:-1], side="right")] for o, c in zip(orders, cums)])
+    return idx, np.diff(u)
 
 
 def _wpp_line(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
-    """W_p^p on the real line by the monotone (north-west corner) plan, which
-    is optimal for |x - y|^p, p >= 1: the u-quantiles of mu and nu are
-    matched for every u in (0, 1)."""
-    ix, iy = np.argsort(mu.atoms[:, 0]), np.argsort(nu.atoms[:, 0])
-    x, y = mu.atoms[ix, 0], nu.atoms[iy, 0]
-    cx, cy = np.cumsum(mu.weights[ix])[:-1], np.cumsum(nu.weights[iy])[:-1]
-    u = np.concatenate([[0.0], np.sort(np.concatenate([cx, cy])), [1.0]])
-    i = np.searchsorted(cx, u[:-1], side="right")
-    j = np.searchsorted(cy, u[:-1], side="right")
-    return float(np.dot(np.diff(u), np.abs(x[i] - y[j]) ** p))
+    """W_p^p on the real line: the cost of the two measures' comonotone
+    coupling (`_comonotone`), which is optimal for |x - y|^p, p >= 1."""
+    idx, wts = _comonotone([mu, nu])
+    return float(np.dot(wts, np.abs(mu.atoms[idx[:, 0], 0] - nu.atoms[idx[:, 1], 0]) ** p))
 
 
 def _by_width(lp_pairs, cap):
@@ -393,15 +429,32 @@ def _by_width(lp_pairs, cap):
         yield run
 
 
-def _solve_run(run, p: float) -> np.ndarray:
-    """W_p^p of each pair of `run` from one block-diagonal LP.  The cost
-    matrices exist only during this call, so at most one run's are held."""
+def _solve_run(run, p: float):
+    """(plan (n, m), cost) of each pair of `run`, items (k, mu, nu), from one
+    block-diagonal LP.  The cost matrices exist only during this call, so
+    at most one run's are held."""
     blocks = [(_cost_matrix(mu, nu, p), mu, nu) for _, mu, nu in run]
     x = _transport_lp(blocks)
-    ends = np.cumsum([D.size for D, _, _ in blocks])
-    return np.array(
-        [np.dot(x[e - D.size:e], D.reshape(-1)) for (D, _, _), e in zip(blocks, ends)]
-    )
+    plans = np.split(x, np.cumsum([D.size for D, _, _ in blocks])[:-1])
+    return [(W.reshape(D.shape), float(np.dot(W, D.reshape(-1))))
+            for W, (D, _, _) in zip(plans, blocks)]
+
+
+def _plans(pairs, p: float):
+    """Yield (k, plan, cost) for the k-th pair (mu, nu) of `pairs`: a point
+    mass on either side by its only coupling, the other pairs as blocks of
+    block-diagonal LPs, taken in order into runs of at most _LP_COLUMNS plan
+    entries (`_by_width`).  The one plan dispatch behind `_optimal_couplings`
+    and `_wpp_many`."""
+    lp_pairs = []
+    for k, (mu, nu) in enumerate(pairs):
+        if mu.size == 1 or nu.size == 1:
+            W = _point_mass_plan(mu, nu)
+            yield k, W, float(np.sum(W * _cost_matrix(mu, nu, p)))
+        else:
+            lp_pairs.append((k, mu, nu))
+    for run in _by_width(lp_pairs, _LP_COLUMNS):
+        yield from ((k, W, cost) for (k, _, _), (W, cost) in zip(run, _solve_run(run, p)))
 
 
 def wasserstein_many(pairs, p: float) -> np.ndarray:
@@ -418,11 +471,11 @@ def wasserstein_many(pairs, p: float) -> np.ndarray:
 def _lp_wpp_many(pairs, p: float) -> np.ndarray:
     """`wasserstein_many` with real-line pairs also solved by the LP.
 
-    Checks of LP-built couplings (glued optimal plans, the compatibility
-    LP's solution) compare with these values.  HiGHS stops once every
-    reduced cost is within its dual feasibility tolerance (1e-7), so an LP
-    plan can cost ~1e-9 more than the exact W_p^p on near-degenerate inputs;
-    against the closed form that LP noise would read as a gap."""
+    Checks of LP-built couplings (glued optimal plans) compare with these
+    values.  HiGHS stops once every reduced cost is within its dual
+    feasibility tolerance (1e-7), so an LP plan can cost ~1e-9 more than
+    the exact W_p^p on near-degenerate inputs; against the closed form that
+    LP noise would read as a gap."""
     return _wpp_many(pairs, p, line=False)
 
 
@@ -430,20 +483,23 @@ def _wpp_many(pairs, p: float, line: bool) -> np.ndarray:
     _check_exponent(p)
     pairs = list(pairs)
     out = np.zeros(len(pairs))
-    lp_pairs = []
+    rest = []
     for k, (mu, nu) in enumerate(pairs):
         check_same_space(mu, nu)
         if measures_equal(mu, nu):
             continue
-        if mu.size == 1 or nu.size == 1:
-            out[k] = float(np.sum(_point_mass_plan(mu, nu) * _cost_matrix(mu, nu, p)))
-        elif line and mu.space.kind == "euclidean" and mu.space.dim == 1:
+        # a point mass keeps its direct coupling (`_plans`), on the line too
+        if line and _on_line(mu.space) and mu.size > 1 and nu.size > 1:
             out[k] = _wpp_line(mu, nu, p)
         else:
-            lp_pairs.append((k, mu, nu))
-    for run in _by_width(lp_pairs, _LP_COLUMNS):
-        out[[k for k, _, _ in run]] = _solve_run(run, p)
+            rest.append(k)
+    for i, _, cost in _plans([pairs[k] for k in rest], p):
+        out[rest[i]] = cost
     return np.maximum(out, 0.0)
+
+
+def _on_line(space) -> bool:
+    return space.kind == "euclidean" and space.dim == 1
 
 
 def wasserstein_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
@@ -584,22 +640,22 @@ def compatibility_multicoupling(
     """Decide whether a multi-coupling exists whose 2-D marginals on `pairs`
     (default: all pairs) are all optimal couplings.
 
-    Any multi-coupling's pair cost is >= W_p^p for that pair, so the least
-    total d^p cost over `pairs` exceeds the sum of the W_p^p by the smallest
-    achievable total excess; the collection is compatible on `pairs` iff that
-    excess is ~ 0.  The least cost is an LP over clique tables of the pair
-    graph (`_junction_tree`): a table per clique, 1-D marginal rows, equal
-    separator marginals between neighbouring cliques, and each pair's cost on
-    the first clique that holds it.  Tables that agree on their separators
-    glue to a joint measure with those tables as marginals (the
-    junction-tree property of chordal graphs), so this LP has the optimum of
-    the LP over the full product support.  For the dyadic pattern the
-    cliques are triangles and the LP has sum n_a n_m n_b columns; any other
-    pair set is one clique, the product-support LP itself.
+    On the real line, euclidean(1), the answer is always yes: the
+    comonotone coupling (`_comonotone`) is optimal for every pair at once,
+    so it is the certificate, with no LP (`lp_columns` 0) and at most
+    sum n_i support tuples.  For p > 1 each pair's optimal plan is unique,
+    so this is the certificate the LP below would find; for p = 1 the LP
+    may find another optimal one.
 
-    The certificate is the tables glued down the tree by Markov
-    disintegration, re-checked on its own support.  More LP columns, or
-    more glued tuples, than the budget raise BudgetExceededError.
+    Elsewhere, any multi-coupling's pair cost is >= W_p^p for that pair, so
+    the least total d^p cost over `pairs` exceeds the sum of the W_p^p by
+    the smallest achievable total excess; the collection is compatible on
+    `pairs` iff that excess is ~ 0.  The least cost is an LP over clique
+    tables of the pair graph (`_lp_certificate`).
+
+    Either certificate is re-checked on its own support against the
+    `wasserstein_many` values.  More LP columns, or more certificate
+    tuples, than the budget raise BudgetExceededError.
     """
     if not 0 <= tol < np.inf:
         raise ValidationError(f"tol must be a finite number >= 0, got {tol}")
@@ -624,10 +680,59 @@ def compatibility_multicoupling(
         return CompatibilityReport(True, cert, 0.0, mu.size)
 
     sizes = [m.size for m in measures]
-    K = int(np.prod(sizes, dtype=object))
+    cap = budget if budget is not None else product_budget()
+    if _on_line(measures[0].space):
+        tuples = sum(sizes) - N + 1
+        if tuples > cap:
+            raise BudgetExceededError(tuples, cap, "certificate tuples")
+        idx, wts = _comonotone(measures)
+        keep = wts > 0
+        idx, wts, objective, columns = idx[keep], wts[keep], None, 0
+    else:
+        idx, wts, objective, columns = _lp_certificate(measures, pairs, p, cap)
+
+    opt = wasserstein_many([(measures[i], measures[j]) for (i, j) in pairs], p)
+    pair_opt = {pr: float(v) for pr, v in zip(pairs, opt)}
+    cand = MultiCoupling(tuple(measures), idx, wts, tuple(labels))
+    # the certificate is re-checked on its own support, independently of the
+    # LP's objective value and tolerances
+    excess = [cand.pair_cost(i, j, p) - pair_opt[(i, j)] for (i, j) in pairs]
+    total_opt = sum(pair_opt.values())
+    # the LP's least total excess; with no LP, the certificate's own
+    gap = float(sum(excess) if objective is None else objective - total_opt)
+    scale = max(1.0, total_opt)
+    marginal_res = cand.marginal_error()
+    pair_res = max(excess, default=0.0)
+    feasible = (
+        gap <= tol * scale and marginal_res <= FEASIBILITY_TOL and pair_res <= tol * scale
+    )
+    return CompatibilityReport(
+        feasible, cand if feasible else None, max(gap, 0.0), int(np.prod(sizes, dtype=object)),
+        pair_opt, marginal_res, pair_res, columns,
+    )
+
+
+def _lp_certificate(measures, pairs, p: float, cap: int):
+    """The least total d^p cost over `pairs` of a multi-coupling of
+    `measures`, and a multi-coupling that attains it.
+
+    The LP is over clique tables of the pair graph (`_junction_tree`): a
+    table per clique, 1-D marginal rows, equal separator marginals between
+    neighbouring cliques, and each pair's cost on the first clique that
+    holds it.  Tables that agree on their separators glue to a joint measure
+    with those tables as marginals (the junction-tree property of chordal
+    graphs), so this LP has the optimum of the LP over the full product
+    support.  For the dyadic pattern the cliques are triangles and the LP
+    has sum n_a n_m n_b columns; any other pair set is one clique, the
+    product-support LP itself.  The certificate is the tables glued down
+    the tree by Markov disintegration (`_glue`).
+
+    Returns (indices (T, N), weights (T,), LP objective, LP columns).  More
+    than `cap` LP columns or glued tuples raise BudgetExceededError."""
+    N = len(measures)
+    sizes = [m.size for m in measures]
     tree = _junction_tree(N, pairs)
     columns = sum(int(np.prod([sizes[v] for v in nodes], dtype=object)) for nodes, _, _ in tree)
-    cap = budget if budget is not None else product_budget()
     if columns > cap:
         raise BudgetExceededError(
             columns, cap, "product support size" if len(tree) == 1 else "LP columns"
@@ -640,8 +745,6 @@ def compatibility_multicoupling(
         nodes = tree[k][0]
         D = _cost_matrix(measures[i], measures[j], p)
         costs[k] += D.reshape([sizes[v] if v in (i, j) else 1 for v in nodes])
-    opt = _lp_wpp_many([(measures[i], measures[j]) for (i, j) in pairs], p)
-    pair_opt = {pr: float(v) for pr, v in zip(pairs, opt)}
 
     b = np.zeros(n_rows)
     b[:sum(sizes)] = np.concatenate([mu.weights for mu in measures])
@@ -658,24 +761,7 @@ def compatibility_multicoupling(
                       table.transpose([nodes.index(v) for v in sep + (new,)])))
         order.append(new)
     idx, wts = _glue(tables[0], steps, cap=cap)
-
-    total_opt = sum(pair_opt.values())
-    gap = float(fun - total_opt)
-    scale = max(1.0, total_opt)
-    cand = MultiCoupling(tuple(measures), idx[:, np.argsort(order)], wts, tuple(labels))
-    # the certificate is re-checked on its own support, independently of the
-    # LP's objective value and tolerances
-    marginal_res = cand.marginal_error()
-    pair_res = max(
-        (cand.pair_cost(i, j, p) - pair_opt[(i, j)] for (i, j) in pairs), default=0.0
-    )
-    feasible = (
-        gap <= tol * scale and marginal_res <= FEASIBILITY_TOL and pair_res <= tol * scale
-    )
-    return CompatibilityReport(
-        feasible, cand if feasible else None, max(gap, 0.0), K, pair_opt,
-        marginal_res, pair_res, columns,
-    )
+    return idx[:, np.argsort(order)], wts, fun, columns
 
 
 def is_compatible(measures, p: float, budget: int | None = None) -> bool:

@@ -111,3 +111,21 @@ def test_every_private_function_has_a_caller():
     assert len(defined) > 20
     dead = [f"{mod}:{name}" for mod, name in defined if name not in read]
     assert not dead, f"defined but never read in src/wlift: {dead}"
+
+
+def _measure_constructions(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "DiscreteMeasure"]
+
+
+def test_only_make_measure_constructs_measures():
+    """`transport._cost_matrix` takes a measure's atoms as canonical points
+    without canonicalizing them again.  That holds because `make_measure`
+    canonicalizes them and is the one place in src/wlift that constructs a
+    DiscreteMeasure."""
+    total = sum(len(_measure_constructions(ast.parse(p.read_text()))) for p in SRC.glob("*.py"))
+    tree = ast.parse((SRC / "measures.py").read_text())
+    make = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "make_measure")
+    assert total == len(_measure_constructions(make)) == 1
+    assert sum(p.read_text().count("DiscreteMeasure(") for p in SRC.glob("*.py")) == 1

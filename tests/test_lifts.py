@@ -245,6 +245,41 @@ def test_construct_A_is_the_loop_glue_of_consecutive_plans():
             assert np.array_equal(lift.multicoupling.weights, wts)
 
 
+def test_glued_chain_solves_one_lp_per_run(monkeypatch):
+    # the level-7 jump chain has 126 couplings of 2 x 2 atoms, 504 plan
+    # entries, and two with a point mass: one LP
+    widths = []
+    solve = w.transport._highs_solve
+
+    def counting(c, *args):
+        widths.append(c.size)
+        return solve(c, *args)
+
+    monkeypatch.setattr(w.transport, "_highs_solve", counting)
+    w.construct_lift_A(w.make_curve(w.jump()), 7, 2.0)
+    assert widths == [504]
+
+
+@pytest.mark.parametrize("spec, n", [(w.circle_splitting(2), 3),
+                                     (w.cylinder_family(3, 2.0, 0.75), 6)],
+                         ids=["circle_splitting2-n3", "cylinder_family3-n6"])
+def test_batched_chain_plans_are_optimal_under_ties(spec, n):
+    # on these chains many couplings tie, and a block of the batched LP can
+    # land on another optimal vertex than the pair's solve alone; every plan
+    # is still optimal and meets its marginals
+    curve = w.make_curve(spec)
+    ts = dyadic_times(n)
+    pairs = [(curve(s), curve(t)) for s, t in zip(ts, ts[1:])]
+    opt = w.wasserstein_many(pairs, 2.0)
+    plans = w.transport._optimal_couplings(pairs, 2.0)
+    for (plan, cost), want in zip(plans, opt):
+        assert abs(cost - want) <= 1e-12 and abs(plan.cost(2.0) - want) <= 1e-12
+        assert max(plan.marginal_errors()) <= w.transport.MARGINAL_TOL
+    mc = w.construct_lift_A(curve, n, 2.0).multicoupling
+    for k, (plan, _) in enumerate(plans):
+        assert np.abs(mc.pair_coupling(k, k + 1).weights - plan.weights).max() <= 1e-12
+
+
 @pytest.mark.parametrize(
     "times, p",
     [

@@ -450,7 +450,8 @@ needs_bindings = pytest.mark.skipif(w.transport._highs is None,
 def probe_lps():
     """The LPs (c, indptr, indices, b, values) `_highs_solve` gets for
     `highs_probes` on every space, one pair at a time and batched, and for
-    product-support and clique-table compatibility LPs."""
+    product-support and clique-table compatibility LPs (none on the real
+    line)."""
     lps = []
     solve = w.transport._highs_solve
 
@@ -485,7 +486,8 @@ def assert_same_solution(got, want):
 @needs_bindings
 def test_reused_solver_matches_a_fresh_one():
     lps = probe_lps()
-    assert len(lps) > 150 and sum(lp[4] is not None for lp in lps) == 10
+    # 8 compatibility LPs: the real line's two are decided without one
+    assert len(lps) > 150 and sum(lp[4] is not None for lp in lps) == 8
     assert max(lp[0].size for lp in lps) <= w.transport._LP_COLUMNS  # none drops the solver
     w.transport._highs_solve(*lps[0])
     solver = w.transport._thread.highs
@@ -607,6 +609,13 @@ def test_glue_chain_rejects_mismatched_chain():
 # compatibility LP
 
 
+def on_plane(mu):
+    """mu on the line y = 0 of R^2: the same atoms in the first coordinate,
+    and a space on which compatibility is decided by the LP."""
+    atoms = np.column_stack([mu.atoms, np.zeros(mu.size)])
+    return w.make_measure(w.euclidean(2), atoms, mu.weights)
+
+
 def test_dyadic_pattern_pairs():
     assert w.dyadic_pattern_pairs(1) == [(0, 1), (0, 2), (1, 2)]
     pairs = w.dyadic_pattern_pairs(2)
@@ -669,8 +678,8 @@ def test_compatibility_rejects_certificate_that_misses_marginals(monkeypatch):
         return x * (1.0 + 1e-6), fun
 
     monkeypatch.setattr(w.transport, "_highs_solve", off_by_scale)
-    sp = w.euclidean(1)
-    ms = [w.make_measure(sp, [[0.0 + s], [2.0 + s]], [0.5, 0.5]) for s in (0.0, 0.5, 1.0)]
+    sp = w.euclidean(2)
+    ms = [w.make_measure(sp, [[0.0 + s, 0.0], [2.0 + s, 0.0]], [0.5, 0.5]) for s in (0.0, 0.5, 1.0)]
     report = w.compatibility_multicoupling(ms, 2.0)
     assert not report.feasible
     assert report.certificate is None
@@ -710,8 +719,7 @@ def test_compatibility_circle_splitting_gate():
 
 def test_budget_enforced():
     rng = np.random.default_rng(106)
-    sp = w.euclidean(1)
-    ms = [random_measure(rng, sp, 5) for _ in range(4)]
+    ms = [on_plane(random_measure(rng, w.euclidean(1), 5)) for _ in range(4)]
     with pytest.raises(w.BudgetExceededError):
         w.compatibility_multicoupling(ms, 2.0, budget=100)
 
@@ -747,6 +755,107 @@ def test_budget_env_sets_budget(monkeypatch):
     assert w.transport.product_budget() == 7
     monkeypatch.delenv("WLIFT_BUDGET")
     assert w.transport.product_budget() == w.transport.DEFAULT_BUDGET
+
+
+# ---------------------------------------------------------------------------
+# compatibility on the real line: the comonotone certificate, no LP
+
+
+def line_collections():
+    """Collections on the real line, up to the benchmark's seven measures of
+    five atoms; uniform weights make breakpoints of different measures
+    coincide, so that the quantile grid has zero-width cells."""
+    rng = np.random.default_rng(123)
+    sp = w.euclidean(1)
+    for N, n in ((2, 3), (3, 4), (4, 3), (5, 2), (3, 6)):
+        yield [random_measure(rng, sp, rng.integers(1, n + 1)) for _ in range(N)]
+    yield [w.make_measure(sp, rng.normal(size=(4, 1)), np.full(4, 0.25)) for _ in range(3)]
+    yield [random_measure(rng, sp, 5) for _ in range(7)]
+
+
+def dense(cert):
+    """A certificate as a dense table over the product of the supports."""
+    table = np.zeros([mu.size for mu in cert.marginals])
+    np.add.at(table, tuple(cert.indices.T), cert.weights)
+    return table
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_line_certificate_is_the_product_lp_certificate(p):
+    # for p > 1 each pair's optimal plan is unique, so the product-support
+    # LP of the same atoms on a line of R^2 has the comonotone coupling as
+    # its only optimum
+    for ms in line_collections():
+        line = w.compatibility_multicoupling(ms, p)
+        plane = w.compatibility_multicoupling([on_plane(mu) for mu in ms], p)
+        assert line.feasible and plane.feasible
+        assert line.lp_columns == 0 and plane.lp_columns == plane.product_size == line.product_size
+        assert np.all(line.certificate.weights > 0)
+        assert np.abs(dense(line.certificate) - dense(plane.certificate)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_line_certificate_pair_costs_match_monotone_oracle(p):
+    # at p = 1 optimal plans need not be unique; the certificate is still
+    # feasible and each of its pair costs is the optimum
+    for ms in line_collections():
+        report = w.compatibility_multicoupling(ms, p)
+        cert = report.certificate
+        assert report.feasible and report.max_pair_gap <= 1e-12 * max(1.0, sum(report.pair_costs.values()))
+        assert cert.weights.size <= sum(mu.size for mu in ms)
+        assert report.marginal_residual == cert.marginal_error() <= 1e-15
+        assert sorted(report.pair_costs) == w.transport.all_pairs(len(ms))
+        for (i, j), opt in report.pair_costs.items():
+            want = monotone_oracle(ms[i], ms[j], p)
+            assert opt == pytest.approx(want, rel=1e-12, abs=1e-14)
+            assert cert.pair_cost(i, j, p) == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+def test_line_compatibility_solves_no_lp(monkeypatch):
+    rng = np.random.default_rng(124)
+    widths = counted_lp_solves(monkeypatch)
+    for ms in line_collections():
+        assert w.compatibility_multicoupling(ms, 2.0).feasible
+    ms = [random_measure(rng, w.euclidean(1), 3) for _ in range(9)]
+    assert w.compatibility_multicoupling(ms, 2.0, pairs=w.dyadic_pattern_pairs(3)).feasible
+    assert widths == []
+
+
+def test_line_certificate_is_rechecked(monkeypatch):
+    # the independent coupling in place of the comonotone one of three
+    # measures (pairs still get theirs): its marginals hold, but its pair
+    # costs exceed the optima, and the gap is their excess
+    comonotone = w.transport._comonotone
+
+    def independent(measures):
+        if len(measures) == 2:
+            return comonotone(measures)
+        idx = np.indices([mu.size for mu in measures]).reshape(len(measures), -1).T
+        return idx, np.prod([mu.weights[idx[:, i]] for i, mu in enumerate(measures)], axis=0)
+
+    monkeypatch.setattr(w.transport, "_comonotone", independent)
+    sp = w.euclidean(1)
+    ms = [w.make_measure(sp, [[0.0 + s], [2.0 + s]], [0.5, 0.5]) for s in (0.0, 0.5, 1.0)]
+    report = w.compatibility_multicoupling(ms, 2.0)
+    assert not report.feasible and report.certificate is None
+    assert report.marginal_residual <= 1e-15
+    # shifted by d, a pair's independent coupling costs d^2 + 2 against d^2
+    assert report.pair_residual == pytest.approx(2.0, rel=1e-12)
+    assert report.max_pair_gap == pytest.approx(6.0, rel=1e-12)
+
+
+def test_line_compatibility_is_not_bounded_by_the_product_support():
+    # 32 measures of two atoms: 2^32 product tuples, more than an LP could
+    # index; the certificate has at most 33
+    rng = np.random.default_rng(125)
+    ms = [random_measure(rng, w.euclidean(1), 2) for _ in range(32)]
+    report = w.compatibility_multicoupling(ms, 2.0)
+    assert report.feasible and report.lp_columns == 0
+    assert report.product_size == 2**32
+    assert report.certificate.weights.size <= 33
+    assert report.marginal_residual <= 1e-15
+    with pytest.raises(w.BudgetExceededError, match="certificate tuples 33 exceeds budget 32"):
+        w.compatibility_multicoupling(ms, 2.0, budget=32)
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +967,7 @@ def test_budget_counts_glued_tuples(monkeypatch):
     # the LP's solution is replaced by product tables, which meet its
     # constraints; their glue is the whole product support, 3^5 tuples
     rng = np.random.default_rng(122)
-    ms = [random_measure(rng, w.euclidean(1), 3) for _ in range(5)]
+    ms = [on_plane(random_measure(rng, w.euclidean(1), 3)) for _ in range(5)]
     pairs = w.dyadic_pattern_pairs(2)
     tables = [np.multiply.outer(np.multiply.outer(ms[a].weights, ms[m].weights), ms[b].weights)
               for (a, m, b), _, _ in w.transport._junction_tree(5, pairs)]
