@@ -8,23 +8,38 @@ pair by the first rule that applies:
   3. the real line, euclidean(1): the monotone (north-west corner) plan on
      the sorted atoms, in closed form (`_wpp_line`, the two-measure case of
      `_comonotone`);
-  4. otherwise: one block of a block-diagonal LP.  Blocks are taken in
+  4. nearest-neighbour blocks (`_nearest_split`): a partition of the atoms
+     into blocks (R_k, C_k) that an optimal plan need not cross, read off
+     the cost matrix: each row with its nearest column, each column with
+     its nearest row, or the components of both nearest-neighbour maps,
+     the first whose blocks are balanced and (for the last) closed, a
+     certificate in the spirit of Schmitzer's shielding (A sparse
+     multiscale algorithm for dense optimal transport, JMIV 2016).  Blocks
+     of one row or one column get their only coupling in closed form; the
+     others go to rule 5, and so does a pair no partition certifies,
+     whole;
+  5. otherwise: one block of a block-diagonal LP.  Blocks are taken in
      order into HiGHS solves of at most _LP_COLUMNS = 2048 plan entries
      (LP columns) each.  The LP separates by block, so each block's part of
-     the solution is that pair's own optimum.  The cap bounds memory: one
+     the solution is that block's own optimum.  The cap bounds memory: one
      33 792-column solve raised a process's peak RSS by 36 MiB, while
-     2048-column solves add ~2 MiB.  For the same reason each solve's cost
-     matrices are built when it runs, so one solve's matrices (or one
-     larger pair's) are alive at a time, however long the pair list.
+     2048-column solves add ~2 MiB.  For the same reason a pair's cost
+     matrix is built in its turn, and only its blocks left to the LP are
+     kept until their solve, so one solve's blocks and one pair's matrix
+     (or one larger pair's) are alive at a time, however long the pair
+     list.
 `wasserstein_distance` and `wasserstein_power` are its single-pair case.
 `_lp_wpp_many` is the same dispatch without rule 3; the checks of couplings
 built from LP solutions use it (see there).
-Rules 2 and 4 are one plan dispatch, `_plans`, which also returns each
+Rules 2, 4 and 5 are one plan dispatch, `_plans`, which also returns each
 pair's plan: `_optimal_couplings` gives the plans of a whole pair list (a
 lift's glued chain takes its 2^n plans from one call, so from one LP per
-run of _LP_COLUMNS plan entries), and `optimal_coupling` is its single-pair
-case.  Each plan is an LP vertex; under ties a block of a batched LP can
-land on another optimal vertex than the same pair solved alone.  One
+_LP_COLUMNS plan entries left to the LP), and `optimal_coupling` is its
+single-pair case.  Each plan is optimal and a vertex of its pair's
+transport polytope: a closed-form block's support is a forest, as a
+vertex's is.  Under ties it need not be the vertex the pair's own LP
+would return: a block of a batched LP can land on another optimal
+vertex, and a nearest-neighbour plan is the vertex rule 4 reads off.  One
 builder, `_transport_lp`, writes the constraint matrix of every transport
 LP.
 
@@ -158,6 +173,10 @@ _HIGHS_OPTIONS = {
 }
 # most plan entries one batched transport LP takes (see the module docstring)
 _LP_COLUMNS = 2048
+# largest euclidean norm of the block imbalances mu(R_k) - nu(C_k) of a
+# balanced partition (`_nearest_split`): the rounding of a few thousand
+# weights summed, and far below MARGINAL_TOL
+_BALANCE_TOL = 1e-13
 # `highs`: this thread's HiGHS solver, reused from LP to LP (`_solver`)
 _thread = threading.local()
 
@@ -338,8 +357,9 @@ def _block_pattern(n: int, m: int):
 
 
 def _transport_lp(blocks):
-    """Solve the transport LPs `blocks`, a list of (cost matrix (n, m), mu,
-    nu) with n, m >= 2, as one block-diagonal LP.  Returns the solution with
+    """Solve the transport LPs `blocks`, a list of (cost matrix (n, m), row
+    weights (n,), column weights (m,)) with n, m >= 2, as one
+    block-diagonal LP.  Returns the solution with
     negative round-off set to 0; block b's plan is the next n_b m_b entries,
     row-major.
 
@@ -353,12 +373,12 @@ def _transport_lp(blocks):
     _check_lp_size(c.size, 2 * c.size - sum(D.shape[0] for D, _, _ in blocks))
     indices, counts, b = [], [], []
     r0 = 0
-    for D, mu, nu in blocks:
+    for D, row_weights, col_weights in blocks:
         n, m = D.shape
         rows, per_column = _block_pattern(n, m)
         indices.append(rows + r0)
         counts.append(per_column)
-        b += [mu.weights, nu.weights[:-1]]
+        b += [row_weights, col_weights[:-1]]
         r0 += n + m - 1
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     x, _ = _highs_solve(c, indptr, np.concatenate(indices), np.concatenate(b))
@@ -368,16 +388,19 @@ def _transport_lp(blocks):
 
 def optimal_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     """Exact optimal transport plan for cost d^p; returns (Coupling, cost).
-    The plan is an LP vertex (a point mass on one side is coupled directly).
-    The single-pair case of `_optimal_couplings`."""
+    The plan is a vertex of the transport polytope, in closed form where a
+    point mass or nearest-neighbour blocks settle the pair, from the LP
+    otherwise.  The single-pair case of `_optimal_couplings`."""
     return _optimal_couplings([(mu, nu)], p)[0]
 
 
 def _optimal_couplings(pairs, p: float):
     """(Coupling, cost) for every pair (mu, nu) of `pairs`, in order, from
-    `_plans`: a point mass on either side is coupled directly, the other
-    pairs share block-diagonal LPs.  Under ties a pair's block in a batched
-    LP can land on another optimal vertex than its solve alone."""
+    `_plans`: a point mass on either side is coupled directly, and the
+    other pairs are settled by their nearest-neighbour blocks, whose
+    blocks left to the LP share block-diagonal LPs with the rest.  Every
+    plan is an optimal vertex; under ties a pair's block in a batched LP
+    can land on another one than its solve alone."""
     pairs = list(pairs)
     for mu, nu in pairs:
         check_same_space(mu, nu)
@@ -414,47 +437,145 @@ def _wpp_line(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
     return float(np.dot(wts, np.abs(mu.atoms[idx[:, 0], 0] - nu.atoms[idx[:, 1], 0]) ** p))
 
 
-def _by_width(lp_pairs, cap):
-    """Consecutive runs of `lp_pairs`, items (k, mu, nu), with at most `cap`
-    plan entries each (a larger pair runs alone)."""
-    run, width = [], 0
-    for item in lp_pairs:
-        size = item[1].size * item[2].size
-        if run and width + size > cap:
-            yield run
-            run, width = [], 0
-        run.append(item)
-        width += size
-    if run:
-        yield run
+def _balanced(x, y) -> bool:
+    """Whether the blocks' imbalances x - y have euclidean norm <=
+    _BALANCE_TOL (by `ndarray.dot`, which on a few atoms costs a third of
+    a numpy reduction such as `np.abs(d).max()`)."""
+    d = x - y
+    return d.dot(d) <= _BALANCE_TOL**2
 
 
-def _solve_run(run, p: float):
-    """(plan (n, m), cost) of each pair of `run`, items (k, mu, nu), from one
-    block-diagonal LP.  The cost matrices exist only during this call, so
-    at most one run's are held."""
-    blocks = [(_cost_matrix(mu, nu, p), mu, nu) for _, mu, nu in run]
-    x = _transport_lp(blocks)
-    plans = np.split(x, np.cumsum([D.size for D, _, _ in blocks])[:-1])
-    return [(W.reshape(D.shape), float(np.dot(W, D.reshape(-1))))
-            for W, (D, _, _) in zip(plans, blocks)]
+def _nearest_split(D, a, b):
+    """Settle the transport pair (cost matrix D (n, m), row weights a,
+    column weights b) by a partition of its atoms into blocks (R_k, C_k)
+    that an optimal plan need not cross.  Returns None if no candidate
+    partition is certified, else (W, blocks): W is the plan with every
+    block of one row or one column filled in closed form (the block's only
+    coupling), and each (at, (D[at], a[R_k], b[C_k])) of `blocks`, at =
+    np.ix_(R_k, C_k), is a block left to the LP, whose optimal plan goes
+    into W[at].
+
+    The candidates, in order:
+      1. row-nearest: row i joins the block of its nearest column,
+         argmin_j D_ij, so every block has one column;
+      2. column-nearest: column j joins the block of its nearest row;
+      3. union: the components of the graph on all n + m atoms with both
+         nearest-neighbour maps as edges.  Each column lies in the
+         component of its nearest row, and the rows of a component are
+         those that g (row -> its nearest column -> that column's nearest
+         row) joins; without ties each component has one row fixed by g,
+         a mutual-nearest pair's.  Pointer doubling, g <- g o g, takes
+         every row to it.  It is tried only with 2 <= (fixed rows) <
+         min(n, m): with fewer there is one component, and with min(n, m)
+         every component has one column or one row, so the union is
+         candidate 1 or 2 again.
+    A candidate is taken if it is balanced, every |a(R_k) - b(C_k)| <=
+    _BALANCE_TOL (`_balanced`), and, for the union, closed: max D over
+    R_k x C_k <= min D over R_k x (the columns outside C_k), every k.
+
+    Why this is optimal.  Candidates 1 and 2 put all mass on nearest atoms,
+    so they cost sum_i a_i min_j D_ij (or sum_j b_j min_i D_ij), a lower
+    bound for every coupling; balanced, they are couplings.  For a
+    balanced, closed partition take any coupling pi.  The mass e_k that pi
+    moves from R_k to columns outside C_k equals the mass it moves into
+    C_k from rows outside R_k, and each such unit leaves exactly one R_k,
+    at a cost >= min D over R_k x (outside C_k) >= max D over R_k x C_k.
+    Moving each block's e_k inside the block instead, from the mass left
+    over in R_k to the mass missing in C_k, costs at most that max, so a
+    block-diagonal coupling costs no more than pi, and solving each block
+    alone is optimal.  (Ties do not break this: whatever partition the
+    doubling yields is used only if it passes both checks.)  Balanced to
+    _BALANCE_TOL only, the plan's marginals are off by at most that much
+    per block, and its cost is within ||imbalance||_1 max D of the
+    optimum.  A plan whose support is a forest, as the closed-form blocks'
+    is, is still a vertex of the transport polytope."""
+    n, m = D.shape
+    W = np.zeros((n, m))
+    near_col = D.argmin(axis=1)
+    if _balanced(np.bincount(near_col, a, m), b):
+        W[np.arange(n), near_col] = a
+        return W, []
+    near_row = D.argmin(axis=0)
+    if _balanced(np.bincount(near_row, b, n), a):
+        W[near_row, np.arange(m)] = b
+        return W, []
+    g = near_row[near_col]
+    if not 2 <= np.count_nonzero(g == np.arange(n)) < min(n, m):
+        return None
+    for _ in range(n.bit_length()):
+        g = g[g]
+    rl, cl = g, g[near_row]  # each atom's block label: its component's fixed row
+    if not _balanced(np.bincount(rl, a, n), np.bincount(cl, b, n)):
+        return None
+    same = rl[:, None] == cl[None, :]
+    inside = np.full(n, -np.inf)
+    np.maximum.at(inside, rl, np.where(same, D, -np.inf).max(axis=1))
+    if np.any(inside[rl] > np.where(same, np.inf, D).min(axis=1)):
+        return None
+    n_rows, n_cols = np.bincount(rl, minlength=n), np.bincount(cl, minlength=n)
+    col_of, row_of = np.zeros(n, int), np.zeros(n, int)
+    col_of[cl], row_of[rl] = np.arange(m), np.arange(n)
+    one_col = n_cols[rl] == 1
+    W[one_col.nonzero()[0], col_of[rl[one_col]]] = a[one_col]
+    one_row = (n_rows[cl] == 1) & (n_cols[cl] > 1)
+    W[row_of[cl[one_row]], one_row.nonzero()[0]] = b[one_row]
+    blocks = []
+    for k in np.flatnonzero((n_rows > 1) & (n_cols > 1)):
+        rows, cols = np.flatnonzero(rl == k), np.flatnonzero(cl == k)
+        at = np.ix_(rows, cols)
+        blocks.append((at, (D[at], a[rows], b[cols])))
+    return W, blocks
 
 
 def _plans(pairs, p: float):
     """Yield (k, plan, cost) for the k-th pair (mu, nu) of `pairs`: a point
-    mass on either side by its only coupling, the other pairs as blocks of
-    block-diagonal LPs, taken in order into runs of at most _LP_COLUMNS plan
-    entries (`_by_width`).  The one plan dispatch behind `_optimal_couplings`
-    and `_wpp_many`."""
-    lp_pairs = []
+    mass on either side by its only coupling; every other pair through
+    `_nearest_split`, which settles it in closed form or leaves blocks of
+    it to the LP.  Those blocks wait, in pair order, for one block-diagonal
+    LP of at most _LP_COLUMNS plan entries (a wider pair's blocks run
+    alone): a pair whose n m entries would not fit beside the waiting
+    blocks has them solved first (`_solve_waiting`).  So the cost matrices alive are the
+    waiting blocks and one pair's, however long the pair list.  The one
+    plan dispatch behind `_optimal_couplings` and `_wpp_many`."""
+    waiting, width = [], 0
     for k, (mu, nu) in enumerate(pairs):
         if mu.size == 1 or nu.size == 1:
             W = _point_mass_plan(mu, nu)
             yield k, W, float(np.sum(W * _cost_matrix(mu, nu, p)))
+            continue
+        if waiting and width + mu.size * nu.size > _LP_COLUMNS:
+            yield from _solve_waiting(waiting)
+            waiting, width = [], 0
+        D = _cost_matrix(mu, nu, p)
+        split = _nearest_split(D, mu.weights, nu.weights)
+        if split is None:
+            W, cost, blocks = np.zeros(D.shape), 0.0, [(np.s_[:, :], (D, mu.weights, nu.weights))]
         else:
-            lp_pairs.append((k, mu, nu))
-    for run in _by_width(lp_pairs, _LP_COLUMNS):
-        yield from ((k, W, cost) for (k, _, _), (W, cost) in zip(run, _solve_run(run, p)))
+            W, blocks = split
+            cost = float(np.dot(W.reshape(-1), D.reshape(-1)))
+            if not blocks:
+                yield k, W, cost
+                continue
+        waiting.append((k, W, cost, blocks))
+        width += sum(block[0].size for _, block in blocks)
+    if waiting:
+        yield from _solve_waiting(waiting)
+
+
+def _solve_waiting(waiting):
+    """Yield (k, plan, cost) for each waiting pair (k, W, cost of W so far,
+    blocks [(index into W, LP block (D, row weights, column weights))]),
+    its blocks' plans filled in from one block-diagonal LP of all the
+    blocks."""
+    blocks = [block for *_, parts in waiting for _, block in parts]
+    x = _transport_lp(blocks)
+    solved = iter(np.split(x, np.cumsum([D.size for D, _, _ in blocks])[:-1]))
+    for k, W, cost, parts in waiting:
+        for at, (D, _, _) in parts:
+            part = next(solved)
+            W[at] = part.reshape(D.shape)
+            cost += float(np.dot(part, D.reshape(-1)))
+        yield k, W, cost
 
 
 def wasserstein_many(pairs, p: float) -> np.ndarray:
@@ -462,9 +583,11 @@ def wasserstein_many(pairs, p: float) -> np.ndarray:
 
     Equal measures give exactly 0; a point mass on either side is coupled
     directly; pairs on the real line use the monotone closed form; all
-    other pairs are solved in block-diagonal LPs of at most _LP_COLUMNS plan
-    entries each (see the module docstring).  Cost matrices are built one
-    LP at a time, so memory is bounded by one solve, not by len(pairs)."""
+    other pairs are settled by their nearest-neighbour blocks where those
+    certify an optimal plan, and what is left is solved in block-diagonal
+    LPs of at most _LP_COLUMNS plan entries each (see the module
+    docstring).  Cost matrices are built one LP at a time, so memory is
+    bounded by one solve, not by len(pairs)."""
     return _wpp_many(pairs, p, line=True)
 
 

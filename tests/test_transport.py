@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import wlift as w
 from conftest import ALL_SPACES, loop_glue_chain, measure_strategy, random_measure, random_points
+from wlift.paths import dyadic_times
 from wlift.spaces import distance_matrix
 from wlift.transport import Coupling
 
@@ -275,6 +276,187 @@ def test_many_edge_cases():
     for p in (float("nan"), float("inf")):
         with pytest.raises(w.ValidationError):
             w.wasserstein_many([(mu, nu)], p)
+
+
+# ---------------------------------------------------------------------------
+# nearest-neighbour blocks (`_nearest_split`) against the full-block LP
+
+
+def split_kind(mu, nu, p):
+    """'settled' if `_nearest_split` fills the whole plan in closed form,
+    'split' if it leaves LP blocks, None if the pair goes to the LP whole."""
+    out = w.transport._nearest_split(
+        w.transport._cost_matrix(mu, nu, p), mu.weights, nu.weights)
+    return None if out is None else "split" if out[1] else "settled"
+
+
+def assert_matches_full_lp(pairs, p):
+    """Values, plan costs and marginals of the dispatch against each pair's
+    whole transport LP, solved by `linprog` without the rule."""
+    got = w.wasserstein_many(pairs, p)
+    for (mu, nu), value, (plan, cost) in zip(pairs, got, w.transport._optimal_couplings(pairs, p)):
+        want = Coupling(mu, nu, linprog_plan(mu, nu, p)).cost(p)
+        assert value == pytest.approx(want, rel=1e-12)
+        assert cost == pytest.approx(want, rel=1e-12)
+        assert plan.cost(p) == pytest.approx(want, rel=1e-12)
+        assert max(plan.marginal_errors()) <= w.transport.MARGINAL_TOL
+
+
+def place(space, xs, heights):
+    """Points at arc or first coordinate xs, and at second coordinate
+    `heights` (one number, or one per point) where the space has one."""
+    xs = np.asarray(xs, dtype=float)
+    return np.column_stack([xs, np.broadcast_to(heights, xs.shape)]) if space.dim == 2 else xs[:, None]
+
+
+def jittered_pair(rng, space, n):
+    """mu on n atoms at least 1 apart (arcs 2k + U(-0.5, 0.5)) and a copy
+    of it with the same weights and every coordinate moved by < 0.1: each
+    row's nearest column is its own copy.  The costs stay far above the
+    LP's tolerances, so the LP oracle is exact to rounding."""
+    xs = 2.0 * np.arange(n) + rng.uniform(-0.5, 0.5, n)
+    atoms = place(space, xs, rng.normal(size=n))
+    wts = rng.uniform(0.2, 1.0, n)
+    mu = w.make_measure(space, atoms, wts / wts.sum())
+    return mu, w.make_measure(space, atoms + rng.uniform(-0.1, 0.1, atoms.shape), wts / wts.sum())
+
+
+# clusters as (row positions, column positions, row weights, column
+# weights).  In PAIR, rows 0 and 0.1 are both nearest to column 0.06, and
+# column -0.1 to row 0: the union of the two nearest-neighbour maps is one
+# component, a 2 x 2 LP block, while neither map alone is a coupling.  ONE_ROW
+# and ONE_COL are components of one row or one column, coupled in closed
+# form.  Within a cluster no two atoms are more than 0.2 apart.
+PAIR = ([0.0, 0.1], [0.06, -0.1], [0.2, 0.8], [0.5, 0.5])
+ONE_ROW = ([0.0], [-0.04, 0.05], [1.0], [0.3, 0.7])
+ONE_COL = ([-0.05, 0.04], [0.0], [0.4, 0.6], [1.0])
+
+
+def clustered_pair(space, clusters, shifts, heights=None):
+    """The clusters placed at the arc or first-coordinate shifts (and
+    second-coordinate heights), the mass split evenly among them."""
+    heights = np.zeros(len(shifts)) if heights is None else heights
+
+    def measure(side):
+        return w.make_measure(
+            space, np.vstack([place(space, np.add(c[side], s), h)
+                              for c, s, h in zip(clusters, shifts, heights)]),
+            np.concatenate([c[side + 2] for c in clusters]) / len(clusters))
+
+    return measure(0), measure(1)
+
+
+@pytest.mark.parametrize("space", [w.euclidean(2), w.circle(64.0), w.cylinder(64.0)],
+                         ids=lambda s: s.kind)
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_jittered_copies_are_settled_by_their_nearest_atoms(space, p):
+    rng = np.random.default_rng(131)
+    pairs = [jittered_pair(rng, space, n) for n in (2, 5, 9, 30) for _ in range(3)]
+    if space.kind != "euclidean":  # copies across the wrap-around point
+        mu = w.make_measure(space, place(space, [0.05, 32.0, 63.9], 0.5), [0.2, 0.3, 0.5])
+        pairs.append((mu, w.make_measure(space, place(space, [63.97, 32.1, 63.85], 0.5),
+                                         [0.2, 0.3, 0.5])))
+    assert all(split_kind(mu, nu, p) == "settled" for mu, nu in pairs)
+    assert_matches_full_lp(pairs, p)
+
+
+@pytest.mark.parametrize("space", [w.euclidean(2), w.circle(2.0), w.cylinder(2.0)],
+                         ids=lambda s: s.kind)
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_separated_clusters_are_settled_or_split(space, p, monkeypatch):
+    # atoms of different clusters are >= 0.4 apart; on the cylinder the
+    # clusters also sit at three heights
+    shifts, heights = [0.2, 0.8, 1.4], [0.0, 3.0, 6.0] if space.kind == "cylinder" else None
+    mixed = clustered_pair(space, [PAIR, ONE_ROW, ONE_COL], shifts, heights)
+    by_columns = clustered_pair(space, [ONE_ROW] * 3, shifts, heights)
+    by_rows = clustered_pair(space, [ONE_COL] * 3, shifts, heights)
+    kinds = [split_kind(*pair, p) for pair in (mixed, by_columns, by_rows)]
+    assert kinds == ["split", "settled", "settled"]
+    widths = counted_lp_solves(monkeypatch)
+    assert_matches_full_lp([mixed, by_columns, by_rows], p)
+    assert widths == [4, 4]  # per call, PAIR's block: not one 5 x 5 LP
+
+
+@pytest.mark.parametrize("spec, n", [(w.oscillating_tents(4, 2.0, 0.8), 5),
+                                     (w.cylinder_family(2, 2.0, 0.75), 6)],
+                         ids=["oscillating_tents4", "cylinder_family2"])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_family_curve_pairs_match_the_full_lp(spec, n, p):
+    curve = w.make_curve(spec)
+    ts = dyadic_times(n)
+    pairs = [(curve(s), curve(t)) for s, t in zip(ts, ts[1:])]
+    pairs += [(curve(0.0), curve(t)) for t in ts[2::5]]
+    pairs = [(mu, nu) for mu, nu in pairs if not w.measures_equal(mu, nu)]
+    assert all(split_kind(mu, nu, p) is not None for mu, nu in pairs)
+    assert_matches_full_lp(pairs, p)
+
+
+def test_ties_without_a_nearest_coupling_go_to_the_lp(monkeypatch):
+    # both rows are nearest to column (0.5, 0), and both columns, tied,
+    # take row (0, 0) as argmin: neither map is a coupling
+    sp = w.euclidean(2)
+    mu = w.make_measure(sp, [[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
+    nu = w.make_measure(sp, [[0.5, 0.0], [0.5, 1.0]], [0.5, 0.5])
+    assert split_kind(mu, nu, 2.0) is None
+    widths = counted_lp_solves(monkeypatch)
+    _, cost = w.optimal_coupling(mu, nu, 2.0)
+    assert widths == [4] and cost == pytest.approx(0.75, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_a_partition_that_is_not_closed_goes_to_the_lp(p, monkeypatch):
+    # 0.35 apart, each cluster is still its own component and balanced,
+    # but its row 0.1 is nearer (0.15) to the other cluster's column -0.1
+    # than to its own (0.2): not closed.  1 apart, it is closed.
+    sp = w.euclidean(2)
+    near, far = clustered_pair(sp, [PAIR] * 2, [0.0, 0.35]), clustered_pair(sp, [PAIR] * 2, [0.0, 1.0])
+    assert split_kind(*near, p) is None and split_kind(*far, p) == "split"
+    widths = counted_lp_solves(monkeypatch)
+    assert_matches_full_lp([near, far], p)
+    assert widths == [16 + 4 + 4] * 2  # one LP per call: the near pair whole
+
+
+def test_imbalance_above_rounding_goes_to_the_lp(monkeypatch):
+    # the atoms match one to one, but the weights differ by 5e-12: the
+    # nearest plan would miss its marginals by far more than rounding
+    sp = w.euclidean(1)
+    mu = w.make_measure(sp, [[0.0], [1.0]], [0.5 - 5e-12, 0.5 + 5e-12])
+    nu = w.make_measure(sp, [[0.0], [1.0]], [0.5, 0.5])
+    assert split_kind(mu, nu, 2.0) is None
+    widths = counted_lp_solves(monkeypatch)
+    plan, _ = w.optimal_coupling(mu, nu, 2.0)
+    assert widths == [4] and max(plan.marginal_errors()) <= w.transport.MARGINAL_TOL
+
+
+def test_oscillating_tents_level_sums_solve_no_lp(monkeypatch):
+    spec = w.oscillating_tents(8, 2.0, 0.8)
+    curve = w.make_curve(spec)
+    widths = counted_lp_solves(monkeypatch)
+    sums = w.limsup_variation_dyadic(curve, 1.0 / 0.8, range(1, 9),
+                                     dist=lambda a, b: w.wasserstein_distance(a, b, 2.0))
+    assert widths == []
+    for m, value in zip(range(1, 9), sums):
+        want = w.reference_value(spec, "dyadic_variation", m=m)
+        assert float(value) == pytest.approx(want, rel=1e-8)
+
+
+def test_cylinder_lp_blocks_are_at_most_one_circle(monkeypatch):
+    # cylinder_family(3): circles of 2, 4, 8 and 16 particles; no LP block
+    # is wider than the 16 x 16 of the largest circle.  An LP packs several
+    # blocks, so the blocks are recorded where they enter it.
+    spec = w.cylinder_family(3, 2.0, 0.75)
+    blocks = []
+    transport_lp = w.transport._transport_lp
+
+    def recording(lp_blocks):
+        blocks.extend(D.size for D, _, _ in lp_blocks)
+        return transport_lp(lp_blocks)
+
+    widths = counted_lp_solves(monkeypatch)
+    monkeypatch.setattr(w.transport, "_transport_lp", recording)
+    report = w.curve_besov_norm(w.make_curve(spec), 0.75, 2.0, 8)
+    assert blocks and max(blocks) <= 256 and sum(widths) == sum(blocks)
+    assert report.value == pytest.approx(w.reference_value(spec, "curve_besov_power"), rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
