@@ -16,9 +16,15 @@ pair by the first rule that applies:
      certificate in the spirit of Schmitzer's shielding (A sparse
      multiscale algorithm for dense optimal transport, JMIV 2016).  Blocks
      of one row or one column get their only coupling in closed form; the
-     others go to rule 5, and so does a pair no partition certifies,
-     whole;
-  5. otherwise: one block of a block-diagonal LP.  Blocks are taken in
+     others go to rules 5 and 6, and so does a pair no partition
+     certifies, whole;
+  5. a square block whose row weights are all equal and whose column
+     weights are all equal, as every block of a particle system's pair is:
+     an optimal assignment (`_assigned`), whose plan is an optimal vertex
+     (Birkhoff-von Neumann), by scipy's `linear_sum_assignment`: 5-20 us
+     against 0.09-1.6 ms for the same block's LP, n = 2..30, on a 2-core
+     VM (`BENCH_assignment.json`);
+  6. otherwise: one block of a block-diagonal LP.  Blocks are taken in
      order into HiGHS solves of at most _LP_COLUMNS = 2048 plan entries
      (LP columns) each.  The LP separates by block, so each block's part of
      the solution is that block's own optimum.  The cap bounds memory: one
@@ -31,17 +37,18 @@ pair by the first rule that applies:
 `wasserstein_distance` and `wasserstein_power` are its single-pair case.
 `_lp_wpp_many` is the same dispatch without rule 3; the checks of couplings
 built from LP solutions use it (see there).
-Rules 2, 4 and 5 are one plan dispatch, `_plans`, which also returns each
+Rules 2 and 4-6 are one plan dispatch, `_plans`, which also returns each
 pair's plan: `_optimal_couplings` gives the plans of a whole pair list (a
 lift's glued chain takes its 2^n plans from one call, so from one LP per
 _LP_COLUMNS plan entries left to the LP), and `optimal_coupling` is its
 single-pair case.  Each plan is optimal and a vertex of its pair's
 transport polytope: a closed-form block's support is a forest, as a
-vertex's is.  Under ties it need not be the vertex the pair's own LP
-would return: a block of a batched LP can land on another optimal
-vertex, and a nearest-neighbour plan is the vertex rule 4 reads off.  One
-builder, `_transport_lp`, writes the constraint matrix of every transport
-LP.
+vertex's is, and an assignment's a matching.  Under ties it need not be
+the vertex the pair's own LP would return: a nearest-neighbour plan is
+the vertex rule 4 reads off, an assignment the one the solver finds, and
+a block of a batched LP can land on another optimal vertex.  Only the
+last depends on how the blocks are batched.  One builder,
+`_transport_lp`, writes the constraint matrix of every transport LP.
 
 `compatibility_multicoupling` decides whether a multi-coupling exists whose
 2-D marginals on a set of pairs are optimal.  On the real line the answer
@@ -83,19 +90,22 @@ benchmark's compat_lp workload, it raised that run's peak RSS from 113.7
 to 127.3 MiB.
 
 The bindings, `_highs`, are the extension module
-scipy.optimize._highspy._core, which `_load_highs` loads from its file in
-scipy's package directory without running scipy.optimize's __init__: that
-imports all of scipy.optimize and scipy.sparse, ~550 modules and ~0.5 s,
-against a few ms for the extension alone.  The module is registered in
-sys.modules under its own name, so a later `import scipy.optimize` reuses
-the same module object, and an entry already there is reused the same way.
-(Import statements find it there; the package scipy.optimize._highspy,
-imported later, does not hold it as its attribute `_core`.)  If the file
-load fails for any reason, the normal import runs instead, and `_highs` is
-None where scipy lacks the bindings (older releases); then `linprog`
-solves.  `linprog` is not imported with this module: its __getattr__
-imports it on first access as `transport.linprog`, which only that
-fallback and the tests use.
+scipy.optimize._highspy._core, and the assignment solver, `_lsap()`, is
+the extension scipy.optimize._lsap.  `_load_extension` loads either from
+its file in scipy's package directory without running scipy.optimize's
+__init__: that imports all of scipy.optimize and scipy.sparse, ~550
+modules and ~0.5 s, against a few ms for an extension alone.  HiGHS's is
+loaded with this module, the assignment solver on its first block.  A
+module is registered in sys.modules under its own name, so a later
+`import scipy.optimize` reuses the same module object, and an entry
+already there is reused the same way.  (Import statements find it there;
+its package, imported later, does not hold it as an attribute: e.g.
+scipy.optimize._highspy has no `_core`.)  If the file load fails for any
+reason, the normal import runs instead, and the module is None where
+scipy lacks it (older releases): without the bindings `linprog` solves,
+and without the assignment solver every block goes to the LP.  `linprog`
+is not imported with this module: its __getattr__ imports it on first
+access as `transport.linprog`, which only that fallback and the tests use.
 """
 
 from __future__ import annotations
@@ -115,34 +125,46 @@ from .errors import BudgetExceededError, ValidationError
 from .measures import DiscreteMeasure, _check_exponent, check_same_space, measures_equal
 
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
+_LSAP_MODULE = "scipy.optimize._lsap"
 
 
-def _load_highs():
-    """HiGHS's bindings, loaded from their file (see the module docstring);
-    None if scipy has none."""
-    if _HIGHS_MODULE in sys.modules:
-        return sys.modules[_HIGHS_MODULE]
+def _load_extension(name: str):
+    """The scipy extension module `name`, loaded from its file (see the
+    module docstring); None if scipy has none."""
+    if name in sys.modules:
+        return sys.modules[name]
     try:
+        _, *folders, leaf = name.split(".")
         folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
-                              "optimize", "_highspy")
-        path = next(f for f in (os.path.join(folder, "_core" + suffix)
+                              *folders)
+        path = next(f for f in (os.path.join(folder, leaf + suffix)
                                 for suffix in importlib.machinery.EXTENSION_SUFFIXES)
                     if os.path.isfile(f))
-        spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+        spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(spec)
-        sys.modules[_HIGHS_MODULE] = module  # before it runs, as the import system does
+        sys.modules[name] = module  # before it runs, as the import system does
         spec.loader.exec_module(module)
         return module
     except Exception:  # noqa: BLE001 - any failure falls back to the normal import
-        sys.modules.pop(_HIGHS_MODULE, None)
+        sys.modules.pop(name, None)
     try:  # private to scipy and missing from older releases
-        from scipy.optimize._highspy import _core
+        return importlib.import_module(name)
     except ImportError:
         return None
-    return _core
 
 
-_highs = _load_highs()
+_highs = _load_extension(_HIGHS_MODULE)
+
+
+@functools.cache
+def _lsap():
+    """scipy's assignment solver extension, loaded on its first use, not
+    with this module: most programs never reach an equal-weight square
+    block (`_assigned`).  Threads that first call it together may each
+    run the load; they still get one module object, because loading this
+    single-phase-init extension again returns the module already in
+    sys.modules."""
+    return _load_extension(_LSAP_MODULE)
 
 
 def __getattr__(name):
@@ -389,18 +411,19 @@ def _transport_lp(blocks):
 def optimal_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     """Exact optimal transport plan for cost d^p; returns (Coupling, cost).
     The plan is a vertex of the transport polytope, in closed form where a
-    point mass or nearest-neighbour blocks settle the pair, from the LP
-    otherwise.  The single-pair case of `_optimal_couplings`."""
+    point mass or nearest-neighbour blocks settle the pair, an assignment
+    on equal-weight square blocks, from the LP otherwise.  The single-pair
+    case of `_optimal_couplings`."""
     return _optimal_couplings([(mu, nu)], p)[0]
 
 
 def _optimal_couplings(pairs, p: float):
     """(Coupling, cost) for every pair (mu, nu) of `pairs`, in order, from
     `_plans`: a point mass on either side is coupled directly, and the
-    other pairs are settled by their nearest-neighbour blocks, whose
-    blocks left to the LP share block-diagonal LPs with the rest.  Every
-    plan is an optimal vertex; under ties a pair's block in a batched LP
-    can land on another one than its solve alone."""
+    other pairs are settled by their nearest-neighbour blocks and
+    assignments, whose blocks left to the LP share block-diagonal LPs with
+    the rest.  Every plan is an optimal vertex; under ties a pair's block
+    in a batched LP can land on another one than its solve alone."""
     pairs = list(pairs)
     for mu, nu in pairs:
         check_same_space(mu, nu)
@@ -452,8 +475,8 @@ def _nearest_split(D, a, b):
     partition is certified, else (W, blocks): W is the plan with every
     block of one row or one column filled in closed form (the block's only
     coupling), and each (at, (D[at], a[R_k], b[C_k])) of `blocks`, at =
-    np.ix_(R_k, C_k), is a block left to the LP, whose optimal plan goes
-    into W[at].
+    np.ix_(R_k, C_k), is a block left to an assignment or the LP, whose
+    optimal plan goes into W[at].
 
     The candidates, in order:
       1. row-nearest: row i joins the block of its nearest column,
@@ -527,16 +550,54 @@ def _nearest_split(D, a, b):
     return W, blocks
 
 
+def _uniform(x) -> bool:
+    """Whether all entries of x are equal (by a list count, which on a few
+    atoms costs a quarter of `x.min() == x.max()`)."""
+    x = x.tolist()
+    return x.count(x[0]) == len(x)
+
+
+def _assigned(W, at, block) -> bool:
+    """If the transport block (D (n, m), row weights a, column weights b)
+    is square, n = m, with all a_i equal to one a and all b_j equal to one
+    b, set W[at] to its optimal plan, a times an optimal assignment of D
+    (scipy's `linear_sum_assignment`, a shortest augmenting path solver:
+    Crouse, On implementing 2D rectangular assignment algorithms, IEEE
+    TAES 2016), and return True.  Return False, W untouched, for every
+    other block, which goes to the LP.
+
+    Why this is optimal.  The block's plans are a times the doubly
+    stochastic n x n matrices, and by Birkhoff-von Neumann the vertices of
+    those are the permutation matrices (Peyre & Cuturi, Computational
+    Optimal Transport, 2019, sec. 2.1-2.2).  A linear cost is least at a
+    vertex, so at a times the permutation of least total cost: the optimal
+    assignment.  Its support is a matching, a forest, so the plan is an
+    optimal vertex, as the LP's.  Its row sums are a exactly; b differs
+    from a only by the rounding of the weights (each measure's weights sum
+    to 1, and a `_nearest_split` block is balanced to _BALANCE_TOL)."""
+    D, a, b = block
+    if D.shape[0] != D.shape[1] or not (_uniform(a) and _uniform(b)) or _lsap() is None:
+        return False
+    r, c = _lsap().linear_sum_assignment(D)
+    plan = np.zeros(D.shape)
+    plan[r, c] = a[0]
+    W[at] = plan
+    return True
+
+
 def _plans(pairs, p: float):
     """Yield (k, plan, cost) for the k-th pair (mu, nu) of `pairs`: a point
     mass on either side by its only coupling; every other pair through
     `_nearest_split`, which settles it in closed form or leaves blocks of
-    it to the LP.  Those blocks wait, in pair order, for one block-diagonal
-    LP of at most _LP_COLUMNS plan entries (a wider pair's blocks run
-    alone): a pair whose n m entries would not fit beside the waiting
-    blocks has them solved first (`_solve_waiting`).  So the cost matrices alive are the
-    waiting blocks and one pair's, however long the pair list.  The one
-    plan dispatch behind `_optimal_couplings` and `_wpp_many`."""
+    it, or the whole pair if it certifies no partition, to the LP.  Of
+    these, an equal-weight square block is settled by an optimal
+    assignment (`_assigned`).  The rest wait, in pair order, for one
+    block-diagonal LP of at most _LP_COLUMNS plan entries (a wider pair's
+    blocks run alone): a pair whose n m entries would not fit beside the
+    waiting blocks has them solved first (`_solve_waiting`).  So the cost
+    matrices alive are the waiting blocks and one pair's, however long the
+    pair list.  The one plan dispatch behind `_optimal_couplings` and
+    `_wpp_many`."""
     waiting, width = [], 0
     for k, (mu, nu) in enumerate(pairs):
         if mu.size == 1 or nu.size == 1:
@@ -549,13 +610,14 @@ def _plans(pairs, p: float):
         D = _cost_matrix(mu, nu, p)
         split = _nearest_split(D, mu.weights, nu.weights)
         if split is None:
-            W, cost, blocks = np.zeros(D.shape), 0.0, [(np.s_[:, :], (D, mu.weights, nu.weights))]
+            W, blocks = np.zeros(D.shape), [(np.s_[:, :], (D, mu.weights, nu.weights))]
         else:
             W, blocks = split
-            cost = float(np.dot(W.reshape(-1), D.reshape(-1)))
-            if not blocks:
-                yield k, W, cost
-                continue
+        blocks = [(at, block) for at, block in blocks if not _assigned(W, at, block)]
+        cost = float(np.dot(W.reshape(-1), D.reshape(-1)))
+        if not blocks:
+            yield k, W, cost
+            continue
         waiting.append((k, W, cost, blocks))
         width += sum(block[0].size for _, block in blocks)
     if waiting:
@@ -584,10 +646,11 @@ def wasserstein_many(pairs, p: float) -> np.ndarray:
     Equal measures give exactly 0; a point mass on either side is coupled
     directly; pairs on the real line use the monotone closed form; all
     other pairs are settled by their nearest-neighbour blocks where those
-    certify an optimal plan, and what is left is solved in block-diagonal
-    LPs of at most _LP_COLUMNS plan entries each (see the module
-    docstring).  Cost matrices are built one LP at a time, so memory is
-    bounded by one solve, not by len(pairs)."""
+    certify an optimal plan, equal-weight square blocks by an assignment,
+    and what is left is solved in block-diagonal LPs of at most
+    _LP_COLUMNS plan entries each (see the module docstring).  Cost
+    matrices are built one LP at a time, so memory is bounded by one
+    solve, not by len(pairs)."""
     return _wpp_many(pairs, p, line=True)
 
 

@@ -264,9 +264,9 @@ def test_glued_chain_solves_one_lp_per_run(monkeypatch):
                                      (w.cylinder_family(3, 2.0, 0.75), 6)],
                          ids=["circle_splitting2-n3", "cylinder_family3-n6"])
 def test_batched_chain_plans_are_optimal_under_ties(spec, n):
-    # on these chains many couplings tie, and a block of the batched LP can
-    # land on another optimal vertex than the pair's solve alone; every plan
-    # is still optimal and meets its marginals
+    # on these chains many couplings tie, and each plan is whichever
+    # optimal vertex its assignment or LP finds; every plan is still
+    # optimal and meets its marginals
     curve = w.make_curve(spec)
     ts = dyadic_times(n)
     pairs = [(curve(s), curve(t)) for s, t in zip(ts, ts[1:])]
@@ -278,6 +278,32 @@ def test_batched_chain_plans_are_optimal_under_ties(spec, n):
     mc = w.construct_lift_A(curve, n, 2.0).multicoupling
     for k, (plan, _) in enumerate(plans):
         assert np.abs(mc.pair_coupling(k, k + 1).weights - plan.weights).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec, n, energy", [
+    (w.circle_splitting(1), 2, 1.7071067811865472),
+    (w.circle_splitting(2), 3, 1.2071067811865477),
+    (w.cylinder_family(2, 2.0, 0.75), 4, 9.796928177498078),
+    (w.cylinder_family(2, 2.0, 0.75), 6, 15.371729019699593),
+], ids=["circle_splitting1-n2", "circle_splitting2-n3", "cylinder_family2-n4",
+        "cylinder_family2-n6"])
+def test_lift_A_does_not_depend_on_the_lp_batching(spec, n, energy, monkeypatch):
+    # every coupling of these particle chains is settled in closed form or
+    # by assignments of equal-weight square blocks, never by an LP, so
+    # lift A is the same however few plan entries one LP may take, and
+    # each plan is the one the pair gets alone
+    lift = w.construct_lift_A(w.make_curve(spec), n, 2.0)
+    monkeypatch.setattr(w.transport, "_LP_COLUMNS", 4)
+    small = w.construct_lift_A(w.make_curve(spec), n, 2.0)
+    assert np.array_equal(lift.breakpoints, small.breakpoints)
+    assert np.array_equal(lift.weights, small.weights)
+    curve = w.make_curve(spec)
+    ts = dyadic_times(n)
+    for k, (s, t) in enumerate(zip(ts, ts[1:])):
+        alone, _ = w.optimal_coupling(curve(s), curve(t), 2.0)
+        assert np.array_equal(lift.multicoupling.pair_coupling(k, k + 1).weights > 0,
+                              alone.weights > 0)
+    assert w.lift_energy(lift, EnergySpec.besov(0.75, 2.0)) == pytest.approx(energy, rel=1e-12)
 
 
 @pytest.mark.parametrize(

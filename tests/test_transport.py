@@ -393,14 +393,22 @@ def test_family_curve_pairs_match_the_full_lp(spec, n, p):
 
 def test_ties_without_a_nearest_coupling_go_to_the_lp(monkeypatch):
     # both rows are nearest to column (0.5, 0), and both columns, tied,
-    # take row (0, 0) as argmin: neither map is a coupling
+    # take row (0, 0) as argmin: neither map is a coupling.  Each column's
+    # cost is the same from either row, so every coupling costs 0.75.
+    # With unequal row weights the pair goes to the LP; with equal ones it
+    # is an optimal assignment
     sp = w.euclidean(2)
-    mu = w.make_measure(sp, [[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
     nu = w.make_measure(sp, [[0.5, 0.0], [0.5, 1.0]], [0.5, 0.5])
-    assert split_kind(mu, nu, 2.0) is None
+    uneven, even = (w.make_measure(sp, [[0.0, 0.0], [1.0, 0.0]], wts)
+                    for wts in ([0.4, 0.6], [0.5, 0.5]))
+    assert split_kind(uneven, nu, 2.0) is None and split_kind(even, nu, 2.0) is None
     widths = counted_lp_solves(monkeypatch)
-    _, cost = w.optimal_coupling(mu, nu, 2.0)
+    _, cost = w.optimal_coupling(uneven, nu, 2.0)
     assert widths == [4] and cost == pytest.approx(0.75, rel=1e-12)
+    plan, cost = w.optimal_coupling(even, nu, 2.0)
+    assert widths == [4] and cost == pytest.approx(0.75, rel=1e-12)
+    assert np.array_equal(np.sort(plan.weights, axis=1), [[0.0, 0.5], [0.0, 0.5]])
+    assert np.array_equal(plan.weights.sum(axis=0), [0.5, 0.5])
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -441,22 +449,152 @@ def test_oscillating_tents_level_sums_solve_no_lp(monkeypatch):
 
 
 def test_cylinder_lp_blocks_are_at_most_one_circle(monkeypatch):
-    # cylinder_family(3): circles of 2, 4, 8 and 16 particles; no LP block
-    # is wider than the 16 x 16 of the largest circle.  An LP packs several
-    # blocks, so the blocks are recorded where they enter it.
+    # cylinder_family(3): circles of 2, 4, 8 and 16 particles of equal
+    # weight each; every block the nearest-neighbour split leaves is one
+    # circle's, square and of equal weights, so it is an assignment of at
+    # most 16 x 16 and no LP runs
     spec = w.cylinder_family(3, 2.0, 0.75)
-    blocks = []
-    transport_lp = w.transport._transport_lp
+    shapes = []
+    assigned = w.transport._assigned
 
-    def recording(lp_blocks):
-        blocks.extend(D.size for D, _, _ in lp_blocks)
-        return transport_lp(lp_blocks)
+    def recording(W, at, block):
+        done = assigned(W, at, block)
+        shapes.append((block[0].shape, done))
+        return done
 
     widths = counted_lp_solves(monkeypatch)
-    monkeypatch.setattr(w.transport, "_transport_lp", recording)
+    monkeypatch.setattr(w.transport, "_assigned", recording)
     report = w.curve_besov_norm(w.make_curve(spec), 0.75, 2.0, 8)
-    assert blocks and max(blocks) <= 256 and sum(widths) == sum(blocks)
+    assert widths == [] and shapes and all(done for _, done in shapes)
+    assert {shape for shape, _ in shapes} == {(2, 2), (4, 4), (8, 8), (16, 16)}
     assert report.value == pytest.approx(w.reference_value(spec, "curve_besov_power"), rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# equal-weight square blocks (`_assigned`) against brute force and the LP
+
+
+def lattice(space):
+    """64 points of a lattice of step 1/2 (of arc P/64 on the circle, P/8
+    on the cylinder), whose pair distances repeat, so many plans tie."""
+    axes = {"euclidean": [0.5 * np.arange(64 if space.dim == 1 else 8 if space.dim == 2 else 4)],
+            "circle": [space.perimeter * np.arange(64) / 64],
+            "cylinder": [space.perimeter * np.arange(8) / 8, 0.5 * np.arange(8)]}[space.kind]
+    grids = np.meshgrid(*(axes * space.dim if space.kind == "euclidean" else axes), indexing="ij")
+    return np.column_stack([g.ravel() for g in grids])
+
+
+def uniform_pair(rng, space, n, kind):
+    """Two measures of n atoms of weight 1/n: at random ('random'), at
+    distinct lattice points ('ties'), or 'near': nu's atoms are mu's in
+    another order, each coordinate moved by 1e-8, and mu's second atom is
+    its first moved by 1e-8."""
+    if kind == "ties":
+        points = lattice(space)
+        atoms = [points[rng.choice(len(points), n, replace=False)] for _ in range(2)]
+    elif kind == "near":
+        x = random_points(rng, space, n)
+        x[1] = x[0] + 1e-8
+        atoms = [x, x[rng.permutation(n)] + 1e-8 * rng.choice([-1.0, 1.0], x.shape)]
+    else:
+        atoms = [random_points(rng, space, n) for _ in range(2)]
+    mu, nu = (w.make_measure(space, x, np.full(n, 1.0 / n)) for x in atoms)
+    assert mu.size == nu.size == n
+    return mu, nu
+
+
+def assigned_plan(mu, nu, p):
+    """The block (cost matrix, weights) of the whole pair and its plan from
+    `_assigned`, which must take it."""
+    block = (w.transport._cost_matrix(mu, nu, p), mu.weights, nu.weights)
+    W = np.zeros(block[0].shape)
+    assert w.transport._assigned(W, np.s_[:, :], block)
+    return block, W
+
+
+def assert_scaled_permutation(W, weight):
+    # one entry per row and per column, each the weight itself
+    rows, cols = np.nonzero(W)
+    assert np.array_equal(rows, np.arange(len(W))) and np.array_equal(np.sort(cols), rows)
+    assert np.all(W[rows, cols] == weight)
+
+
+KINDS = ["random", "ties", "near"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+def test_assignment_matches_brute_force_permutations(space, kind):
+    rng = np.random.default_rng(141)
+    for n in range(2, 8):
+        for p in (1.0, 2.0, 3.0):
+            mu, nu = uniform_pair(rng, space, n, kind)
+            (D, a, _), W = assigned_plan(mu, nu, p)
+            assert_scaled_permutation(W, a[0])
+            best = permutation_oracle(mu, nu, p)
+            assert np.dot(W.ravel(), D.ravel()) == pytest.approx(best, rel=1e-15, abs=0.0)
+            _, cost = w.optimal_coupling(mu, nu, p)
+            assert cost == pytest.approx(best, rel=1e-15, abs=0.0)
+
+
+def assert_no_cheaper_cycle(D, W):
+    """Cycle-cancelling optimality: an assignment sigma is optimal iff no
+    cycle of rows i_1 -> i_2 -> ... -> i_1, each taking the next one's
+    column, lowers its cost, i.e. the graph with edges i -> k of length
+    D[i, sigma(k)] - D[i, sigma(i)] has no negative cycle.  Floyd-Warshall
+    finds one as a negative diagonal entry; the slack is the rounding of
+    path sums of at most n edges."""
+    sigma = W.argmax(axis=1)
+    dist = D[:, sigma] - D[np.arange(len(D)), sigma][:, None]
+    for k in range(len(D)):
+        dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
+    assert dist.diagonal().min() >= -1e-12 * D.max()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+def test_assignment_matches_the_lp(space, kind):
+    rng = np.random.default_rng(142)
+    for n in (8, 12, 20, 40):
+        for p in (1.0, 2.0, 3.0):
+            mu, nu = uniform_pair(rng, space, n, kind)
+            (D, a, b), W = assigned_plan(mu, nu, p)
+            assert_scaled_permutation(W, a[0])
+            assert_no_cheaper_cycle(D, W)
+            value = np.dot(W.ravel(), D.ravel())
+            want = np.dot(w.transport._transport_lp([(D, a, b)]), D.ravel())
+            if kind != "near":
+                assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+            else:
+                # atoms 1e-8 apart: the LP can stop at a vertex whose
+                # reduced costs are within HiGHS's dual tolerance of 0,
+                # ~1e-8 above the optimum the cycle check certifies
+                assert value <= want * (1 + 1e-12) and want - value <= LP_SLACK * max(1.0, value)
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+def test_rectangular_and_unequal_blocks_reach_the_lp(space, monkeypatch):
+    # whole pairs that `_nearest_split` does not partition: square ones
+    # with equal weights are assignments, all others go to the LP
+    rng = np.random.default_rng(143)
+    even, odd = [], []
+    while len(even) < 6 or len(odd) < 12:
+        n = int(rng.integers(2, 8))
+        mu, nu = uniform_pair(rng, space, n, "random")
+        shapes = [(mu, nu), (mu, random_measure(rng, space, n)),
+                  (random_measure(rng, space, n), nu),
+                  (mu, w.make_measure(space, random_points(rng, space, n + 1),
+                                      np.full(n + 1, 1.0 / (n + 1))))]
+        for k, pair in enumerate(shapes):
+            if split_kind(*pair, 2.0) is None:
+                (odd if k else even).append(pair)
+    widths = counted_lp_solves(monkeypatch)
+    w.transport._optimal_couplings(even, 2.0)
+    assert widths == []
+    w.transport._optimal_couplings(odd, 2.0)
+    assert sum(widths) == sum(mu.size * nu.size for mu, nu in odd)
+    monkeypatch.undo()
+    assert_matches_full_lp(even + odd, 2.0)
 
 
 # ---------------------------------------------------------------------------
