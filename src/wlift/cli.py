@@ -302,8 +302,7 @@ def build_parser():
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("norms", help="path / curve norms")
-    p.add_argument("--norm", required=True,
-                   choices=["besov", "frac_sobolev", "w1p", "holder", "variation", "modulus"])
+    p.add_argument("--norm", required=True, choices=list(lifts._FUNCTIONALS))
     p.add_argument("--path", type=str, default=None, help="path JSON file")
     p.add_argument("--builtin", type=str, default="geodesic")
     _add_common(p)

@@ -308,12 +308,8 @@ def construct_lift_B(
     """
     ts, mus, mc, chain_costs = _glued_chain(curve, n, p)
     pattern = dyadic_pattern_pairs(n)
-    # the glue is made of the dispatch's plans (LP or assignment), so it is
-    # compared with values from the same dispatch: a consecutive pair with
-    # its own plan's cost, the others with `transport._lp_wpp_many` (no
-    # real-line closed form; see there)
     far = [(i, j) for (i, j) in pattern if j > i + 1]
-    opt = dict(zip(far, transport._lp_wpp_many([(mus[i], mus[j]) for (i, j) in far], p)))
+    opt = dict(zip(far, wasserstein_many([(mus[i], mus[j]) for (i, j) in far], p)))
     opt.update(((k, k + 1), cost) for k, cost in enumerate(chain_costs))
     for (i, j) in pattern:
         wpp = opt[(i, j)]

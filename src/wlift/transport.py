@@ -5,9 +5,9 @@ Every W_p value comes from `wasserstein_many(pairs, p)`, which handles each
 pair by the first rule that applies:
   1. equal measures: exactly 0;
   2. a point mass on either side: its only coupling, in closed form;
-  3. the real line, euclidean(1): the monotone (north-west corner) plan on
-     the sorted atoms, in closed form (`_wpp_line`, the two-measure case of
-     `_comonotone`);
+  3. the real line, euclidean(1): the monotone plan's cost, in closed form
+     and with no cost matrix (`_wpp_line`, the two-measure case of
+     `_comonotone`): 0.15 ms for 1000 atoms, 28 ms through rules 4-5;
   4. nearest-neighbour blocks (`_nearest_split`): a partition of the atoms
      into blocks (R_k, C_k) that an optimal plan need not cross, read off
      the cost matrix: each row with its nearest column, each column with
@@ -17,10 +17,13 @@ pair by the first rule that applies:
      multiscale algorithm for dense optimal transport, JMIV 2016).  Blocks
      of one row or one column get their only coupling in closed form; the
      others go to rules 5 and 6, and so does a pair no partition
-     certifies, whole;
-  5. a square block whose row weights are all equal and whose column
-     weights are all equal, as every block of a particle system's pair is:
-     an optimal assignment (`_assigned`), whose plan is an optimal vertex
+     certifies, whole.  It runs first on the real line too: settling a
+     2 x 2 pair takes it 7.5 us, a monotone plan 31 us;
+  5. on the real line, any block: its monotone plan (`_monotone`), so no
+     assignment or LP runs there.  Elsewhere, a square block whose row
+     weights are all equal and whose column weights are all equal, as
+     every block of a particle system's pair is: an optimal assignment
+     (`_assigned`), whose plan is an optimal vertex
      (Birkhoff-von Neumann), by scipy's `linear_sum_assignment`: 5-20 us
      against 0.09-1.6 ms for the same block's LP, n = 2..30, on a 2-core
      VM (`BENCH_assignment.json`);
@@ -35,20 +38,19 @@ pair by the first rule that applies:
      (or one larger pair's) are alive at a time, however long the pair
      list.
 `wasserstein_distance` and `wasserstein_power` are its single-pair case.
-`_lp_wpp_many` is the same dispatch without rule 3; the checks of couplings
-built from LP solutions use it (see there).
 Rules 2 and 4-6 are one plan dispatch, `_plans`, which also returns each
 pair's plan: `_optimal_couplings` gives the plans of a whole pair list (a
 lift's glued chain takes its 2^n plans from one call, so from one LP per
 _LP_COLUMNS plan entries left to the LP), and `optimal_coupling` is its
 single-pair case.  Each plan is optimal and a vertex of its pair's
 transport polytope: a closed-form block's support is a forest, as a
-vertex's is, and an assignment's a matching.  Under ties it need not be
-the vertex the pair's own LP would return: a nearest-neighbour plan is
-the vertex rule 4 reads off, an assignment the one the solver finds, and
-a block of a batched LP can land on another optimal vertex.  Only the
-last depends on how the blocks are batched.  One builder,
-`_transport_lp`, writes the constraint matrix of every transport LP.
+vertex's is, a monotone plan's a staircase path, and an assignment's a
+matching.  Under ties it need not be the vertex the pair's own LP would
+return: a nearest-neighbour plan is the vertex rule 4 reads off, an
+assignment the one the solver finds, and a block of a batched LP can land
+on another optimal vertex.  Only the last depends on how the blocks are
+batched.  One builder, `_transport_lp`, writes the constraint matrix of
+every transport LP.
 
 `compatibility_multicoupling` decides whether a multi-coupling exists whose
 2-D marginals on a set of pairs are optimal.  On the real line the answer
@@ -411,19 +413,20 @@ def _transport_lp(blocks):
 def optimal_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     """Exact optimal transport plan for cost d^p; returns (Coupling, cost).
     The plan is a vertex of the transport polytope, in closed form where a
-    point mass or nearest-neighbour blocks settle the pair, an assignment
-    on equal-weight square blocks, from the LP otherwise.  The single-pair
-    case of `_optimal_couplings`."""
+    point mass or nearest-neighbour blocks settle the pair, monotone on the
+    real line, an assignment on equal-weight square blocks, from the LP
+    otherwise.  The single-pair case of `_optimal_couplings`."""
     return _optimal_couplings([(mu, nu)], p)[0]
 
 
 def _optimal_couplings(pairs, p: float):
     """(Coupling, cost) for every pair (mu, nu) of `pairs`, in order, from
     `_plans`: a point mass on either side is coupled directly, and the
-    other pairs are settled by their nearest-neighbour blocks and
-    assignments, whose blocks left to the LP share block-diagonal LPs with
-    the rest.  Every plan is an optimal vertex; under ties a pair's block
-    in a batched LP can land on another one than its solve alone."""
+    other pairs are settled by their nearest-neighbour blocks, monotone
+    plans on the real line and assignments, whose blocks left to the LP
+    share block-diagonal LPs with the rest.  Every plan is an optimal
+    vertex; under ties a pair's block in a batched LP can land on another
+    one than its solve alone."""
     pairs = list(pairs)
     for mu, nu in pairs:
         check_same_space(mu, nu)
@@ -434,23 +437,24 @@ def _optimal_couplings(pairs, p: float):
     return out
 
 
-def _comonotone(measures):
-    """The quantile (comonotone) multi-coupling of measures on the real line:
-    for every u in (0, 1) it joins the u-quantiles of all the measures.  Its
-    2-D marginals are the monotone (north-west corner) plans, optimal for
-    |x - y|^p for every p >= 1 at once.
-
-    The measures' cumulative weights are merged into one grid u, and tuple k
-    holds, per measure, the atom whose quantile interval holds (u_k, u_k+1],
-    found by one `searchsorted`.  Returns (indices (T, N) into each measure's
-    atoms, weights (T,) = diff(u)), T = sum(n_i - 1) + 1; a weight is 0
-    where breakpoints of two measures coincide."""
-    orders = [np.argsort(mu.atoms[:, 0]) for mu in measures]
-    cums = [np.cumsum(mu.weights[o])[:-1] for mu, o in zip(measures, orders)]
-    u = np.concatenate([[0.0], np.sort(np.concatenate(cums)), [1.0]])
-    idx = np.column_stack(
-        [o[np.searchsorted(c, u[:-1], side="right")] for o, c in zip(orders, cums)])
+def _quantile_tuples(weights, total: float):
+    """The quantile tuples of weight vectors of one total, each in its
+    atoms' increasing order: the cumulative weights are merged into one
+    grid u on [0, total], and tuple k holds, per vector, the atom whose
+    quantile interval holds (u_k, u_k+1], found by one `searchsorted`.
+    Returns (indices (T, N), weights (T,) = diff(u)), T = sum(n_i - 1) + 1;
+    a weight is 0 where breakpoints of two vectors coincide."""
+    cums = [np.cumsum(wts)[:-1] for wts in weights]
+    u = np.concatenate([[0.0], np.sort(np.concatenate(cums)), [total]])
+    idx = np.column_stack([np.searchsorted(c, u[:-1], side="right") for c in cums])
     return idx, np.diff(u)
+
+
+def _comonotone(measures):
+    """The quantile (comonotone) multi-coupling of measures on the real line,
+    whose atoms `make_measure` stores increasing.  Its 2-D marginals are the
+    monotone plans, optimal for |x - y|^p for every p >= 1 at once."""
+    return _quantile_tuples([mu.weights for mu in measures], 1.0)
 
 
 def _wpp_line(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
@@ -458,6 +462,20 @@ def _wpp_line(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
     coupling (`_comonotone`), which is optimal for |x - y|^p, p >= 1."""
     idx, wts = _comonotone([mu, nu])
     return float(np.dot(wts, np.abs(mu.atoms[idx[:, 0], 0] - nu.atoms[idx[:, 1], 0]) ** p))
+
+
+def _monotone(W, at, block) -> bool:
+    """Set W[at] to the monotone (north-west corner) plan of the real-line
+    transport block (D (n, m), row weights a, column weights b), optimal
+    for |x - y|^p for every p >= 1, and return True.  A block keeps its
+    measures' increasing atom order, so the plan is the quantile coupling
+    of a and b in index order.  Its support is a staircase path, so it is
+    a vertex of the block's transport polytope."""
+    D, a, b = block
+    idx, wts = _quantile_tuples([a, b], a.sum())
+    n, m = D.shape
+    W[at] = np.bincount(idx[:, 0] * m + idx[:, 1], wts, n * m).reshape(n, m)
+    return True
 
 
 def _balanced(x, y) -> bool:
@@ -475,8 +493,8 @@ def _nearest_split(D, a, b):
     partition is certified, else (W, blocks): W is the plan with every
     block of one row or one column filled in closed form (the block's only
     coupling), and each (at, (D[at], a[R_k], b[C_k])) of `blocks`, at =
-    np.ix_(R_k, C_k), is a block left to an assignment or the LP, whose
-    optimal plan goes into W[at].
+    np.ix_(R_k, C_k), is a block left to a monotone plan, an assignment or
+    the LP, whose optimal plan goes into W[at].
 
     The candidates, in order:
       1. row-nearest: row i joins the block of its nearest column,
@@ -589,15 +607,15 @@ def _plans(pairs, p: float):
     """Yield (k, plan, cost) for the k-th pair (mu, nu) of `pairs`: a point
     mass on either side by its only coupling; every other pair through
     `_nearest_split`, which settles it in closed form or leaves blocks of
-    it, or the whole pair if it certifies no partition, to the LP.  Of
-    these, an equal-weight square block is settled by an optimal
-    assignment (`_assigned`).  The rest wait, in pair order, for one
-    block-diagonal LP of at most _LP_COLUMNS plan entries (a wider pair's
-    blocks run alone): a pair whose n m entries would not fit beside the
-    waiting blocks has them solved first (`_solve_waiting`).  So the cost
-    matrices alive are the waiting blocks and one pair's, however long the
-    pair list.  The one plan dispatch behind `_optimal_couplings` and
-    `_wpp_many`."""
+    it, or the whole pair if it certifies no partition.  On the real line
+    every such block gets its monotone plan (`_monotone`); elsewhere an
+    equal-weight square block is settled by an optimal assignment
+    (`_assigned`).  The rest wait, in pair order, for one block-diagonal LP
+    of at most _LP_COLUMNS plan entries (a wider pair's blocks run alone):
+    a pair whose n m entries would not fit beside the waiting blocks has
+    them solved first (`_solve_waiting`).  So the cost matrices alive are
+    the waiting blocks and one pair's, however long the pair list.  The one
+    plan dispatch behind `_optimal_couplings` and `wasserstein_many`."""
     waiting, width = [], 0
     for k, (mu, nu) in enumerate(pairs):
         if mu.size == 1 or nu.size == 1:
@@ -613,7 +631,8 @@ def _plans(pairs, p: float):
             W, blocks = np.zeros(D.shape), [(np.s_[:, :], (D, mu.weights, nu.weights))]
         else:
             W, blocks = split
-        blocks = [(at, block) for at, block in blocks if not _assigned(W, at, block)]
+        settle = _monotone if _on_line(mu.space) else _assigned
+        blocks = [(at, block) for at, block in blocks if not settle(W, at, block)]
         cost = float(np.dot(W.reshape(-1), D.reshape(-1)))
         if not blocks:
             yield k, W, cost
@@ -651,21 +670,6 @@ def wasserstein_many(pairs, p: float) -> np.ndarray:
     _LP_COLUMNS plan entries each (see the module docstring).  Cost
     matrices are built one LP at a time, so memory is bounded by one
     solve, not by len(pairs)."""
-    return _wpp_many(pairs, p, line=True)
-
-
-def _lp_wpp_many(pairs, p: float) -> np.ndarray:
-    """`wasserstein_many` with real-line pairs also solved by the LP.
-
-    Checks of LP-built couplings (glued optimal plans) compare with these
-    values.  HiGHS stops once every reduced cost is within its dual
-    feasibility tolerance (1e-7), so an LP plan can cost ~1e-9 more than
-    the exact W_p^p on near-degenerate inputs; against the closed form that
-    LP noise would read as a gap."""
-    return _wpp_many(pairs, p, line=False)
-
-
-def _wpp_many(pairs, p: float, line: bool) -> np.ndarray:
     _check_exponent(p)
     pairs = list(pairs)
     out = np.zeros(len(pairs))
@@ -675,7 +679,7 @@ def _wpp_many(pairs, p: float, line: bool) -> np.ndarray:
         if measures_equal(mu, nu):
             continue
         # a point mass keeps its direct coupling (`_plans`), on the line too
-        if line and _on_line(mu.space) and mu.size > 1 and nu.size > 1:
+        if _on_line(mu.space) and mu.size > 1 and nu.size > 1:
             out[k] = _wpp_line(mu, nu, p)
         else:
             rest.append(k)

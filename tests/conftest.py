@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from wlift import PiecewiseGeodesicPath, circle, cylinder, euclidean, make_measure, spaces
+from wlift import PiecewiseGeodesicPath, circle, cylinder, euclidean, make_measure, spaces, transport
 from wlift.paths import dyadic_times
 
 ALL_SPACES = [euclidean(1), euclidean(2), euclidean(3), circle(2.0), cylinder(2.0)]
@@ -22,6 +22,27 @@ def random_points(rng, space, n):
 def random_measure(rng, space, n_atoms):
     w = rng.uniform(0.2, 1.0, size=n_atoms)
     return make_measure(space, random_points(rng, space, n_atoms), w / w.sum())
+
+
+def on_plane(mu):
+    """mu on the line y = 0 of R^2: the same atoms in the first coordinate,
+    so the same cost matrices, on a space where plans and compatibility
+    are decided by the general dispatch and the LP."""
+    atoms = np.column_stack([mu.atoms, np.zeros(mu.size)])
+    return make_measure(euclidean(2), atoms, mu.weights)
+
+
+def counted_lp_solves(monkeypatch):
+    """Record the number of columns of every LP solved through transport."""
+    widths = []
+    solve = transport._highs_solve
+
+    def counting(c, *args, **kwargs):
+        widths.append(len(c))
+        return solve(c, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "_highs_solve", counting)
+    return widths
 
 
 def random_path(rng, space, level):

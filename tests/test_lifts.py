@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import wlift as w
-from conftest import ALL_SPACES, loop_glue_chain, random_measure, random_path
+from conftest import (ALL_SPACES, counted_lp_solves, loop_glue_chain, on_plane, random_measure,
+                      random_path)
 from wlift.lifts import EnergySpec, _lift_from_breakpoints, curve_besov_norm
 from wlift.paths import dyadic_times
 
@@ -247,17 +248,33 @@ def test_construct_A_is_the_loop_glue_of_consecutive_plans():
 
 def test_glued_chain_solves_one_lp_per_run(monkeypatch):
     # the level-7 jump chain has 126 couplings of 2 x 2 atoms, 504 plan
-    # entries, and two with a point mass: one LP
-    widths = []
-    solve = w.transport._highs_solve
-
-    def counting(c, *args):
-        widths.append(c.size)
-        return solve(c, *args)
-
-    monkeypatch.setattr(w.transport, "_highs_solve", counting)
-    w.construct_lift_A(w.make_curve(w.jump()), 7, 2.0)
+    # entries, and two with a point mass.  On the real line every one is a
+    # monotone plan; the same atoms on a line of R^2 make one LP
+    widths = counted_lp_solves(monkeypatch)
+    curve = w.make_curve(w.jump())
+    w.construct_lift_A(curve, 7, 2.0)
+    assert widths == []
+    w.construct_lift_A(w.WassersteinCurve(w.euclidean(2), lambda t: on_plane(curve(t))), 7, 2.0)
     assert widths == [504]
+
+
+def test_line_lifts_run_no_lp_and_no_assignment(monkeypatch):
+    # real-line plans are monotone, line values closed-form and line
+    # certificates comonotone: neither HiGHS nor the assignment solver runs
+    widths = counted_lp_solves(monkeypatch)
+
+    def no_assignment():
+        raise AssertionError("assignment solver called")
+
+    monkeypatch.setattr(w.transport, "_lsap", no_assignment)
+    for p in (1.0, 2.0):
+        w.construct_lift_A(w.make_curve(w.jump()), 7, p)
+        for n in range(1, 7):
+            w.construct_lift_B(w.make_curve(w.two_tent()), n, p)
+    rng = np.random.default_rng(303)
+    ms = [random_measure(rng, w.euclidean(1), 5) for _ in range(9)]
+    assert w.compatibility_multicoupling(ms, 2.0, pairs=w.dyadic_pattern_pairs(3)).feasible
+    assert widths == []
 
 
 @pytest.mark.parametrize("spec, n", [(w.circle_splitting(2), 3),
@@ -307,29 +324,30 @@ def test_lift_A_does_not_depend_on_the_lp_batching(spec, n, energy, monkeypatch)
 
 
 @pytest.mark.parametrize(
-    "times, p",
+    "times, p, kept",
     [
-        # W_1(mu_0, mu_1): the LP plan costs 1.7e-9 more than the exact value
+        # W_1(mu_0, mu_1): an LP plan costs 1.7e-9 more than the exact value
         ({0.0: ([0.0, 1.0], [2 / 3, 1 / 3]),
-          1.0: ([0.0, 1e-8, 1.0], [1 / 2, 1 / 4, 1 / 4])}, 1.0),
+          1.0: ([0.0, 1e-8, 1.0], [1 / 2, 1 / 4, 1 / 4])}, 1.0, True),
         ({0.0: ([0.0, 1.0], [2 / 3, 1 / 3]),
-          1.0: ([0.0, 1e-8, 1.0], [1 / 2, 1 / 4, 1 / 4])}, 2.0),
+          1.0: ([0.0, 1e-8, 1.0], [1 / 2, 1 / 4, 1 / 4])}, 2.0, True),
         ({0.0: ([0.0, 1.0], [2 / 3, 1 / 3]),
           0.5: ([0.0, 1e-8, 1.0], [1 / 2, 1 / 4, 1 / 4]),
-          1.0: ([3.0, 4.0], [1 / 2, 1 / 2])}, 1.0),
-        # the glued (0, 2) pair costs 1.9e-9 more than the exact W_1 but no
-        # more than the LP's; the compatibility LP's excess over the exact
-        # optima is 1.5e-8
+          1.0: ([3.0, 4.0], [1 / 2, 1 / 2])}, 1.0, True),
+        # the glue of the two monotone plans is not monotone: its (0, 2)
+        # pair costs 1.87e-9 more than the exact W_1
         ({0.0: ([0.0, 1e-8, 1.00000001, 2.0], [3 / 9, 2 / 9, 3 / 9, 1 / 9]),
           0.5: ([0.0, 1.000000001, 2.0], [5 / 9, 3 / 9, 1 / 9]),
-          1.0: ([0.0, 1e-8], [0.4, 0.6])}, 1.0),
+          1.0: ([0.0, 1e-8], [0.4, 0.6])}, 1.0, False),
     ],
     ids=["n0-p1", "n0-p2", "n1-p1", "n1-p1-far"],
 )
-def test_construct_B_keeps_glue_on_near_degenerate_line(times, p, monkeypatch):
-    # atoms 1e-8 apart on the real line: the glued LP plans are checked
-    # against LP values, so HiGHS's tolerance is not read as a gap and the
-    # glued chain is kept, as it is for exact inputs
+def test_construct_B_keeps_glue_on_near_degenerate_line(times, p, kept, monkeypatch):
+    # atoms 1e-8 apart on the real line: the glued chain is made of monotone
+    # plans and checked against the closed-form values, with no LP.  Where
+    # it is optimal on every pattern pair it is kept, as it is for exact
+    # inputs; where it is not, lift B takes the comonotone certificate,
+    # optimal on every pair, also with no LP
     sp = w.euclidean(1)
     ms = {t: w.make_measure(sp, np.array(a)[:, None], wt) for t, (a, wt) in times.items()}
     curve = w.WassersteinCurve(sp, lambda t: ms[t])
@@ -338,11 +356,24 @@ def test_construct_B_keeps_glue_on_near_degenerate_line(times, p, monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("glued chain rejected")
 
-    monkeypatch.setattr(w.transport, "compatibility_multicoupling", no_lp)
+    widths = counted_lp_solves(monkeypatch)
+    if kept:
+        monkeypatch.setattr(w.transport, "compatibility_multicoupling", no_lp)
     lift = w.construct_lift_B(curve, n, p)
     glued = w.construct_lift_A(curve, n, p)
-    assert np.array_equal(lift.multicoupling.indices, glued.multicoupling.indices)
-    assert np.array_equal(lift.multicoupling.weights, glued.multicoupling.weights)
+    assert widths == []
+    if kept:
+        assert np.array_equal(lift.multicoupling.indices, glued.multicoupling.indices)
+        assert np.array_equal(lift.multicoupling.weights, glued.multicoupling.weights)
+        return
+    mus = list(ms.values())
+    mc = lift.multicoupling
+    idx, wts = w.transport._comonotone(mus)
+    assert np.array_equal(mc.indices, idx[wts > 0]) and np.array_equal(mc.weights, wts[wts > 0])
+    for (i, j) in w.dyadic_pattern_pairs(n):
+        assert mc.pair_cost(i, j, p) - w.wasserstein_power(mus[i], mus[j], p) == 0.0
+    excess = glued.multicoupling.pair_cost(0, 2, p) - w.wasserstein_power(mus[0], mus[2], p)
+    assert excess == pytest.approx(1.87e-9, rel=1e-2)
 
 
 def test_curve_besov_closed_form_tail():

@@ -19,6 +19,21 @@ def test_make_measure_sorts_support():
     assert np.allclose(mu.weights, [0.5, 0.3, 0.2])
 
 
+def test_line_atoms_are_strictly_increasing():
+    # real-line transport reads quantiles off the stored order
+    # (`transport._quantile_tuples`), with no sort of its own
+    rng = np.random.default_rng(7)
+    sp = w.euclidean(1)
+    for n in (2, 5, 40):
+        xs = rng.integers(-n, n, size=n).astype(float) / 3  # repeats
+        atoms = np.concatenate([xs, xs[: n // 2]])[rng.permutation(n + n // 2), None]
+        mu = w.make_measure(sp, atoms, np.full(len(atoms), 1.0 / len(atoms)))
+        assert np.all(np.diff(mu.atoms[:, 0]) > 0)
+        assert np.array_equal(mu.atoms[:, 0], np.unique(xs))
+        want = [np.count_nonzero(atoms[:, 0] == x) / len(atoms) for x in mu.atoms[:, 0]]
+        assert np.allclose(mu.weights, want, rtol=1e-15, atol=0)
+
+
 def test_circle_atoms_wrapped_before_merge():
     sp = w.circle(2.0)
     mu = w.make_measure(sp, [[0.5], [2.5]], [0.5, 0.5])

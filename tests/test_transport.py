@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wlift as w
-from conftest import ALL_SPACES, loop_glue_chain, measure_strategy, random_measure, random_points
+from conftest import (ALL_SPACES, counted_lp_solves, loop_glue_chain, measure_strategy, on_plane,
+                      random_measure, random_points)
 from wlift.paths import dyadic_times
 from wlift.spaces import distance_matrix
 from wlift.transport import Coupling
@@ -135,26 +136,14 @@ def test_dirac_shortcut():
 # wasserstein_many against per-pair optimal_coupling and the oracles
 
 
-def counted_lp_solves(monkeypatch):
-    """Record the number of columns of every LP solved through transport."""
-    widths = []
-    solve = w.transport._highs_solve
-
-    def counting(c, *args, **kwargs):
-        widths.append(len(c))
-        return solve(c, *args, **kwargs)
-
-    monkeypatch.setattr(w.transport, "_highs_solve", counting)
-    return widths
-
-
 # HiGHS stops once every reduced cost is within its dual feasibility
 # tolerance (1e-7).  On near-degenerate draws, such as atoms 1e-8 apart, two
 # LP solves of the same problem, batched or not, can then differ by that
-# much, and an LP value can sit that far above the real-line closed form; on
-# generic inputs they agree to round-off (next tests).  This slack is the
-# transport LP's open dual-tolerance defect, not a property of the dispatch:
-# tighten it to rel=1e-12 once that tolerance is fixed.
+# much, and an LP value can sit that far above the exact optimum; on
+# generic inputs they agree to round-off (next tests).  The real line
+# reaches no LP, so no line value needs it.  This slack is the transport
+# LP's open dual-tolerance defect, not a property of the dispatch: tighten
+# it to rel=1e-12 once that tolerance is fixed.
 LP_SLACK = 1e-7
 
 
@@ -176,12 +165,28 @@ def test_many_matches_single_pair_lp_hypothesis(space, data):
         assert w.wasserstein_power(mu, nu, p) == pytest.approx(value, rel=1e-12, abs=slack)
         _, cost = w.optimal_coupling(mu, nu, p)
         if space.dim == 1 and space.kind == "euclidean":
-            # the closed form is exact, and no feasible plan costs less
+            # the closed form is exact, no feasible plan costs less, and the
+            # plan is the monotone one, with no LP
             assert value == pytest.approx(monotone_oracle(mu, nu, p), rel=1e-12, abs=1e-14)
             assert value <= cost * (1 + 1e-12) + 1e-14
-            assert cost <= value + slack
+            assert cost <= value * (1 + 1e-12) + 1e-14
         else:
             assert value == pytest.approx(max(cost, 0.0), rel=1e-12, abs=slack)
+
+
+def test_line_plan_is_exact_where_the_lp_tolerance_is_not():
+    # the weights differ by 5e-12, within the LP's primal tolerance
+    # (MARGINAL_TOL), which accepted the identity plan at cost 0; the
+    # monotone plan moves the 5e-12 from atom 1 to atom 0
+    sp = w.euclidean(1)
+    mu = w.make_measure(sp, [[0.0], [1.0]], [0.5 - 5e-12, 0.5 + 5e-12])
+    nu = w.make_measure(sp, [[0.0], [1.0]], [0.5, 0.5])
+    exact = 5.000000413701855e-12  # 0.5 - (0.5 - 5e-12) in floating point
+    for p in (1.0, 2.0):
+        plan, cost = w.optimal_coupling(mu, nu, p)
+        assert cost == exact and plan.cost(p) == exact
+        assert w.wasserstein_many([(mu, nu)], p)[0] == exact
+        assert max(plan.marginal_errors()) <= 1e-16
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -424,12 +429,26 @@ def test_a_partition_that_is_not_closed_goes_to_the_lp(p, monkeypatch):
     assert widths == [16 + 4 + 4] * 2  # one LP per call: the near pair whole
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_line_blocks_get_monotone_plans(p, monkeypatch):
+    # the clusters split on the real line too; each block left, of unequal
+    # weights and a total of 1/3 or 1/2, gets its monotone plan, not an LP
+    sp = w.euclidean(1)
+    pairs = [clustered_pair(sp, [PAIR, ONE_ROW, ONE_COL], [0.2, 0.8, 1.4]),
+             clustered_pair(sp, [PAIR] * 2, [0.0, 1.0])]
+    assert [split_kind(*pair, p) for pair in pairs] == ["split", "split"]
+    widths = counted_lp_solves(monkeypatch)
+    assert_matches_full_lp(pairs, p)
+    assert widths == []
+
+
 def test_imbalance_above_rounding_goes_to_the_lp(monkeypatch):
     # the atoms match one to one, but the weights differ by 5e-12: the
-    # nearest plan would miss its marginals by far more than rounding
+    # nearest plan would miss its marginals by far more than rounding.  On a
+    # line of R^2, since on the real line the pair gets its monotone plan
     sp = w.euclidean(1)
-    mu = w.make_measure(sp, [[0.0], [1.0]], [0.5 - 5e-12, 0.5 + 5e-12])
-    nu = w.make_measure(sp, [[0.0], [1.0]], [0.5, 0.5])
+    mu = on_plane(w.make_measure(sp, [[0.0], [1.0]], [0.5 - 5e-12, 0.5 + 5e-12]))
+    nu = on_plane(w.make_measure(sp, [[0.0], [1.0]], [0.5, 0.5]))
     assert split_kind(mu, nu, 2.0) is None
     widths = counted_lp_solves(monkeypatch)
     plan, _ = w.optimal_coupling(mu, nu, 2.0)
@@ -575,7 +594,8 @@ def test_assignment_matches_the_lp(space, kind):
 @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
 def test_rectangular_and_unequal_blocks_reach_the_lp(space, monkeypatch):
     # whole pairs that `_nearest_split` does not partition: square ones
-    # with equal weights are assignments, all others go to the LP
+    # with equal weights are assignments, all others go to the LP, except
+    # on the real line, where every one gets its monotone plan
     rng = np.random.default_rng(143)
     even, odd = [], []
     while len(even) < 6 or len(odd) < 12:
@@ -592,7 +612,10 @@ def test_rectangular_and_unequal_blocks_reach_the_lp(space, monkeypatch):
     w.transport._optimal_couplings(even, 2.0)
     assert widths == []
     w.transport._optimal_couplings(odd, 2.0)
-    assert sum(widths) == sum(mu.size * nu.size for mu, nu in odd)
+    if w.transport._on_line(space):
+        assert widths == []
+    else:
+        assert sum(widths) == sum(mu.size * nu.size for mu, nu in odd)
     monkeypatch.undo()
     assert_matches_full_lp(even + odd, 2.0)
 
@@ -633,9 +656,16 @@ def highs_probes(space):
 
 @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
 def test_highs_solve_plans_match_linprog(space):
+    # on the real line the plans are monotone, not an LP's: the same cost
     for mu, nu, p in highs_probes(space):
         coupling, _ = w.optimal_coupling(mu, nu, p)
-        assert np.array_equal(coupling.weights, linprog_plan(mu, nu, p))
+        want = linprog_plan(mu, nu, p)
+        if w.transport._on_line(space):
+            cost = coupling.cost(p)
+            assert cost == pytest.approx(Coupling(mu, nu, want).cost(p), rel=1e-12)
+            assert cost == pytest.approx(monotone_oracle(mu, nu, p), rel=1e-12)
+        else:
+            assert np.array_equal(coupling.weights, want)
 
 
 @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
@@ -771,7 +801,8 @@ def probe_lps():
     """The LPs (c, indptr, indices, b, values) `_highs_solve` gets for
     `highs_probes` on every space, one pair at a time and batched, and for
     product-support and clique-table compatibility LPs (none on the real
-    line)."""
+    line).  The real line's probes are taken on a line of R^2, since the
+    real line reaches no LP."""
     lps = []
     solve = w.transport._highs_solve
 
@@ -784,6 +815,8 @@ def probe_lps():
         mp.setattr(w.transport, "_highs_solve", capture)
         for space in ALL_SPACES:
             probes = list(highs_probes(space))
+            if w.transport._on_line(space):
+                probes = [(on_plane(mu), on_plane(nu), p) for mu, nu, p in probes]
             for mu, nu, p in probes:
                 w.optimal_coupling(mu, nu, p)
             w.wasserstein_many([(mu, nu) for mu, nu, _ in probes], 2.0)
@@ -927,13 +960,6 @@ def test_glue_chain_rejects_mismatched_chain():
 
 # ---------------------------------------------------------------------------
 # compatibility LP
-
-
-def on_plane(mu):
-    """mu on the line y = 0 of R^2: the same atoms in the first coordinate,
-    and a space on which compatibility is decided by the LP."""
-    atoms = np.column_stack([mu.atoms, np.zeros(mu.size)])
-    return w.make_measure(w.euclidean(2), atoms, mu.weights)
 
 
 def test_dyadic_pattern_pairs():
