@@ -151,6 +151,7 @@ def cmd_compat(args):
         "feasible": report.feasible,
         "max_pair_gap": report.max_pair_gap,
         "product_size": report.product_size,
+        "lp_columns": report.lp_columns,
     }
     if report.feasible and args.out:
         out["certificate"] = serialize.multicoupling_to_json(report.certificate)

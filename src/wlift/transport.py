@@ -57,21 +57,23 @@ every transport LP.
 needs no LP: the comonotone (quantile) coupling, `_comonotone`, is optimal
 for every pair at once for every p >= 1 (Santambrogio, Optimal Transport
 for Applied Mathematicians, 2015, ch. 2), and it has at most sum n_i
-support tuples.  Elsewhere it solves one LP, written by `_table_lp`, over
-tables on the cliques of a junction tree of the pair graph
-(`_junction_tree`): for the dyadic pattern the 2^n - 1 triangles
-(a, (a+b)/2, b), sum n_a n_m n_b columns; for any other pair set one clique
-of all measures, which is the LP over the full product support, prod n_i
-columns.  Its certificate is the tables glued down the tree by Markov
-disintegration (`_glue`, of which `glue_chain` is the path case).  Either
-certificate is re-checked on its own support by the same code.
+support tuples.  Elsewhere it solves one LP over tables on the cliques of
+a junction tree of the pair graph (`_junction_tree`).  For the dyadic
+pattern these are the 2^n - 1 triangles (a, (a+b)/2, b), and the LP, sum
+n_a n_m n_b columns written by `_table_lp`, is solved at once.  Any other
+pair set is one clique of all measures, the LP over the full product
+support, prod n_i columns; it is solved by column generation
+(`_product_lp`), which builds only the columns it prices in.  Its
+certificate is the tables glued down the tree by Markov disintegration
+(`_glue`, of which `glue_chain` is the path case).  Either certificate is
+re-checked on its own support by the same code.
 
 Every LP here has one form, min c.x subject to A x = b, x >= 0, and is
-solved by one adapter, `_highs_solve`.  A is 0/1 except for the -1 of the
-compatibility LP's separator rows.  Both LP builders write A straight into
-compressed-column arrays; a transport block's row indices depend only on
-its shape, so `_block_pattern` caches them by (n, m), already as the int32
-HiGHS takes.
+solved by one adapter, `_highs_solve`, which also returns the row duals.
+A is 0/1 except for the -1 of the compatibility LP's separator rows.  The
+LP builders write A straight into compressed-column arrays; a transport
+block's row indices depend only on its shape, so `_block_pattern` caches
+them by (n, m), already as the int32 HiGHS takes.
 The adapter hands them by pointer to the HiGHS solver (Huangfu & Hall,
 Math. Prog. Comp. 2018) through scipy's bindings, so the solutions are the
 ones `linprog(method="highs")` returns under the same options, without its
@@ -79,7 +81,8 @@ per-call input checks and conversions.  HiGHS's presolve is off, for the
 reason given at _TRANSPORT_LP_OPTIONS.
 HiGHS's primal feasibility tolerance is tightened from its default 1e-7 to
 MARGINAL_TOL, so each marginal constraint of a returned plan or certificate
-holds to MARGINAL_TOL.
+holds to MARGINAL_TOL; its dual feasibility tolerance is DUAL_TOL, its
+default, set explicitly.
 Each thread solves on one HiGHS solver of its own (`_solver`, kept in the
 thread-local `_thread`), made with _HIGHS_OPTIONS on its first LP and
 reused: making a solver and setting its options costs ~0.1 ms, as much as
@@ -181,6 +184,11 @@ def __getattr__(name):
 DEFAULT_BUDGET = 10**6
 MARGINAL_TOL = 1e-10
 FEASIBILITY_TOL = 1e-8
+# HiGHS's dual feasibility tolerance (its default), set explicitly in both
+# option sets below: the least reduced cost c_k - (A^T y)_k an optimal solve
+# leaves, and the threshold below which column generation prices a column
+# into the product-support LP's master (`_product_lp`)
+DUAL_TOL = 1e-7
 # HiGHS's default tolerance 1e-7 accepts plans whose marginals miss by up to
 # 1e-7: e.g. the identity plan between two measures on the same atoms whose
 # weights differ by 4.4e-10, at cost 0 instead of 4e-9.  1e-10 is the
@@ -189,14 +197,21 @@ FEASIBILITY_TOL = 1e-8
 # 0.88 s with it against 0.11 s without.  It removes no column from the other
 # LPs either, except that it solves block-diagonal 2 x 2 transport LPs
 # outright: a 252-column one ran in 0.54 ms with it, 1.13 ms without.
-_TRANSPORT_LP_OPTIONS = {"primal_feasibility_tolerance": MARGINAL_TOL, "presolve": False}
+_TRANSPORT_LP_OPTIONS = {"primal_feasibility_tolerance": MARGINAL_TOL,
+                         "dual_feasibility_tolerance": DUAL_TOL, "presolve": False}
 # what `linprog(method="highs", options=_TRANSPORT_LP_OPTIONS)` sets in HiGHS
 _HIGHS_OPTIONS = {
     "presolve": "off", "output_flag": False, "log_to_console": False,
-    "primal_feasibility_tolerance": MARGINAL_TOL,
+    "primal_feasibility_tolerance": MARGINAL_TOL, "dual_feasibility_tolerance": DUAL_TOL,
 }
 # most plan entries one batched transport LP takes (see the module docstring)
 _LP_COLUMNS = 2048
+# most tuples one column-generation round adds to the product-support LP's
+# master, per row of the LP (`_product_lp`).  On 16 LPs of 27 to 262 144
+# columns (2-core VM, three sweeps) 1 took 0.44-0.67 s in all, 2 took
+# 0.37-0.47 s, and 3, 4, 6 and 8 took 0.32-0.44 s in no clear order: fewer
+# mean more rounds, more a larger master
+_PRICED_PER_ROW = 4
 # largest euclidean norm of the block imbalances mu(R_k) - nu(C_k) of a
 # balanced partition (`_nearest_split`): the rounding of a few thousand
 # weights summed, and far below MARGINAL_TOL
@@ -295,7 +310,10 @@ class CompatibilityReport:
     pair_costs: dict = field(default_factory=dict)
     marginal_residual: float = 0.0
     pair_residual: float = 0.0
-    lp_columns: int = 0  # columns of the LP solved (0: none was needed)
+    # columns of the LP decided: prod n_i for the product-support LP (solved
+    # by column generation over those columns), sum n_a n_m n_b for the
+    # dyadic pattern's clique tables, 0 where no LP was needed
+    lp_columns: int = 0
 
 
 def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> np.ndarray:
@@ -331,9 +349,11 @@ def _highs_solve(c, indptr, indices, b, values=None):
     """Solve min c.x subject to A x = b, x >= 0, where column k of A holds
     values[indptr[k]:indptr[k + 1]] (ones when `values` is None) in rows
     indices[indptr[k]:indptr[k + 1]] (compressed columns).  Returns
-    (x, objective).  Raises RuntimeError, naming HiGHS's model status,
-    unless it is optimal, and BudgetExceededError if the LP has 2^31 or
-    more columns or entries (`_check_lp_size`)."""
+    (x, objective, y): y holds the row duals, signed so that the reduced
+    costs are c - A^T y, >= -DUAL_TOL at an optimum and 0 wherever x > 0
+    (complementary slackness).  Raises RuntimeError, naming HiGHS's model status, unless it is
+    optimal, and BudgetExceededError if the LP has 2^31 or more columns or
+    entries (`_check_lp_size`)."""
     num_nz = int(indptr[-1])
     _check_lp_size(c.size, num_nz)
     if values is None:
@@ -347,7 +367,7 @@ def _highs_solve(c, indptr, indices, b, values=None):
                       options=_TRANSPORT_LP_OPTIONS)
         if not res.success:
             raise RuntimeError(f"LP not solved: {res.message}")
-        return res.x, res.fun
+        return res.x, res.fun, res.eqlin.marginals
     solver = _solver()
     n = c.size  # the pointer overload needs n integrality flags; with none it fails
     try:
@@ -361,7 +381,9 @@ def _highs_solve(c, indptr, indices, b, values=None):
         status = solver.getModelStatus()
         if status != _highs.HighsModelStatus.kOptimal:
             raise RuntimeError(f"LP not solved: model status {solver.modelStatusToString(status)}")
-        return np.array(solver.getSolution().col_value), solver.getObjectiveValue()
+        solution = solver.getSolution()
+        return (np.array(solution.col_value), solver.getObjectiveValue(),
+                np.array(solution.row_dual))
     finally:
         solver.clearModel()
         if n > _LP_COLUMNS:  # a reused solver would keep this LP's buffer capacity
@@ -405,7 +427,7 @@ def _transport_lp(blocks):
         b += [row_weights, col_weights[:-1]]
         r0 += n + m - 1
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    x, _ = _highs_solve(c, indptr, np.concatenate(indices), np.concatenate(b))
+    x, _, _ = _highs_solve(c, indptr, np.concatenate(indices), np.concatenate(b))
     x[x < 0] = 0.0
     return x
 
@@ -780,8 +802,9 @@ def _junction_tree(N: int, pairs):
 
 def _table_lp(sizes, tree):
     """The compressed columns (indptr, indices, values) and the number of
-    rows of the clique-table LP's constraint matrix, and each clique's table
-    shape.  Clique k's table is the next prod(shape_k) columns, row-major.
+    rows of the clique-table LP's constraint matrix.  Clique k's table, of
+    shape (sizes[v] for v in its nodes), is the next prod(shape) columns,
+    row-major.
 
     Rows: first the 1-D marginal rows of every node, node v's atom i in row
     offsets[v] + i, each written by the first clique that holds v; then, for
@@ -797,7 +820,7 @@ def _table_lp(sizes, tree):
     # clique k's separator rows start at sep_start[k]; the last entry is the row count
     sep_start = np.cumsum([sum(sizes)] + [int(np.prod([sizes[v] for v in s])) if s else 0
                                           for s in seps])
-    shapes, indptr, indices, values = [], [np.zeros(1, dtype=int)], [], []
+    indptr, indices, values = [np.zeros(1, dtype=int)], [], []
     for k, (nodes, parent, _) in enumerate(tree):
         shape = tuple(sizes[v] for v in nodes)
         idx = np.indices(shape).reshape(len(nodes), -1)
@@ -814,9 +837,8 @@ def _table_lp(sizes, tree):
         indptr.append(indptr[-1][-1] + len(rows) * np.arange(1, cols + 1))
         indices.append(np.stack(rows).T.ravel())
         values.append(np.tile(signs, cols))
-        shapes.append(shape)
     return (np.concatenate(indptr), np.concatenate(indices), np.concatenate(values),
-            int(sep_start[-1]), shapes)
+            int(sep_start[-1]))
 
 
 def compatibility_multicoupling(
@@ -841,7 +863,10 @@ def compatibility_multicoupling(
     the least total d^p cost over `pairs` exceeds the sum of the W_p^p by
     the smallest achievable total excess; the collection is compatible on
     `pairs` iff that excess is ~ 0.  The least cost is an LP over clique
-    tables of the pair graph (`_lp_certificate`).
+    tables of the pair graph (`_lp_certificate`): for the default all pairs
+    the LP over the full product support, solved by column generation, and
+    `lp_columns` is its prod n_i columns, though only the priced ones are
+    built.
 
     Either certificate is re-checked on its own support against the
     `wasserstein_many` values.  More LP columns, or more certificate
@@ -913,9 +938,13 @@ def _lp_certificate(measures, pairs, p: float, cap: int):
     with those tables as marginals (the junction-tree property of chordal
     graphs), so this LP has the optimum of the LP over the full product
     support.  For the dyadic pattern the cliques are triangles and the LP
-    has sum n_a n_m n_b columns; any other pair set is one clique, the
-    product-support LP itself.  The certificate is the tables glued down
-    the tree by Markov disintegration (`_glue`).
+    has sum n_a n_m n_b columns, built by `_table_lp` and solved at once.
+    Any other pair set is one clique, the product-support LP itself, with
+    prod n_i columns: `_product_lp` solves it by column generation and
+    returns the whole table.  (Column generation lost on the clique-table
+    LPs: 1.1 s against 0.13 s at 32 256 columns, `BENCH_colgen.json`.)
+    The certificate is the tables glued down the tree by Markov
+    disintegration (`_glue`).
 
     Returns (indices (T, N), weights (T,), LP objective, LP columns).  More
     than `cap` LP columns or glued tuples raise BudgetExceededError."""
@@ -928,18 +957,22 @@ def _lp_certificate(measures, pairs, p: float, cap: int):
             columns, cap, "product support size" if len(tree) == 1 else "LP columns"
         )
 
-    indptr, indices, values, n_rows, shapes = _table_lp(sizes, tree)
-    costs = [np.zeros(shape) for shape in shapes]
+    costs = [np.zeros([sizes[v] for v in nodes]) for nodes, _, _ in tree]
     for (i, j) in pairs:
         k = next(k for k, (nodes, _, _) in enumerate(tree) if i in nodes and j in nodes)
         nodes = tree[k][0]
         D = _cost_matrix(measures[i], measures[j], p)
         costs[k] += D.reshape([sizes[v] if v in (i, j) else 1 for v in nodes])
 
-    b = np.zeros(n_rows)
-    b[:sum(sizes)] = np.concatenate([mu.weights for mu in measures])
-    x, fun = _highs_solve(np.concatenate([c.ravel() for c in costs]), indptr, indices, b,
-                          values)
+    weights = [mu.weights for mu in measures]
+    if len(tree) == 1:
+        x, fun = _product_lp(costs[0], weights)
+    else:
+        indptr, indices, values, n_rows = _table_lp(sizes, tree)
+        b = np.zeros(n_rows)
+        b[:sum(sizes)] = np.concatenate(weights)
+        x, fun, _ = _highs_solve(np.concatenate([c.ravel() for c in costs]), indptr, indices, b,
+                                 values)
 
     ends = np.cumsum([c.size for c in costs])
     tables = [x[e - c.size:e].reshape(c.shape) for c, e in zip(costs, ends)]
@@ -952,6 +985,57 @@ def _lp_certificate(measures, pairs, p: float, cap: int):
         order.append(new)
     idx, wts = _glue(tables[0], steps, cap=cap)
     return idx[:, np.argsort(order)], wts, fun, columns
+
+
+def _product_lp(C, weights):
+    """Solve the product-support LP: min <C, x> over tables x >= 0 of
+    shape C.shape = (n_0, ..., n_{N-1}) whose 1-D marginals are `weights`.
+    Returns (x flattened row-major, objective).
+
+    By column generation (Gilmore & Gomory, Oper. Res. 1961), with no
+    product-size constraint matrix.  The master is the LP over a set S of
+    product tuples, tuple (i_0, ..., i_{N-1}) a column with unit entries in
+    rows offsets[v] + i_v (the product LP's own columns, as `_table_lp`
+    writes them for one clique).  S starts as the index-order quantile
+    tuples of the weights (`_quantile_tuples`), a multi-coupling on any
+    space, so the master is feasible; an optimal vertex has no more
+    nonzeros, sum n_v - N + 1.  Each round solves the master (`_highs_solve`)
+    and prices every tuple at once, R = C - sum_v y_v with node v's slice
+    y_v of the row duals broadcast on axis v; the _PRICED_PER_ROW x (rows)
+    most negative tuples outside S with R < -DUAL_TOL join S.  When none is
+    left, every reduced cost is >= -DUAL_TOL, the stop HiGHS applies to a
+    full solve, so the master's objective is within DUAL_TOL (times the
+    total mass, 1) of the full LP's.  S grows every round, so the loop
+    ends, at worst with S the whole product.  On circle_splitting j=1 at
+    eight times (K = 65 536) it takes 4 rounds and a last master of 56
+    columns."""
+    sizes = C.shape
+    N = len(sizes)
+    offsets = np.cumsum((0,) + sizes[:-1])
+    b = np.concatenate(weights)
+    cost = C.reshape(-1)
+    start, _ = _quantile_tuples(weights, 1.0)
+    S = new = np.unique(np.ravel_multi_index(tuple(start.T), sizes))
+    rows = np.empty((0, N), dtype=np.int64)
+    reduced = np.empty(sizes)  # R, filled in place every round
+    flat = reduced.reshape(-1)
+    add = _PRICED_PER_ROW * b.size
+    while True:
+        rows = np.concatenate([rows, np.column_stack(np.unravel_index(new, sizes)) + offsets])
+        x, fun, y = _highs_solve(cost[S], np.arange(0, N * S.size + 1, N), rows.ravel(), b)
+        ys = np.split(y, offsets[1:])
+        np.add.outer(functools.reduce(np.add.outer, ys[:-1]), ys[-1], out=reduced)
+        np.subtract(C, reduced, out=reduced)
+        flat[S] = 0.0
+        new = np.flatnonzero(flat < -DUAL_TOL)
+        if new.size == 0:
+            break
+        if new.size > add:
+            new = new[np.argpartition(flat[new], add)[:add]]
+        S = np.concatenate([S, new])
+    full = np.zeros(cost.size)
+    full[S] = x
+    return full, fun
 
 
 def is_compatible(measures, p: float, budget: int | None = None) -> bool:

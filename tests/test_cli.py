@@ -55,6 +55,18 @@ def test_compat_feasible_and_infeasible(tmp_path, capsys):
     assert data["max_pair_gap"] > 1e-6
 
 
+def test_compat_reports_the_lp_columns_it_solved(tmp_path):
+    # off the line the all-pairs LP is the product support's; on the real
+    # line the comonotone coupling decides with no LP
+    base = ["compat", "--times", "0,0.25,0.5,0.75"]
+    code, data = run_json(base + ["--family", "circle_splitting", "--param", "j=0"], tmp_path)
+    assert code == EXIT_NEGATIVE
+    assert data["lp_columns"] == data["product_size"] == 2**4
+    code, data = run_json(base + ["--family", "two_tent"], tmp_path, "line.json")
+    assert code == EXIT_OK
+    assert data["lp_columns"] == 0 and data["product_size"] > 1
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_compat_rejects_bad_tolerance(tol, capsys):
     # two_tent at these times is compatible; a bad tol is an input error

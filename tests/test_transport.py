@@ -767,7 +767,7 @@ def test_highs_solve_infeasible_raises(monkeypatch, bindings):
         pytest.skip("scipy has no HiGHS bindings")
     if not bindings:
         monkeypatch.setattr(w.transport, "_highs", None)
-    x, objective = w.transport._highs_solve(*two_by_two_lp(0.3))
+    x, objective, _ = w.transport._highs_solve(*two_by_two_lp(0.3))
     assert np.allclose(x, [0.3, 0.2, 0.0, 0.5]) and objective == pytest.approx(0.2)
     with pytest.raises(RuntimeError, match="(?i)infeasible"):
         w.transport._highs_solve(*two_by_two_lp(2.0))
@@ -785,7 +785,7 @@ def test_highs_solve_refuses_what_int32_cannot_index(monkeypatch, bindings):
     wide = np.broadcast_to(1.0, 2**31)
     with pytest.raises(w.BudgetExceededError, match="entries 2147483648 exceeds"):
         w.transport._highs_solve(wide, np.array([0, 1]), rows, one)
-    x, objective = w.transport._highs_solve(one, np.array([0, 1]), rows, one)
+    x, objective, _ = w.transport._highs_solve(one, np.array([0, 1]), rows, one)
     assert (x.tolist(), objective) == ([1.0], 1.0)
 
 
@@ -797,33 +797,72 @@ needs_bindings = pytest.mark.skipif(w.transport._highs is None,
 
 
 @functools.lru_cache(maxsize=None)
-def probe_lps():
+def probes():
     """The LPs (c, indptr, indices, b, values) `_highs_solve` gets for
     `highs_probes` on every space, one pair at a time and batched, and for
     product-support and clique-table compatibility LPs (none on the real
-    line).  The real line's probes are taken on a line of R^2, since the
-    real line reaches no LP."""
-    lps = []
-    solve = w.transport._highs_solve
+    line); each LP's kind, "transport", "tree" or "master" (a round of the
+    product-support LP's column generation); and the number of
+    product-support LPs (`_product_lp` calls).  The real line's probes are
+    taken on a line of R^2, since the real line reaches no LP."""
+    lps, kinds = [], []
+    running = []  # one entry per `_product_lp` call, True while it runs
+    solve, product_lp = w.transport._highs_solve, w.transport._product_lp
 
     def capture(c, indptr, indices, b, values=None):
         lps.append((c, indptr, indices, b, values))
+        master = running and running[-1]
+        kinds.append("master" if master else "transport" if values is None else "tree")
         return solve(c, indptr, indices, b, values)
+
+    def product(*args):
+        running.append(True)
+        try:
+            return product_lp(*args)
+        finally:
+            running[-1] = False
 
     rng = np.random.default_rng(118)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(w.transport, "_highs_solve", capture)
+        mp.setattr(w.transport, "_product_lp", product)
         for space in ALL_SPACES:
-            probes = list(highs_probes(space))
+            cases = list(highs_probes(space))
             if w.transport._on_line(space):
-                probes = [(on_plane(mu), on_plane(nu), p) for mu, nu, p in probes]
-            for mu, nu, p in probes:
+                cases = [(on_plane(mu), on_plane(nu), p) for mu, nu, p in cases]
+            for mu, nu, p in cases:
                 w.optimal_coupling(mu, nu, p)
-            w.wasserstein_many([(mu, nu) for mu, nu, _ in probes], 2.0)
+            w.wasserstein_many([(mu, nu) for mu, nu, _ in cases], 2.0)
             w.compatibility_multicoupling([random_measure(rng, space, 3) for _ in range(3)], 2.0)
             w.compatibility_multicoupling([random_measure(rng, space, 3) for _ in range(5)], 2.0,
                                           pairs=w.dyadic_pattern_pairs(2))
-    return lps
+    return lps, kinds, len(running)
+
+
+def probe_lps():
+    return probes()[0]
+
+
+@pytest.mark.parametrize("bindings", [True, False], ids=["highs", "linprog"])
+def test_highs_solve_duals_certify_the_solution(monkeypatch, bindings):
+    # both paths return row duals y in one sign convention: the reduced
+    # costs c - A^T y are >= -DUAL_TOL, and 0 wherever x is not (up to
+    # round-off).  Duals of a degenerate LP are not unique, so they are not
+    # compared entry by entry between the paths
+    from scipy.sparse import csc_array
+
+    if bindings and w.transport._highs is None:
+        pytest.skip("scipy has no HiGHS bindings")
+    if not bindings:
+        monkeypatch.setattr(w.transport, "_highs", None)
+    for c, indptr, indices, b, values in probe_lps():
+        x, objective, y = w.transport._highs_solve(c, indptr, indices, b, values)
+        entries = np.ones(indices.size) if values is None else values
+        reduced = c - csc_array((entries, indices, indptr), shape=(b.size, c.size)).T @ y
+        assert y.shape == b.shape
+        assert reduced.min() >= -w.transport.DUAL_TOL
+        assert abs(reduced @ x) <= 1e-9
+        assert abs(b @ y - objective) <= 1e-9 * max(1.0, abs(objective))
 
 
 def fresh_solve(*lp):
@@ -834,13 +873,17 @@ def fresh_solve(*lp):
 
 def assert_same_solution(got, want):
     assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert np.array_equal(got[2], want[2])  # the row duals
 
 
 @needs_bindings
 def test_reused_solver_matches_a_fresh_one():
-    lps = probe_lps()
-    # 8 compatibility LPs: the real line's two are decided without one
-    assert len(lps) > 150 and sum(lp[4] is not None for lp in lps) == 8
+    lps, kinds, products = probes()
+    # 4 clique-table and 4 product-support compatibility LPs, the latter
+    # solved in column-generation rounds: the real line's two are decided
+    # without an LP
+    assert len(lps) > 150 and kinds.count("tree") == 4 and products == 4
+    assert kinds.count("master") >= products
     assert max(lp[0].size for lp in lps) <= w.transport._LP_COLUMNS  # none drops the solver
     w.transport._highs_solve(*lps[0])
     solver = w.transport._thread.highs
@@ -1015,15 +1058,15 @@ def test_compatibility_nearly_equal_pair_stays_feasible():
 
 
 def test_compatibility_rejects_certificate_that_misses_marginals(monkeypatch):
-    # the LP's solution is scaled by 1 + 1e-6 on its way out, so its gap
-    # stays within tolerance but its 1-D marginals do not
-    solve = w.transport._highs_solve
+    # the product-support LP's solution is scaled by 1 + 1e-6 on its way
+    # out, so its gap stays within tolerance but its 1-D marginals do not
+    solve = w.transport._product_lp
 
-    def off_by_scale(*args, **kwargs):
-        x, fun = solve(*args, **kwargs)
+    def off_by_scale(*args):
+        x, fun = solve(*args)
         return x * (1.0 + 1e-6), fun
 
-    monkeypatch.setattr(w.transport, "_highs_solve", off_by_scale)
+    monkeypatch.setattr(w.transport, "_product_lp", off_by_scale)
     sp = w.euclidean(2)
     ms = [w.make_measure(sp, [[0.0 + s, 0.0], [2.0 + s, 0.0]], [0.5, 0.5]) for s in (0.0, 0.5, 1.0)]
     report = w.compatibility_multicoupling(ms, 2.0)
@@ -1272,31 +1315,150 @@ def test_circle_splitting_pattern_gap_matches_product_lp(monkeypatch):
 
 def test_all_pairs_lp_is_the_product_support_lp(monkeypatch):
     # all pairs make a complete graph, one clique: the LP is the product
-    # support's, column for column, with its cost summed pair by pair
+    # support's, solved by column generation; every master column is a
+    # product tuple with its cost summed pair by pair and unit entries in
+    # its atoms' marginal rows, the first master holds the quantile tuples,
+    # and each round's master extends the last one's
     rng = np.random.default_rng(121)
     sp = w.circle(2.0)
-    ms = [random_measure(rng, sp, k) for k in (2, 3, 4)]
-    seen = []
-    solve = w.transport._highs_solve
+    sizes = (4, 5, 6)
+    ms = [random_measure(rng, sp, k) for k in sizes]
+    seen, rounds = [], []
+    solve, product_lp = w.transport._highs_solve, w.transport._product_lp
 
-    def capture(*args):
-        seen.append(args)
-        return solve(*args)
+    def capture(c, indptr, indices, b, values=None):
+        seen.append((c, indptr, indices, b, values))
+        return solve(c, indptr, indices, b, values)
+
+    def product(*args):
+        start = len(seen)
+        out = product_lp(*args)
+        rounds.extend(seen[start:])
+        return out
 
     monkeypatch.setattr(w.transport, "_highs_solve", capture)
+    monkeypatch.setattr(w.transport, "_product_lp", product)
     report = w.compatibility_multicoupling(ms, 2.0)
-    assert report.lp_columns == report.product_size == 24
-    c, indptr, indices, b, values = next(a for a in seen if a[0].size == 24)
+    assert report.lp_columns == report.product_size == 120
     idx = np.stack(np.meshgrid(*[np.arange(m.size) for m in ms], indexing="ij"),
                    axis=-1).reshape(-1, 3)
-    cost = np.zeros(24)
+    cost = np.zeros(120)
     for (i, j) in w.transport.all_pairs(3):
         cost += w.spaces._distance_arrays(sp, ms[i].atoms[idx[:, i]], ms[j].atoms[idx[:, j]]) ** 2
-    assert np.array_equal(c, cost)
-    assert np.array_equal(indptr, np.arange(0, 24 * 3 + 1, 3))
-    assert np.array_equal(indices, (idx + [0, 2, 5]).ravel())
-    assert np.array_equal(values, np.ones(72))
-    assert np.array_equal(b, np.concatenate([m.weights for m in ms]))
+    quantile, _ = w.transport._quantile_tuples([m.weights for m in ms], 1.0)
+    assert len(rounds) > 2  # this LP takes 4 rounds
+    before = None
+    for c, indptr, indices, b, values in rounds:
+        tuples = indices.reshape(-1, 3) - [0, 4, 9]
+        assert values is None and np.array_equal(indptr, np.arange(0, indices.size + 1, 3))
+        assert np.all((tuples >= 0) & (tuples < sizes))
+        assert np.unique(tuples, axis=0).shape == tuples.shape
+        if before is None:
+            assert np.array_equal(np.unique(tuples, axis=0), np.unique(quantile, axis=0))
+        else:
+            assert len(tuples) > len(before) and np.array_equal(tuples[:len(before)], before)
+        assert np.array_equal(c, cost[np.ravel_multi_index(tuples.T, sizes)])
+        assert np.array_equal(b, np.concatenate([m.weights for m in ms]))
+        before = tuples
+
+
+def product_collections(space):
+    """(measures, p) on `space`: N = 2..6 measures of 1-5 atoms, point masses
+    among them, p in {1, 2, 3}, independent (mostly incompatible) and
+    translates of one measure (compatible)."""
+    rng = np.random.default_rng(126)
+    for N in range(2, 7):
+        for p in (1.0, 2.0, 3.0):
+            sizes = rng.integers(1, 6, size=N)
+            sizes[rng.integers(N)] = 1
+            yield [random_measure(rng, space, k) for k in sizes], p
+            yield [random_measure(rng, space, k) for k in rng.integers(2, 6, size=N)], p
+            base = random_measure(rng, space, int(rng.integers(2, 6)))
+            step = rng.normal(scale=0.05, size=space.dim)
+            yield [w.make_measure(space, base.atoms + t * step, base.weights) for t in range(N)], p
+
+
+def product_cost(ms, p):
+    """The all-pairs cost tensor: entry (i_0, ..., i_{N-1}) is the sum of
+    d^p over every pair of its atoms."""
+    sizes = [mu.size for mu in ms]
+    C = np.zeros(sizes)
+    for (i, j) in w.transport.all_pairs(len(ms)):
+        D = distance_matrix(ms[0].space, ms[i].atoms, ms[j].atoms) ** p
+        C += D.reshape([k if v in (i, j) else 1 for v, k in enumerate(sizes)])
+    return C
+
+
+def full_product_lp(ms, p):
+    """The objective of the product-support LP over all pairs of `ms`,
+    every column built (`_table_lp` on one clique) and solved at once."""
+    sizes = [mu.size for mu in ms]
+    indptr, indices, values, rows = w.transport._table_lp(sizes, one_clique(len(ms), None))
+    b = np.concatenate([mu.weights for mu in ms])
+    assert rows == b.size
+    return w.transport._highs_solve(product_cost(ms, p).reshape(-1), indptr, indices, b, values)[1]
+
+
+@pytest.mark.parametrize("space", [w.euclidean(2), w.circle(2.0), w.cylinder(2.0)],
+                         ids=lambda s: f"{s.kind}{s.dim}")
+def test_product_lp_matches_the_full_lp(space):
+    # column generation against the LP with every product column
+    verdicts = set()
+    for ms, p in product_collections(space):
+        report = w.compatibility_multicoupling(ms, p)
+        total = sum(report.pair_costs.values())
+        gap = full_product_lp(ms, p) - total
+        assert report.lp_columns == report.product_size == np.prod([mu.size for mu in ms])
+        assert report.feasible == (gap <= w.transport.FEASIBILITY_TOL * max(1.0, total))
+        assert abs(report.max_pair_gap - max(gap, 0.0)) <= 1e-9
+        if report.feasible:
+            assert_certificate_passes(report, w.transport.all_pairs(len(ms)), p)
+        verdicts.add(report.feasible)
+    assert verdicts == {True, False}
+
+
+def test_product_lp_ends_when_duals_price_master_columns_negative(monkeypatch):
+    # every row dual raised by 1 prices every tuple, those of the master
+    # too, N = 4 below its reduced cost; the rounds add tuples from outside
+    # the master only, 4 x 18 rows at a time, until the master is the whole
+    # product, and then the loop ends with the full LP's optimum
+    rng = np.random.default_rng(127)
+    ms = [random_measure(rng, w.circle(2.0), k) for k in (4, 5, 6, 3)]
+    C = product_cost(ms, 2.0)
+    solve = w.transport._highs_solve
+    masters = []
+
+    def raised(c, indptr, indices, b, values=None):
+        x, objective, y = solve(c, indptr, indices, b, values)
+        masters.append(c.size)
+        return x, objective, y + 1.0
+
+    monkeypatch.setattr(w.transport, "_highs_solve", raised)
+    x, objective = w.transport._product_lp(C, [mu.weights for mu in ms])
+    monkeypatch.undo()
+    assert masters == [15, 87, 159, 231, 303, 360]
+    assert objective == pytest.approx(full_product_lp(ms, 2.0), rel=1e-12)
+    assert x.shape == (360,) and x @ C.reshape(-1) == pytest.approx(objective, rel=1e-12)
+
+
+def test_tree_lp_is_one_direct_solve(monkeypatch):
+    # the dyadic pattern's clique-table LP is solved once, as built by
+    # `_table_lp`, with no column generation
+    calls, solve = [], w.transport._highs_solve
+
+    def capture(c, indptr, indices, b, values=None):
+        calls.append(values is not None)
+        return solve(c, indptr, indices, b, values)
+
+    def no_product_lp(*args):
+        raise AssertionError("the product-support LP ran")
+
+    monkeypatch.setattr(w.transport, "_highs_solve", capture)
+    monkeypatch.setattr(w.transport, "_product_lp", no_product_lp)
+    for n, ms in pattern_collections():
+        calls.clear()
+        w.compatibility_multicoupling(ms, 2.0, pairs=w.dyadic_pattern_pairs(n))
+        assert calls.count(True) == 1
 
 
 def test_budget_stops_tree_lp():
@@ -1320,8 +1482,10 @@ def test_budget_counts_glued_tuples(monkeypatch):
     x = np.concatenate([t.ravel() for t in tables])
     solve = w.transport._highs_solve
 
-    def product_tables(c, *args):
-        return (x, float(c @ x)) if c.size == x.size else solve(c, *args)
+    def product_tables(c, indptr, indices, b, values=None):
+        if c.size == x.size:
+            return x, float(c @ x), np.zeros(b.size)
+        return solve(c, indptr, indices, b, values)
 
     monkeypatch.setattr(w.transport, "_highs_solve", product_tables)
     with pytest.raises(w.BudgetExceededError, match="glued certificate tuples 243"):
