@@ -5,22 +5,26 @@ modulus functionals on dyadic grids, and related checks.
 `besov_energy_pg`, `holder_norm_dyadic`, `modulus_of_continuity`,
 `p_variation` and `_w1p_energy` also take a lift, read its (K, 2^n + 1,
 dim) `breakpoints` as a path's, and give its K per-path values;
-`frac_sobolev_energy` takes one too, checks the quadrature budget for all
-K paths at once and integrates path by path.  Every dyadic Besov sum runs
-through one engine, `_dyadic_besov`: direct level sums up to the exact
-level, then exact geodesic scaling and the closed-form geometric tail.  The
-level sums come from `_level_power_sum`, which also serves
-`limsup_variation_dyadic` and every W^{1,p} sum.  `_pairwise` gives the
-level-M grid distances in column blocks of at most _VARIATION_ENTRIES
-entries, built per block for paths and sliced from one matrix for a curve
-(whose pairs go to the callback at once when it has a batched `many` form,
-`_distances`), together with a per-path bound on them.  Hölder and modulus
-are one masked max over the blocks, `_pair_max`, which builds only the rows
-within the modulus's delta of each column; every q-variation is one
-dynamic program, `_variation_dp`, which builds only the rows of each
-column that the path's distance bound leaves able to win it (on the
-level-10, 62-path cylinder lift about a sixth of the K N(N-1)/2 pairs,
-with values bit-identical to the full program).
+`frac_sobolev_energy` takes one too, checks the quadrature budget for all K
+paths at once and integrates path by path.  All fractional Sobolev
+quadrature runs through one table builder, `_frac_sobolev_table`: one
+path's upper-triangular table of cell-pair integrals, whose sum is the
+energy and whose square blocks are the energies of sub-intervals, so
+`grr_check` reads every interval of its grid from one table by cumulative
+sums.  Every dyadic Besov sum runs through one engine, `_dyadic_besov`:
+direct level sums up to the exact level, then exact geodesic scaling and
+the closed-form geometric tail.  The level sums come from
+`_level_power_sum`, which also serves `limsup_variation_dyadic` and every
+W^{1,p} sum.  `_pairwise` gives the level-M grid distances in column blocks
+of at most _VARIATION_ENTRIES entries, built per block for paths and sliced
+from one matrix for a curve (whose pairs go to the callback at once when it
+has a batched `many` form, `_distances`), together with a per-path bound on
+them.  Hölder and modulus are one masked max over the blocks, `_pair_max`,
+which builds only the rows within the modulus's delta of each column; every
+q-variation is one dynamic program, `_variation_dp`, which builds only the
+rows of each column that the path's distance bound leaves able to win it
+(on the level-10, 62-path cylinder lift about a sixth of the K N(N-1)/2
+pairs, with values bit-identical to the full program).
 
 Conventions:
   * `*_norm_*` functions return the norm itself (p-th or q-th root);
@@ -164,14 +168,14 @@ _QUAD_NODE_PAIRS = 2**13
 _legendre = functools.lru_cache(maxsize=16)(np.polynomial.legendre.leggauss)
 
 
-def _rectangle_quad(path, rects, alpha, p, g) -> float:
-    """Order-g tensor Gauss-Legendre sum of d(X_s, X_t)^p / |t-s|^{1+alpha p}
-    over the rectangles [sa, sb] x [ta, tb] (rows of `rects`, off the
-    diagonal), in chunks of at most _QUAD_NODE_PAIRS node pairs with one
-    `eval_many` call each."""
+def _rectangle_quad(path, rects, alpha, p, g) -> np.ndarray:
+    """Order-g tensor Gauss-Legendre integral of d(X_s, X_t)^p /
+    |t-s|^{1+alpha p} over each rectangle [sa, sb] x [ta, tb] (rows of
+    `rects`, off the diagonal), one value per rectangle, in chunks of at
+    most _QUAD_NODE_PAIRS node pairs with one `eval_many` call each."""
     x, w = _legendre(g)
     step = max(1, _QUAD_NODE_PAIRS // (g * g))
-    total = 0.0
+    out = np.empty(len(rects))
     for k in range(0, len(rects), step):
         sa, sb, ta, tb = rects[k:k + step, :, None].transpose(1, 0, 2)
         ss, ws = 0.5 * (sb - sa) * x + 0.5 * (sa + sb), 0.5 * (sb - sa) * w
@@ -179,8 +183,30 @@ def _rectangle_quad(path, rects, alpha, p, g) -> float:
         X = path.eval_many(np.concatenate([ss.ravel(), tt.ravel()])).reshape(2, *ss.shape, -1)
         D = spaces._distance_arrays(path.space, X[0, :, :, None], X[1, :, None, :], canonical=True)
         integrand = D**p / np.abs(tt[:, None, :] - ss[:, :, None]) ** (1.0 + alpha * p)
-        total += float(np.einsum("ri,rij,rj->", ws, integrand, wt))
-    return total
+        out[k:k + step] = np.einsum("ri,ri->r", ws, np.einsum("rij,rj->ri", integrand, wt))
+    return out
+
+
+def _check_quad(alpha, p, gl_order, corner_splits, require_continuity=False):
+    """The argument checks shared by `frac_sobolev_energy` and `grr_check`."""
+    _check_alpha_p(alpha, p, require_continuity)
+    _check_count(gl_order, "gl_order", 1)
+    if gl_order**2 > _QUAD_NODE_PAIRS:
+        raise ValidationError(
+            f"gl_order must be at most {math.isqrt(_QUAD_NODE_PAIRS)}, got {gl_order}"
+        )
+    _check_count(corner_splits, "corner_splits", 0)
+
+
+def _check_quad_budget(n: int, corner_splits, paths: int = 1) -> None:
+    """BudgetExceededError unless the rectangles of `paths` tables over n
+    cells, (n-1)(n-2)/2 + (n-1)(corner_splits+1)^2 each, fit
+    `transport.product_budget()`; counted in Python integers, before
+    anything is allocated."""
+    count = paths * ((n - 1) * (n - 2) // 2 + (n - 1) * (int(corner_splits) + 1) ** 2)
+    budget = product_budget()
+    if count > budget:
+        raise BudgetExceededError(count, budget, "quadrature cells")
 
 
 def frac_sobolev_energy(
@@ -193,59 +219,58 @@ def frac_sobolev_energy(
 ) -> float | list:
     """Double integral over interval^2 of d(X_s, X_t)^p / |t-s|^{1+alpha p}.
 
-    The domain is cut along the path's own breakpoints.  Within one segment
-    the path is a constant-speed geodesic, so the diagonal cells are
-    integrated in closed form from the segment speeds.  Separated cell
-    pairs get tensor Gauss-Legendre of order `gl_order`; each adjacent pair
-    [a, c] x [c, b] is cut at c - (c - a) 2^{-k} and c + (b - c) 2^{-k},
-    k = 1..corner_splits, into (corner_splits + 1)^2 sub-cells of order
-    max(4, gl_order - 2).  All rectangles of one order are evaluated
-    together, in chunks of bounded size (`_rectangle_quad`).  `gl_order`^2
-    may not exceed _QUAD_NODE_PAIRS (ValidationError), so every rectangle
-    fits one chunk, and the rectangle count, (N-1)(N-2)/2 +
-    (N-1)(corner_splits+1)^2 for N cells, is checked against
+    The domain is cut along the path's own breakpoints into N cells, and
+    the energy is twice the sum of the path's cell-pair table
+    (`_frac_sobolev_table`).  Within one segment the path is a
+    constant-speed geodesic, so the diagonal cells are integrated in closed
+    form from the segment speeds.  Separated cell pairs get tensor
+    Gauss-Legendre of order `gl_order`; each adjacent pair [a, c] x [c, b]
+    is cut at c - (c - a) 2^{-k} and c + (b - c) 2^{-k}, k = 1..corner_splits,
+    into (corner_splits + 1)^2 sub-cells of order max(4, gl_order - 2).
+    All rectangles of one order are evaluated together, in chunks of bounded
+    size (`_rectangle_quad`).  `gl_order`^2 may not exceed _QUAD_NODE_PAIRS
+    (ValidationError), so every rectangle fits one chunk, and the rectangle
+    count, (N-1)(N-2)/2 + (N-1)(corner_splits+1)^2, is checked against
     `transport.product_budget()` before anything is evaluated
     (BudgetExceededError); together they bound the work.
 
     For a lift, the list of its K per-path energies; the count checked is
     then K times one path's, before any path is evaluated.
     """
-    _check_alpha_p(alpha, p)
-    _check_count(gl_order, "gl_order", 1)
-    if gl_order**2 > _QUAD_NODE_PAIRS:
-        raise ValidationError(
-            f"gl_order must be at most {math.isqrt(_QUAD_NODE_PAIRS)}, got {gl_order}"
-        )
-    _check_count(corner_splits, "corner_splits", 0)
+    _check_quad(alpha, p, gl_order, corner_splits)
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 <= lo < hi <= 1.0):
         raise ValidationError("interval must satisfy 0 <= lo < hi <= 1")
     grid = dyadic_times(path.level)
     knots = np.concatenate([[lo], grid[(grid > lo) & (grid < hi)], [hi]])
-    n = len(knots) - 1  # cells
     paths = getattr(path, "paths", None)
-    count = (n - 1) * (n - 2) // 2 + (n - 1) * (int(corner_splits) + 1) ** 2
-    count *= 1 if paths is None else len(paths)
-    budget = product_budget()
-    if count > budget:
-        raise BudgetExceededError(count, budget, "quadrature cells")
-    if paths is not None:
-        return [_frac_sobolev_quad(y, knots, alpha, p, gl_order, corner_splits) for y in paths]
-    return _frac_sobolev_quad(path, knots, alpha, p, gl_order, corner_splits)
+    _check_quad_budget(len(knots) - 1, corner_splits, 1 if paths is None else len(paths))
+
+    def energy(y):
+        T, _ = _frac_sobolev_table(y, knots, alpha, p, gl_order, corner_splits)
+        return 2.0 * float(np.sum(T))
+
+    return energy(path) if paths is None else [energy(y) for y in paths]
 
 
-def _frac_sobolev_quad(path, knots, alpha, p, gl_order, corner_splits) -> float:
-    """`frac_sobolev_energy` of one path over the cells between `knots`,
-    once its arguments and budget are checked."""
+def _frac_sobolev_table(path, knots, alpha, p, gl_order, corner_splits):
+    """One path's cell-pair table over the n cells between `knots`, once the
+    arguments and budget are checked, and the path's values at the knots.
+
+    The table T is upper-triangular n x n and nonnegative: T[x, x] is the
+    closed-form integral over cell x squared, T[x, y] for y > x + 1 the
+    integral over cells x times y, T[x, x + 1] the sum over the corner
+    sub-cells of that adjacent pair.  The energy over cells a..b-1 is twice
+    the sum of T[x, y] over a <= x <= y < b."""
     n = len(knots) - 1
     # diagonal cells: d = speed * (t - s) exactly
     beta = p - alpha * p  # > 0
     L = np.diff(knots)
     X = path.eval_many(knots)
     speeds = spaces._distance_arrays(path.space, X[:-1], X[1:]) / L
-    total = float(np.sum(speeds**p * L ** (beta + 1.0))) / (beta * (beta + 1.0))
+    T = np.diag(speeds**p * L ** (beta + 1.0) / (beta * (beta + 1.0)))
     if n == 1:  # all diagonal; nothing is built from the orders
-        return 2.0 * total
+        return T, X
 
     a, b = knots[:-1], knots[1:]
     i, j = np.triu_indices(n, k=2)
@@ -258,11 +283,17 @@ def _frac_sobolev_quad(path, knots, alpha, p, gl_order, corner_splits) -> float:
     corners = np.stack(np.broadcast_arrays(
         s_breaks[:, :-1, None], s_breaks[:, 1:, None],
         t_breaks[:, None, :-1], t_breaks[:, None, 1:]), axis=-1).reshape(-1, 4)
-    orders = {}
-    for g, rects in ((gl_order, separated), (max(4, gl_order - 2), corners)):
-        orders[g] = np.concatenate([orders.get(g, rects[:0]), rects])
-    total += sum(_rectangle_quad(path, rects, alpha, p, g) for g, rects in orders.items())
-    return 2.0 * total
+    # one `_rectangle_quad` per order: separated and corner rectangles share
+    # it when their orders agree
+    orders = (gl_order, max(4, gl_order - 2))
+    groups = [separated, corners]
+    if orders[0] == orders[1]:
+        groups = [np.concatenate(groups)]
+    vals = np.concatenate([_rectangle_quad(path, r, alpha, p, g) for g, r in zip(orders, groups)])
+    T[i, j] = vals[:len(separated)]
+    k = np.arange(n - 1)
+    T[k, k + 1] = vals[len(separated):].reshape(n - 1, -1).sum(axis=1)
+    return T, X
 
 
 # ---------------------------------------------------------------------------
@@ -482,28 +513,50 @@ def grr_constant(alpha: float, p: float) -> float:
     return (32.0 * (alpha * p + 1.0) / (alpha * p - 1.0)) ** (1.0 / p)
 
 
-def grr_check(path: PiecewiseGeodesicPath, alpha: float, p: float, level: int = 2, **quad):
+def grr_check(
+    path: PiecewiseGeodesicPath,
+    alpha: float,
+    p: float,
+    level: int = 2,
+    gl_order: int = 8,
+    corner_splits: int = 10,
+):
     """Verify d(X_s, X_t) <= cbar |t-s|^{alpha - 1/p} |X|_{W^{alpha,p};[s,t]}
     over all pairs of level-`level` dyadic times; reports the largest attained
-    ratio relative to cbar (must be <= 1)."""
-    _check_alpha_p(alpha, p, require_continuity=True)
+    ratio relative to cbar (must be <= 1) and the number of pairs with
+    d > 0 and a positive energy.
+
+    The arguments (as `frac_sobolev_energy`'s, plus `level`) and the
+    rectangle count of one table over 2^max(level, path.level) cells are
+    checked before anything is allocated.  Then one cell-pair table
+    (`_frac_sobolev_table`) is built on the level-max(level, path.level)
+    dyadic knots, and every interval's energy is read from it as
+    2 S[a, b], S[a, b] the sum of T[x, y] over a <= x <= y < b: a reversed
+    cumulative sum down the columns, then a cumulative sum along the rows,
+    of nonnegative terms only.  At level <= path.level these are the cells
+    `frac_sobolev_energy(interval=(s, t))` integrates; above it they are
+    the cells of the same path refined to level `level`.
+    """
+    _check_quad(alpha, p, gl_order, corner_splits, require_continuity=True)
+    _check_count(level, "level", 0)
+    level = int(level)
+    top = max(level, path.level)
+    _check_quad_budget(2**top, corner_splits)
     cbar = grr_constant(alpha, p)
-    ts = dyadic_times(level)
-    max_ratio = 0.0
-    checked = 0
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            s, t = ts[i], ts[j]
-            d = spaces.distance(path.space, path(s), path(t))
-            if d == 0.0:
-                continue
-            energy = frac_sobolev_energy(path, alpha, p, interval=(s, t), **quad)
-            if energy <= 0.0:
-                continue
-            bound = cbar * (t - s) ** (alpha - 1.0 / p) * energy ** (1.0 / p)
-            max_ratio = max(max_ratio, d / bound)
-            checked += 1
-    return {"max_ratio": max_ratio, "cbar": cbar, "pairs_checked": checked}
+    knots = dyadic_times(top)
+    T, X = _frac_sobolev_table(path, knots, alpha, p, gl_order, corner_splits)
+    # E[a, b - 1]: the energy over cells a..b-1
+    E = 2.0 * np.cumsum(np.cumsum(T[::-1], axis=0)[::-1], axis=1)
+    step = 2 ** (top - level)
+    iu, ju = np.triu_indices(2**level + 1, k=1)
+    a, b = step * iu, step * ju
+    d = spaces._distance_arrays(path.space, X[a], X[b], canonical=True)
+    energy = E[a, b - 1]
+    keep = (d > 0.0) & (energy > 0.0)
+    s, t = knots[a[keep]], knots[b[keep]]
+    bound = cbar * (t - s) ** (alpha - 1.0 / p) * energy[keep] ** (1.0 / p)
+    max_ratio = float(np.max(d[keep] / bound, initial=0.0))
+    return {"max_ratio": max_ratio, "cbar": cbar, "pairs_checked": int(np.count_nonzero(keep))}
 
 
 def geodesic_characterization_check(

@@ -164,6 +164,30 @@ def loop_frac_sobolev(path, alpha, p, interval=(0.0, 1.0), gl_order=8, corner_sp
     return 2.0 * total
 
 
+def loop_grr_check(path, alpha, p, level=2, **quad):
+    """Reference Garsia-Rodemich-Rumsey check, one interval at a time: a
+    scalar distance and a full `frac_sobolev_energy` quadrature over (s, t)
+    for every pair s < t of level-`level` dyadic times."""
+    from wlift.norms import frac_sobolev_energy, grr_constant
+
+    cbar = grr_constant(alpha, p)
+    ts = dyadic_times(level)
+    max_ratio, checked = 0.0, 0
+    for i in range(len(ts)):
+        for j in range(i + 1, len(ts)):
+            s, t = ts[i], ts[j]
+            d = spaces.distance(path.space, path(s), path(t))
+            if d == 0.0:
+                continue
+            energy = frac_sobolev_energy(path, alpha, p, interval=(s, t), **quad)
+            if energy <= 0.0:
+                continue
+            bound = cbar * (t - s) ** (alpha - 1.0 / p) * energy ** (1.0 / p)
+            max_ratio = max(max_ratio, d / bound)
+            checked += 1
+    return {"max_ratio": max_ratio, "cbar": cbar, "pairs_checked": checked}
+
+
 def loop_vertex_variation(space, breakpoints, q):
     """Reference vertex q-variation (q-th power) of one path: the full
     distance matrix of its breakpoints, then max over partitions of

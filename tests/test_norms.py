@@ -10,6 +10,7 @@ from conftest import (
     ALL_SPACES,
     loop_besov_energy,
     loop_frac_sobolev,
+    loop_grr_check,
     loop_holder,
     loop_modulus,
     loop_vertex_variation,
@@ -610,6 +611,110 @@ def test_grr_bound_on_sample_paths():
         out = w.grr_check(path, 0.75, 2.0, level=2, gl_order=6, corner_splits=6)
         assert out["max_ratio"] <= 1.0 + 1e-10
         assert out["pairs_checked"] > 0
+
+
+GRR_QUAD = dict(gl_order=4, corner_splits=3)
+
+
+def refined(path, level):
+    """The same path with its breakpoints at the level-`level` dyadic times."""
+    return PiecewiseGeodesicPath(path.space, path.eval_many(dyadic_times(level)), level)
+
+
+def assert_grr_equal(got, want):
+    assert_rel(got["max_ratio"], want["max_ratio"])
+    assert got["pairs_checked"] == want["pairs_checked"]
+    assert got["cbar"] == want["cbar"]
+
+
+@pytest.mark.parametrize("path_level", range(5))
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+def test_grr_check_matches_loop_reference(space, path_level):
+    """At level <= path.level every interval is a block of the path's own
+    cells, so the table gives the per-interval quadratures' ratios."""
+    rng = np.random.default_rng(300 + 10 * path_level + ALL_SPACES.index(space))
+    path = random_path(rng, space, path_level)
+    for level in sorted({0, path_level // 2, path_level}):
+        assert_grr_equal(w.grr_check(path, 0.75, 2.0, level=level, **GRR_QUAD),
+                         loop_grr_check(path, 0.75, 2.0, level=level, **GRR_QUAD))
+
+
+@pytest.mark.parametrize("path_level, level", [(0, 1), (0, 3), (1, 2), (2, 4)])
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+def test_grr_check_above_path_level_refines(space, path_level, level):
+    """Above the path's level the energies come from the level-`level`
+    cells: the check of the same path refined to that level."""
+    rng = np.random.default_rng(400 + 10 * level + ALL_SPACES.index(space))
+    path = random_path(rng, space, path_level)
+    got = w.grr_check(path, 0.6, 3.0, level=level, **GRR_QUAD)
+    assert_grr_equal(got, loop_grr_check(refined(path, level), 0.6, 3.0, level=level, **GRR_QUAD))
+    assert got["max_ratio"] <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("path_level, level", [(0, 0), (1, 0), (1, 3), (2, 2), (3, 1), (4, 6)])
+@pytest.mark.parametrize("gl_order", [4, 8])
+def test_grr_check_one_table(monkeypatch, path_level, level, gl_order):
+    """One `eval_many` call for the knots, then one per chunk of each
+    quadrature order, each order in one chunk while it fits: no
+    per-interval or per-pair evaluation."""
+    path = random_path(np.random.default_rng(path_level), w.cylinder(2.0), path_level)
+    sizes = eval_many_spy(monkeypatch)
+    w.grr_check(path, 0.75, 2.0, level=level, gl_order=gl_order, corner_splits=2)
+    n = 2 ** max(level, path_level)
+    counts = {}  # rectangles by order
+    for g, count in ((gl_order, (n - 1) * (n - 2) // 2), (max(4, gl_order - 2), (n - 1) * 9)):
+        counts[g] = counts.get(g, 0) + count
+    chunks = sum(-(-count // (norms._QUAD_NODE_PAIRS // g**2)) for g, count in counts.items())
+    assert sizes[0] == n + 1
+    assert len(sizes) == 1 + chunks
+    assert sum(sizes) == n + 1 + sum(2 * g * count for g, count in counts.items())
+    if n <= 16:
+        assert len(sizes) == 1 + sum(count > 0 for count in counts.values())
+
+
+def test_grr_check_returns_python_types():
+    path = random_path(np.random.default_rng(8), w.circle(2.0), 2)
+    out = w.grr_check(path, 0.75, 2.0, level=2, **GRR_QUAD)
+    assert type(out["max_ratio"]) is float
+    assert type(out["pairs_checked"]) is int
+    assert type(out["cbar"]) is float
+    assert out["pairs_checked"] == 10
+    flat = w.grr_check(w.constant_path(w.euclidean(1), [0.0], level=1), 0.75, 2.0)
+    assert flat == {"max_ratio": 0.0, "cbar": out["cbar"], "pairs_checked": 0}
+    assert type(flat["max_ratio"]) is float
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"gl_order": 0}, "gl_order"),
+    ({"level": 2.5}, "level"),
+    ({"level": True}, "level"),
+    ({"level": -1}, "level"),
+])
+def test_grr_check_rejects_bad_arguments_up_front(monkeypatch, kwargs, match):
+    """A constant path integrates no interval, so only an up-front check
+    sees its bad arguments."""
+    path = w.constant_path(w.euclidean(1), [0.0], level=2)
+    sizes = eval_many_spy(monkeypatch)
+    with pytest.raises(w.ValidationError, match=match):
+        w.grr_check(path, 0.75, 2.0, **kwargs)
+    assert sizes == []
+
+
+def test_grr_check_budget_before_any_grid(monkeypatch):
+    """The table's rectangles at level 40 are counted by arithmetic, before
+    the 2^40 + 1 knots or anything else is allocated."""
+    path = random_path(np.random.default_rng(9), w.euclidean(2), 1)
+    sizes = eval_many_spy(monkeypatch)
+
+    def no_grid(m):
+        raise AssertionError(f"level-{m} grid requested")
+
+    monkeypatch.setattr(norms, "dyadic_times", no_grid)
+    with pytest.raises(w.BudgetExceededError, match="quadrature cells"):
+        w.grr_check(path, 0.75, 2.0, level=40)
+    with pytest.raises(w.BudgetExceededError, match="quadrature cells"):
+        w.grr_check(path, 0.75, 2.0, level=np.int64(70))
+    assert sizes == []
 
 
 def test_geodesic_characterization():
