@@ -87,10 +87,10 @@ def measures_equal(mu: DiscreteMeasure, nu: DiscreteMeasure, tol=0.0) -> bool:
     )
 
 
-def _check_exponent(p: float):
-    """Transport exponents must be finite and >= 1."""
+def _check_exponent(p: float, name: str = "p"):
+    """Transport and variation exponents must be finite and >= 1."""
     if not (1 <= p < np.inf):
-        raise ValidationError(f"p must be a finite number >= 1, got {p}")
+        raise ValidationError(f"{name} must be a finite number >= 1, got {p}")
 
 
 def p_moment(mu: DiscreteMeasure, base, p: float) -> float:

@@ -43,6 +43,7 @@ import numpy as np
 
 from . import spaces
 from .errors import BudgetExceededError, ValidationError
+from .measures import _check_exponent
 from .paths import PiecewiseGeodesicPath, _interpolate, dyadic_times
 from .transport import product_budget
 
@@ -54,11 +55,6 @@ def _check_alpha_p(alpha, p, require_continuity=False):
         raise ValidationError("p must lie in (1, inf)")
     if require_continuity and alpha * p <= 1:
         raise ValidationError("alpha * p > 1 required for continuity claims")
-
-
-def _check_exponent(value, name):
-    if not 1 <= value < np.inf:
-        raise ValidationError(f"{name} must be a finite number >= 1, got {value}")
 
 
 def _check_count(value, name, least):

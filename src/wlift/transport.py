@@ -5,9 +5,10 @@ Every W_p value comes from `wasserstein_many(pairs, p)`, which handles each
 pair by the first rule that applies:
   1. equal measures: exactly 0;
   2. a point mass on either side: its only coupling, in closed form;
-  3. the real line, euclidean(1): the monotone plan's cost, in closed form
-     and with no cost matrix (`_wpp_line`, the two-measure case of
-     `_comonotone`): 0.15 ms for 1000 atoms, 28 ms through rules 4-5;
+  3. the real line, euclidean(1): the monotone plan, optimal for every
+     p >= 1, with no cost matrix, nearest-neighbour blocks, assignment or
+     LP (`_line_plan`, the two-measure case of `_comonotone`).  A value
+     takes only its cost, O(n + m): 0.15-0.25 ms for 1000 atoms;
   4. nearest-neighbour blocks (`_nearest_split`): a partition of the atoms
      into blocks (R_k, C_k) that an optimal plan need not cross, read off
      the cost matrix: each row with its nearest column, each column with
@@ -17,13 +18,10 @@ pair by the first rule that applies:
      multiscale algorithm for dense optimal transport, JMIV 2016).  Blocks
      of one row or one column get their only coupling in closed form; the
      others go to rules 5 and 6, and so does a pair no partition
-     certifies, whole.  It runs first on the real line too: settling a
-     2 x 2 pair takes it 7.5 us, a monotone plan 31 us;
-  5. on the real line, any block: its monotone plan (`_monotone`), so no
-     assignment or LP runs there.  Elsewhere, a square block whose row
-     weights are all equal and whose column weights are all equal, as
-     every block of a particle system's pair is: an optimal assignment
-     (`_assigned`), whose plan is an optimal vertex
+     certifies, whole;
+  5. a square block whose row weights are all equal and whose column
+     weights are all equal, as every block of a particle system's pair is:
+     an optimal assignment (`_assigned`), whose plan is an optimal vertex
      (Birkhoff-von Neumann), by scipy's `linear_sum_assignment`: 5-20 us
      against 0.09-1.6 ms for the same block's LP, n = 2..30, on a 2-core
      VM (`BENCH_assignment.json`);
@@ -38,7 +36,7 @@ pair by the first rule that applies:
      (or one larger pair's) are alive at a time, however long the pair
      list.
 `wasserstein_distance` and `wasserstein_power` are its single-pair case.
-Rules 2 and 4-6 are one plan dispatch, `_plans`, which also returns each
+Rules 2-6 are one plan dispatch, `_plans`, which also returns each
 pair's plan: `_optimal_couplings` gives the plans of a whole pair list (a
 lift's glued chain takes its 2^n plans from one call, so from one LP per
 _LP_COLUMNS plan entries left to the LP), and `optimal_coupling` is its
@@ -216,6 +214,8 @@ _PRICED_PER_ROW = 4
 # balanced partition (`_nearest_split`): the rounding of a few thousand
 # weights summed, and far below MARGINAL_TOL
 _BALANCE_TOL = 1e-13
+# glued tuples of weight at most this are dropped (`_glue`)
+_GLUE_PRUNE = 1e-15
 # `highs`: this thread's HiGHS solver, reused from LP to LP (`_solver`)
 _thread = threading.local()
 
@@ -249,10 +249,7 @@ class Coupling:
         return r, c
 
     def cost(self, p: float) -> float:
-        D = spaces.distance_matrix(
-            self.row_measure.space, self.row_measure.atoms, self.col_measure.atoms
-        )
-        return float(np.sum(self.weights * D**p))
+        return float(np.sum(self.weights * _cost_matrix(self.row_measure, self.col_measure, p)))
 
 
 @dataclass(frozen=True)
@@ -443,10 +440,10 @@ def optimal_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
 
 def _optimal_couplings(pairs, p: float):
     """(Coupling, cost) for every pair (mu, nu) of `pairs`, in order, from
-    `_plans`: a point mass on either side is coupled directly, and the
-    other pairs are settled by their nearest-neighbour blocks, monotone
-    plans on the real line and assignments, whose blocks left to the LP
-    share block-diagonal LPs with the rest.  Every plan is an optimal
+    `_plans`: a point mass on either side is coupled directly, a pair on
+    the real line gets its monotone plan, and the other pairs are settled
+    by their nearest-neighbour blocks and assignments, whose blocks left to
+    the LP share block-diagonal LPs with the rest.  Every plan is an optimal
     vertex; under ties a pair's block in a batched LP can land on another
     one than its solve alone."""
     pairs = list(pairs)
@@ -459,15 +456,15 @@ def _optimal_couplings(pairs, p: float):
     return out
 
 
-def _quantile_tuples(weights, total: float):
-    """The quantile tuples of weight vectors of one total, each in its
+def _quantile_tuples(weights):
+    """The quantile tuples of weight vectors that each sum to 1, each in its
     atoms' increasing order: the cumulative weights are merged into one
-    grid u on [0, total], and tuple k holds, per vector, the atom whose
+    grid u on [0, 1], and tuple k holds, per vector, the atom whose
     quantile interval holds (u_k, u_k+1], found by one `searchsorted`.
     Returns (indices (T, N), weights (T,) = diff(u)), T = sum(n_i - 1) + 1;
     a weight is 0 where breakpoints of two vectors coincide."""
     cums = [np.cumsum(wts)[:-1] for wts in weights]
-    u = np.concatenate([[0.0], np.sort(np.concatenate(cums)), [total]])
+    u = np.concatenate([[0.0], np.sort(np.concatenate(cums)), [1.0]])
     idx = np.column_stack([np.searchsorted(c, u[:-1], side="right") for c in cums])
     return idx, np.diff(u)
 
@@ -476,28 +473,19 @@ def _comonotone(measures):
     """The quantile (comonotone) multi-coupling of measures on the real line,
     whose atoms `make_measure` stores increasing.  Its 2-D marginals are the
     monotone plans, optimal for |x - y|^p for every p >= 1 at once."""
-    return _quantile_tuples([mu.weights for mu in measures], 1.0)
+    return _quantile_tuples([mu.weights for mu in measures])
 
 
-def _wpp_line(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> float:
-    """W_p^p on the real line: the cost of the two measures' comonotone
-    coupling (`_comonotone`), which is optimal for |x - y|^p, p >= 1."""
+def _line_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
+    """The monotone plan of two measures on the real line, their comonotone
+    coupling (`_comonotone`), optimal for |x - y|^p for every p >= 1, and
+    its cost W_p^p.  Returns (indices (T, 2), weights (T,), cost); a tuple
+    can repeat another with weight 0 where breakpoints coincide.  Its
+    support is a staircase path, so it is a vertex of the transport
+    polytope."""
     idx, wts = _comonotone([mu, nu])
-    return float(np.dot(wts, np.abs(mu.atoms[idx[:, 0], 0] - nu.atoms[idx[:, 1], 0]) ** p))
-
-
-def _monotone(W, at, block) -> bool:
-    """Set W[at] to the monotone (north-west corner) plan of the real-line
-    transport block (D (n, m), row weights a, column weights b), optimal
-    for |x - y|^p for every p >= 1, and return True.  A block keeps its
-    measures' increasing atom order, so the plan is the quantile coupling
-    of a and b in index order.  Its support is a staircase path, so it is
-    a vertex of the block's transport polytope."""
-    D, a, b = block
-    idx, wts = _quantile_tuples([a, b], a.sum())
-    n, m = D.shape
-    W[at] = np.bincount(idx[:, 0] * m + idx[:, 1], wts, n * m).reshape(n, m)
-    return True
+    d = np.abs(mu.atoms[idx[:, 0], 0] - nu.atoms[idx[:, 1], 0])
+    return idx, wts, float(np.dot(wts, d**p))
 
 
 def _balanced(x, y) -> bool:
@@ -515,8 +503,8 @@ def _nearest_split(D, a, b):
     partition is certified, else (W, blocks): W is the plan with every
     block of one row or one column filled in closed form (the block's only
     coupling), and each (at, (D[at], a[R_k], b[C_k])) of `blocks`, at =
-    np.ix_(R_k, C_k), is a block left to a monotone plan, an assignment or
-    the LP, whose optimal plan goes into W[at].
+    np.ix_(R_k, C_k), is a block left to an assignment or the LP, whose
+    optimal plan goes into W[at].
 
     The candidates, in order:
       1. row-nearest: row i joins the block of its nearest column,
@@ -627,16 +615,16 @@ def _assigned(W, at, block) -> bool:
 
 def _plans(pairs, p: float):
     """Yield (k, plan, cost) for the k-th pair (mu, nu) of `pairs`: a point
-    mass on either side by its only coupling; every other pair through
+    mass on either side by its only coupling; a pair on the real line by
+    its monotone plan (`_line_plan`); every other pair through
     `_nearest_split`, which settles it in closed form or leaves blocks of
-    it, or the whole pair if it certifies no partition.  On the real line
-    every such block gets its monotone plan (`_monotone`); elsewhere an
-    equal-weight square block is settled by an optimal assignment
-    (`_assigned`).  The rest wait, in pair order, for one block-diagonal LP
-    of at most _LP_COLUMNS plan entries (a wider pair's blocks run alone):
-    a pair whose n m entries would not fit beside the waiting blocks has
-    them solved first (`_solve_waiting`).  So the cost matrices alive are
-    the waiting blocks and one pair's, however long the pair list.  The one
+    it, or the whole pair if it certifies no partition.  An equal-weight
+    square block is settled by an optimal assignment (`_assigned`).  The
+    rest wait, in pair order, for one block-diagonal LP of at most
+    _LP_COLUMNS plan entries (a wider pair's blocks run alone): a pair
+    whose n m entries would not fit beside the waiting blocks has them
+    solved first (`_solve_waiting`).  So the cost matrices alive are the
+    waiting blocks and one pair's, however long the pair list.  The one
     plan dispatch behind `_optimal_couplings` and `wasserstein_many`."""
     waiting, width = [], 0
     for k, (mu, nu) in enumerate(pairs):
@@ -644,7 +632,13 @@ def _plans(pairs, p: float):
             W = _point_mass_plan(mu, nu)
             yield k, W, float(np.sum(W * _cost_matrix(mu, nu, p)))
             continue
-        if waiting and width + mu.size * nu.size > _LP_COLUMNS:
+        n, m = mu.size, nu.size
+        if _on_line(mu.space):
+            idx, wts, cost = _line_plan(mu, nu, p)
+            # a tuple can repeat with weight 0, so its weights are summed
+            yield k, np.bincount(idx[:, 0] * m + idx[:, 1], wts, n * m).reshape(n, m), cost
+            continue
+        if waiting and width + n * m > _LP_COLUMNS:
             yield from _solve_waiting(waiting)
             waiting, width = [], 0
         D = _cost_matrix(mu, nu, p)
@@ -653,8 +647,7 @@ def _plans(pairs, p: float):
             W, blocks = np.zeros(D.shape), [(np.s_[:, :], (D, mu.weights, nu.weights))]
         else:
             W, blocks = split
-        settle = _monotone if _on_line(mu.space) else _assigned
-        blocks = [(at, block) for at, block in blocks if not settle(W, at, block)]
+        blocks = [(at, block) for at, block in blocks if not _assigned(W, at, block)]
         cost = float(np.dot(W.reshape(-1), D.reshape(-1)))
         if not blocks:
             yield k, W, cost
@@ -702,7 +695,7 @@ def wasserstein_many(pairs, p: float) -> np.ndarray:
             continue
         # a point mass keeps its direct coupling (`_plans`), on the line too
         if _on_line(mu.space) and mu.size > 1 and nu.size > 1:
-            out[k] = _wpp_line(mu, nu, p)
+            out[k] = _line_plan(mu, nu, p)[2]
         else:
             rest.append(k)
     for i, _, cost in _plans([pairs[k] for k in rest], p):
@@ -724,7 +717,7 @@ def wasserstein_power(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> flo
     return float(wasserstein_many([(mu, nu)], p)[0])
 
 
-def glue_chain(couplings, labels=(), prune: float = 1e-15) -> MultiCoupling:
+def glue_chain(couplings, labels=()) -> MultiCoupling:
     """Glue a chain of couplings sharing consecutive marginals by Markov
     disintegration (left to right).  Consecutive 2-D marginals of the result
     equal the inputs."""
@@ -734,27 +727,27 @@ def glue_chain(couplings, labels=(), prune: float = 1e-15) -> MultiCoupling:
         if not measures_equal(a.col_measure, b.row_measure):
             raise ValidationError("chain mismatch: shared marginals differ")
     steps = [((k,), c.weights) for k, c in enumerate(couplings[1:], start=1)]
-    idx, wts = _glue(couplings[0].weights, steps, prune)
+    idx, wts = _glue(couplings[0].weights, steps)
     marginals = tuple([couplings[0].row_measure] + [c.col_measure for c in couplings])
     return MultiCoupling(marginals, idx, wts, tuple(labels))
 
 
-def _glue(first, steps, prune: float = 1e-15, cap: int | None = None):
+def _glue(first, steps, cap: int | None = None):
     """Markov disintegration of a tree of tables: the support tuples of table
-    `first` (entries > prune), extended by one component per step.
+    `first` (entries > _GLUE_PRUNE), extended by one component per step.
 
     A step (sep, table) draws the new component from `table`'s conditional
     given the components at tuple positions `sep`: table's leading axes are
     those components, in order, and its last axis is the new one.  Returns
     (indices (T, first.ndim + len(steps)), weights (T,)).  More than `cap`
     tuples raise BudgetExceededError."""
-    idx = np.argwhere(first > prune)
+    idx = np.argwhere(first > _GLUE_PRUNE)
     wts = first[tuple(idx.T)]
     for sep, table in steps:
         tot = table.sum(axis=-1)
         cond = table / np.where(tot > 0, tot, 1.0)[..., None]
         rows = cond[tuple(idx[:, s] for s in sep)]
-        t, k = np.nonzero(rows > prune)
+        t, k = np.nonzero(rows > _GLUE_PRUNE)
         idx = np.column_stack([idx[t], k])
         wts = wts[t] * rows[t, k]
         if cap is not None and wts.size > cap:
@@ -1014,7 +1007,7 @@ def _product_lp(C, weights):
     offsets = np.cumsum((0,) + sizes[:-1])
     b = np.concatenate(weights)
     cost = C.reshape(-1)
-    start, _ = _quantile_tuples(weights, 1.0)
+    start, _ = _quantile_tuples(weights)
     S = new = np.unique(np.ravel_multi_index(tuple(start.T), sizes))
     rows = np.empty((0, N), dtype=np.int64)
     reduced = np.empty(sizes)  # R, filled in place every round
@@ -1038,9 +1031,9 @@ def _product_lp(C, weights):
     return full, fun
 
 
-def is_compatible(measures, p: float, budget: int | None = None) -> bool:
+def is_compatible(measures, p: float) -> bool:
     """Compatibility of the full collection (all pairs optimal)."""
     measures = list(measures)
     if len(measures) <= 1:
         return True
-    return compatibility_multicoupling(measures, p, budget=budget).feasible
+    return compatibility_multicoupling(measures, p).feasible

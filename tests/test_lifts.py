@@ -554,3 +554,25 @@ def test_frac_sobolev_lift_energy_is_the_weighted_path_sum():
     assert w.lift_energy(lift, EnergySpec.frac_sobolev(0.75, 2.0)) == want
     assert w.frac_sobolev_energy(lift, 0.75, 2.0) == [
         w.frac_sobolev_energy(path, 0.75, 2.0) for path in paths]
+
+
+@pytest.mark.parametrize("spec", [lambda x0: EnergySpec.besov(0.75, 2.5, x0),
+                                  lambda x0: EnergySpec.holder(0.5, 2.5, x0)],
+                         ids=["besov", "holder"])
+@pytest.mark.parametrize("space", [w.euclidean(2), w.circle(2.0)], ids=["R2", "circle"])
+def test_lift_energy_base_point_adds_the_start_moment(space, spec):
+    # besov's registry values are already p-th powers, holder's are norms
+    # raised to p; on the circle the start points straddle arc 0, so the
+    # shorter arc from the base point 0.02 to some of them crosses it
+    rng = np.random.default_rng(37)
+    K, level = 4, 2
+    X = np.stack([random_path(rng, space, level).breakpoints for _ in range(K)])
+    if space.kind == "circle":
+        X[:, 0, 0] = [1.9, 0.05, 1.97, 0.1]
+        x0 = [0.02]
+    else:
+        x0 = [0.5, -1.0]
+    lift = _lift_from_breakpoints(space, X, rng.uniform(0.2, 1.0, K), level)
+    with_base = w.lift_energy(lift, spec(x0))
+    want = w.lift_energy(lift, spec(None)) + w.p_moment(lift.marginal_at(0.0), x0, 2.5)
+    assert with_base == pytest.approx(want, rel=1e-12)

@@ -165,11 +165,10 @@ def test_many_matches_single_pair_lp_hypothesis(space, data):
         assert w.wasserstein_power(mu, nu, p) == pytest.approx(value, rel=1e-12, abs=slack)
         _, cost = w.optimal_coupling(mu, nu, p)
         if space.dim == 1 and space.kind == "euclidean":
-            # the closed form is exact, no feasible plan costs less, and the
-            # plan is the monotone one, with no LP
+            # the closed form is exact, and the value and the plan's cost
+            # come from the same monotone plan
             assert value == pytest.approx(monotone_oracle(mu, nu, p), rel=1e-12, abs=1e-14)
-            assert value <= cost * (1 + 1e-12) + 1e-14
-            assert cost <= value * (1 + 1e-12) + 1e-14
+            assert value == cost
         else:
             assert value == pytest.approx(max(cost, 0.0), rel=1e-12, abs=slack)
 
@@ -187,6 +186,20 @@ def test_line_plan_is_exact_where_the_lp_tolerance_is_not():
         assert cost == exact and plan.cost(p) == exact
         assert w.wasserstein_many([(mu, nu)], p)[0] == exact
         assert max(plan.marginal_errors()) <= 1e-16
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_line_plan_is_exact_below_the_balance_tolerance(p):
+    # the weights differ by 1.1e-15, below the nearest-neighbour split's
+    # _BALANCE_TOL, which accepted the identity plan at cost 0; the
+    # monotone plan moves the 1.1e-15 from atom 0 to atom 3
+    sp = w.euclidean(1)
+    mu = w.make_measure(sp, [[0.0], [3.0]], [0.5, 0.5])
+    nu = w.make_measure(sp, [[0.0], [3.0]], [0.5 - 1.1e-15, 0.5 + 1.1e-15])
+    plan, cost = w.optimal_coupling(mu, nu, p)
+    assert cost == w.wasserstein_many([(mu, nu)], p)[0] == w.wasserstein_power(mu, nu, p)
+    assert cost > 0
+    assert max(plan.marginal_errors()) <= 1e-15
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -429,17 +442,36 @@ def test_a_partition_that_is_not_closed_goes_to_the_lp(p, monkeypatch):
     assert widths == [16 + 4 + 4] * 2  # one LP per call: the near pair whole
 
 
+def spy(monkeypatch, names):
+    """Record every call of the transport functions `names`, passing it
+    through; returns the list of their names in call order."""
+    calls = []
+    for name in names:
+        original = getattr(w.transport, name)
+
+        def recording(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(w.transport, name, recording)
+    return calls
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-def test_line_blocks_get_monotone_plans(p, monkeypatch):
-    # the clusters split on the real line too; each block left, of unequal
-    # weights and a total of 1/3 or 1/2, gets its monotone plan, not an LP
+def test_line_pairs_get_monotone_plans(p, monkeypatch):
+    # off the line these pairs split into blocks of unequal weights; on the
+    # real line each whole pair gets its monotone plan, with no cost
+    # matrix, nearest-neighbour split, assignment or LP
     sp = w.euclidean(1)
     pairs = [clustered_pair(sp, [PAIR, ONE_ROW, ONE_COL], [0.2, 0.8, 1.4]),
              clustered_pair(sp, [PAIR] * 2, [0.0, 1.0])]
     assert [split_kind(*pair, p) for pair in pairs] == ["split", "split"]
-    widths = counted_lp_solves(monkeypatch)
+    with monkeypatch.context() as mp:
+        calls = spy(mp, ["_cost_matrix", "_nearest_split", "_assigned", "_highs_solve"])
+        w.wasserstein_many(pairs, p)
+        w.transport._optimal_couplings(pairs, p)
+    assert calls == []
     assert_matches_full_lp(pairs, p)
-    assert widths == []
 
 
 def test_imbalance_above_rounding_goes_to_the_lp(monkeypatch):
@@ -1345,7 +1377,7 @@ def test_all_pairs_lp_is_the_product_support_lp(monkeypatch):
     cost = np.zeros(120)
     for (i, j) in w.transport.all_pairs(3):
         cost += w.spaces._distance_arrays(sp, ms[i].atoms[idx[:, i]], ms[j].atoms[idx[:, j]]) ** 2
-    quantile, _ = w.transport._quantile_tuples([m.weights for m in ms], 1.0)
+    quantile, _ = w.transport._quantile_tuples([m.weights for m in ms])
     assert len(rounds) > 2  # this LP takes 4 rounds
     before = None
     for c, indptr, indices, b, values in rounds:
