@@ -65,58 +65,12 @@ def _parse_times(text):
     return [_number(x, float, "--times") for x in text.split(",") if x]
 
 
-def _int_param(params, key, default):
-    value = params.get(key, default)
-    if type(value) is not int:
-        raise ValidationError(f"--param {key} expects an integer, got {value!r}")
-    return value
-
-
-def _float_param(params, key, default):
-    value = params.get(key, default)
-    if type(value) not in (int, float):
-        raise ValidationError(f"--param {key} expects a number, got {value!r}")
-    return float(value)
-
-
-# the --param keys each family reads; any other key is an input error
-_FAMILY_PARAMS = {
-    "jump": (),
-    "two_tent": (),
-    "circle_splitting": ("j",),
-    "oscillating_tents": ("J", "p", "upsilon", "a"),
-    "cylinder_family": ("J", "p", "alpha", "a"),
-}
-
-
-def _family_spec(name, params, args):
-    if name not in _FAMILY_PARAMS:
-        raise ValidationError(f"unknown family {name!r}")
-    unknown = sorted(set(params) - set(_FAMILY_PARAMS[name]))
-    if unknown:
-        known = ", ".join(_FAMILY_PARAMS[name]) or "none"
-        raise ValidationError(
-            f"family {name!r} takes no --param {', '.join(unknown)} (its keys: {known})"
-        )
-    if name == "jump":
-        return families.jump()
-    if name == "two_tent":
-        return families.two_tent()
-    if name == "circle_splitting":
-        return families.circle_splitting(_int_param(params, "j", 0))
-    if name == "oscillating_tents":
-        return families.oscillating_tents(
-            _int_param(params, "J", 4),
-            _float_param(params, "p", args.p),
-            _float_param(params, "upsilon", 0.8),
-            _float_param(params, "a", 2.0),
-        )
-    return families.cylinder_family(  # the one family left in _FAMILY_PARAMS
-        _int_param(params, "J", 4),
-        _float_param(params, "p", args.p),
-        _float_param(params, "alpha", args.alpha),
-        _float_param(params, "a", 3.0),
-    )
+def _family_spec(name, args):
+    """The named family with its parameters: --p and --alpha for the keys
+    the family has, then the --param pairs."""
+    keys = {key for key, _, _ in families._PARAMS.get(name, ())}
+    given = {key: getattr(args, key) for key in ("p", "alpha") if key in keys}
+    return families.FamilySpec(name, given | _parse_params(args.param))
 
 
 def cmd_ot(args):
@@ -140,7 +94,7 @@ def cmd_compat(args):
             serialize.measure_from_json(serialize.load_json(f)) for f in args.measures
         ]
     elif args.family:
-        spec = _family_spec(args.family, _parse_params(args.param), args)
+        spec = _family_spec(args.family, args)
         curve = families.make_curve(spec)
         times = _parse_times(args.times) if args.times else [0.0, 0.5, 1.0]
         meas = [curve(t) for t in times]
@@ -160,11 +114,10 @@ def cmd_compat(args):
 
 
 def cmd_lift(args):
-    spec = _family_spec(args.family, _parse_params(args.param), args)
+    spec = _family_spec(args.family, args)
     curve = families.make_curve(spec)
-    levels = _parse_levels(args.levels) if args.levels else [args.level]
     rows = lifts.convergence_diagnostics(
-        curve, args.p, args.alpha, levels, construction=args.construction
+        curve, args.p, args.alpha, _parse_levels(args.levels), construction=args.construction
     )
     fields = ["level", "energy", "max_marginal_err", "max_pair_gap", "error"]
     if args.format == "json":
@@ -191,7 +144,7 @@ def cmd_norms(args):
         raise ValidationError("alpha * p > 1 required for the fractional norms")
 
     if args.family:
-        spec = _family_spec(args.family, _parse_params(args.param), args)
+        spec = _family_spec(args.family, args)
         curve = families.make_curve(spec)
         if entry.curve is None:
             raise ValidationError(f"norm {args.norm!r} not available for curves")
@@ -249,7 +202,7 @@ def cmd_bb(args):
 
 
 def cmd_example(args):
-    spec = _family_spec(args.family_name, _parse_params(args.param), args)
+    spec = _family_spec(args.family, args)
     curve = families.make_curve(spec)
     mu = curve(args.t)
     serialize.dump_json(
@@ -264,76 +217,91 @@ def cmd_example(args):
     return EXIT_OK
 
 
-def _add_common(p):
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--alpha", type=float, default=0.75)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--level", type=int, default=3)
-    p.add_argument("--levels", type=str, default=None, help="e.g. 1..5 or 1,3,5")
-    p.add_argument("--truncation", "-M", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--family", type=str, default=None)
-    p.add_argument("--param", action="append", default=[], help="key=val (repeatable)")
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="csv")
+# every option of every subcommand, declared once: its flags and argparse
+# keywords; each subcommand adds the ones its handler reads
+_OPTIONS = {
+    "mu": (("--mu",), {}),
+    "nu": (("--nu",), {}),
+    "coupling": (("--coupling",), {"action": "store_true"}),
+    "measures": (("--measures",), {"nargs": "*"}),
+    "times": (("--times",), {}),
+    "construction": (("--construction",), {"choices": ["A", "B"], "default": "B"}),
+    "norm": (("--norm",), {"required": True, "choices": list(lifts._FUNCTIONALS)}),
+    "path": (("--path",), {"help": "path JSON file"}),
+    "builtin": (("--builtin",), {"default": "geodesic"}),
+    "seed": (("--seed",), {"type": int, "default": 0}),
+    "atoms": (("--atoms",), {"type": int, "default": 4}),
+    "t": (("--t",), {"type": float, "default": 0.0}),
+    "family": (("--family",), {}),
+    "param": (("--param",), {"action": "append", "default": [], "help": "key=val (repeatable)"}),
+    "p": (("--p",), {"type": float, "default": 2.0}),
+    "alpha": (("--alpha",), {"type": float, "default": 0.75}),
+    "gamma": (("--gamma",), {"type": float, "default": 1.0}),
+    "q": (("--q",), {"type": float, "default": 2.0}),
+    "delta": (("--delta",), {"type": float, "default": 1.0}),
+    "levels": (("--levels",), {"default": "3", "help": "e.g. 1..5 or 1,3,5"}),
+    "truncation": (("--truncation", "-M"), {"type": int, "default": 8}),
+    "tol": (("--tol",), {"type": float, "default": 1e-8}),
+    "format": (("--format",), {"choices": ["json", "csv"], "default": "csv"}),
+    "out": (("--out",), {}),
+}
+
+
+def _add(parser, *names, **overrides):
+    for name in names:
+        flags, kw = _OPTIONS[name]
+        parser.add_argument(*flags, **kw, **overrides)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line, an option the subcommand does not take
+    among them, as an input error after the usage line."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(f"{self.prog}: {message}")
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="wlift", description=__doc__)
+    ap = _Parser(prog="wlift", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ot", help="Wasserstein distance between two measures")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
-    p.add_argument("--coupling", action="store_true")
-    _add_common(p)
+    _add(p, "mu", "nu", required=True)
+    _add(p, "coupling", "p", "out")
     p.set_defaults(func=cmd_ot)
 
     p = sub.add_parser("compat", help="compatibility feasibility LP")
-    p.add_argument("--measures", nargs="*", default=None)
-    p.add_argument("--times", type=str, default=None)
-    _add_common(p)
+    _add(p, "measures", "times", "family", "param", "p", "alpha", "tol", "out")
     p.set_defaults(func=cmd_compat)
 
     p = sub.add_parser("lift", help="dyadic lift construction diagnostics")
-    p.add_argument("--construction", choices=["A", "B"], default="B")
-    _add_common(p)
+    _add(p, "construction", "family", "param", "p", "alpha", "levels", "format", "out")
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("norms", help="path / curve norms")
-    p.add_argument("--norm", required=True, choices=list(lifts._FUNCTIONALS))
-    p.add_argument("--path", type=str, default=None, help="path JSON file")
-    p.add_argument("--builtin", type=str, default="geodesic")
-    _add_common(p)
+    _add(p, "norm", "path", "builtin", "family", "param", "p", "alpha", "gamma", "q",
+         "delta", "truncation", "out")
     p.set_defaults(func=cmd_norms)
 
     p = sub.add_parser("bb", help="dynamic-formula identity check")
-    p.add_argument("--mu", type=str, default=None)
-    p.add_argument("--nu", type=str, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--atoms", type=int, default=4)
-    _add_common(p)
+    _add(p, "mu", "nu", "seed", "atoms", "p", "alpha", "out")
     p.set_defaults(func=cmd_bb)
 
     p = sub.add_parser("example", help="emit a family measure at time t")
-    p.add_argument("family_name", metavar="family", type=str)
-    p.add_argument("--t", type=float, default=0.0)
-    _add_common(p)
+    p.add_argument("family")
+    _add(p, "t", "param", "p", "alpha", "out")
     p.set_defaults(func=cmd_example)
 
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:  # only --help exits parse_args, as _Parser.error raises
+        return EXIT_OK
     except BudgetExceededError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -17,12 +17,17 @@ Every family except jump is a finite system of weighted particles moving
 along explicit piecewise-geodesic trajectories, written once as its
 `known_lift`; the family's curve is the time marginals of that lift.
 
+`_PARAMS` is the one table of each family's parameter keys, kinds and
+defaults; `FamilySpec` checks its parameters against it, and the CLI's
+`--param` keys are its keys.
+
 Truncated families carry the renormalization factor wbar_J explicitly in
 every reference formula.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,41 +38,73 @@ from .lifts import Lift, WassersteinCurve, _lift_from_breakpoints
 from .measures import make_measure
 from .paths import PiecewiseGeodesicPath, dyadic_times
 
-FAMILIES = ("jump", "two_tent", "oscillating_tents", "circle_splitting", "cylinder_family")
+# Each family's parameters, in order, as (key, kind, default); a default of
+# None marks a required key.  This table is the one place that names them.
+_PARAMS = {
+    "jump": (),
+    "two_tent": (),
+    "oscillating_tents": (("J", int, 4), ("p", float, None), ("upsilon", float, 0.8),
+                          ("a", float, 2.0)),
+    "circle_splitting": (("j", int, 0),),
+    "cylinder_family": (("J", int, 4), ("p", float, None), ("alpha", float, None),
+                        ("a", float, 3.0)),
+}
 
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """A family and its parameters, checked against `_PARAMS` and stored
+    converted, in table order, with the defaults filled in."""
+
     name: str
     params: dict
 
     def __post_init__(self):
-        if self.name not in FAMILIES:
+        if self.name not in _PARAMS:
             raise ValidationError(f"unknown family {self.name!r}")
-        q = self.params
+        table = _PARAMS[self.name]
+        unknown = sorted(set(self.params) - {key for key, _, _ in table})
+        if unknown:
+            known = ", ".join(key for key, _, _ in table) or "none"
+            raise ValidationError(
+                f"family {self.name!r} takes no parameter {', '.join(unknown)}"
+                f" (its parameters: {known})"
+            )
+        q = {}
+        for key, kind, default in table:
+            value = self.params.get(key, default)
+            if value is None:
+                raise ValidationError(f"family {self.name!r} needs parameter {key}")
+            # an int is an integer and not a bool; a float is any real number
+            if (not isinstance(value, numbers.Integral if kind is int else numbers.Real)
+                    or isinstance(value, bool)):
+                what = "an integer" if kind is int else "a number"
+                raise ValidationError(
+                    f"family {self.name!r} parameter {key} expects {what}, got {value!r}"
+                )
+            q[key] = kind(value)
+        object.__setattr__(self, "params", q)
         if self.name == "oscillating_tents":
-            p, ups, a, J = q["p"], q["upsilon"], q.get("a", 2.0), q["J"]
-            if not (1.0 / p < ups < 1.0):
+            if not (1.0 / q["p"] < q["upsilon"] < 1.0):
                 raise ValidationError("need upsilon in (1/p, 1)")
-            if a <= 1.0:
+            if q["a"] <= 1.0:
                 raise ValidationError("need spacing a > 1")
-            if J < 0:
+            if q["J"] < 0:
                 raise ValidationError("need J >= 0")
         elif self.name == "cylinder_family":
-            p, al, a, J = q["p"], q["alpha"], q.get("a", 3.0), q["J"]
-            if not (1.0 / p < al < 1.0):
+            if not (1.0 / q["p"] < q["alpha"] < 1.0):
                 raise ValidationError("need alpha in (1/p, 1)")
-            if a <= 2.0:
+            if q["a"] <= 2.0:
                 raise ValidationError("need spacing a > 2")
-            if J < 0:
+            if q["J"] < 0:
                 raise ValidationError("need J >= 0")
         elif self.name == "circle_splitting":
-            if q.get("j", 0) < 0:
+            if q["j"] < 0:
                 raise ValidationError("need j >= 0")
 
 
 def jump(**kw) -> FamilySpec:
-    return FamilySpec("jump", kw)
+    return FamilySpec("jump", kw)  # any keyword is an unknown key
 
 
 def two_tent(**kw) -> FamilySpec:
@@ -167,7 +204,7 @@ def known_lift(spec: FamilySpec) -> KnownLift:
             1,
         )
     if spec.name == "oscillating_tents":
-        J, p, ups, a = q["J"], q["p"], q["upsilon"], q.get("a", 2.0)
+        J, p, ups, a = q["J"], q["p"], q["upsilon"], q["a"]
         return KnownLift(
             spaces.euclidean(2),
             lambda t: np.array([[j * a, _tent_profile(j, t)] for j in range(J + 1)]),
@@ -185,7 +222,7 @@ def known_lift(spec: FamilySpec) -> KnownLift:
             period=2.0**-j,  # rotation by the atom spacing restores the state
         )
     if spec.name == "cylinder_family":
-        J, p, al, a = q["J"], q["p"], q["alpha"], q.get("a", 3.0)
+        J, p, al, a = q["J"], q["p"], q["alpha"], q["a"]
         sizes = 2 ** np.arange(1, J + 2)  # particles per circle
         # circle j repeats with period 2^{-(2j+1)}; all of these divide 1/2,
         # so the full measure path has exact period 1/2

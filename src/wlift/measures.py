@@ -74,17 +74,9 @@ def dirac(space, x) -> DiscreteMeasure:
     return make_measure(space, [spaces.as_point(space, x)], [1.0])
 
 
-def measures_equal(mu: DiscreteMeasure, nu: DiscreteMeasure, tol=0.0) -> bool:
-    """Exact (or tol-close) equality of sorted supports and weights."""
-    if mu.space != nu.space or mu.size != nu.size:
-        return False
-    if tol == 0.0:
-        return np.array_equal(mu.atoms, nu.atoms) and np.array_equal(
-            mu.weights, nu.weights
-        )
-    return np.allclose(mu.atoms, nu.atoms, atol=tol) and np.allclose(
-        mu.weights, nu.weights, atol=tol
-    )
+def measures_equal(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
+    """Exact equality of space, sorted atoms and weights."""
+    return mu == nu
 
 
 def _check_exponent(p: float, name: str = "p"):

@@ -264,10 +264,6 @@ class MultiCoupling:
     weights: np.ndarray  # (K,)
     labels: tuple = ()  # e.g. the dyadic times the marginals sit at
 
-    @property
-    def n_marginals(self) -> int:
-        return len(self.marginals)
-
     def marginal_error(self) -> float:
         worst = 0.0
         for i, mu in enumerate(self.marginals):
@@ -838,7 +834,6 @@ def compatibility_multicoupling(
     measures,
     p: float,
     pairs=None,
-    budget: int | None = None,
     tol: float = FEASIBILITY_TOL,
     labels=(),
 ) -> CompatibilityReport:
@@ -863,7 +858,7 @@ def compatibility_multicoupling(
 
     Either certificate is re-checked on its own support against the
     `wasserstein_many` values.  More LP columns, or more certificate
-    tuples, than the budget raise BudgetExceededError.
+    tuples, than `product_budget()` raise BudgetExceededError.
     """
     if not 0 <= tol < np.inf:
         raise ValidationError(f"tol must be a finite number >= 0, got {tol}")
@@ -888,7 +883,7 @@ def compatibility_multicoupling(
         return CompatibilityReport(True, cert, 0.0, mu.size)
 
     sizes = [m.size for m in measures]
-    cap = budget if budget is not None else product_budget()
+    cap = product_budget()
     if _on_line(measures[0].space):
         tuples = sum(sizes) - N + 1
         if tuples > cap:

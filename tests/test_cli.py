@@ -296,22 +296,23 @@ def test_malformed_numbers_are_input_errors(capsys, case):
 def test_lift_level_beyond_budget_is_exit_3(capsys):
     from wlift.cli import EXIT_RESOURCE
 
-    assert main(["lift", "--family", "two_tent", "--level", "100"]) == EXIT_RESOURCE
+    assert main(["lift", "--family", "two_tent", "--levels", "100"]) == EXIT_RESOURCE
     assert "lift breakpoints" in capsys.readouterr().err
 
 
 UNKNOWN_PARAMS = {
-    "circle_splitting_k": ["example", "circle_splitting", "--param", "k=1"],
-    "two_tent_foo": ["example", "two_tent", "--param", "foo=3"],
-    "cylinder_family_j": ["example", "cylinder_family", "--param", "j=2"],
-    "lift_jump_J": ["lift", "--family", "jump", "--param", "J=2", "--level", "1"],
+    "circle_splitting_k": (["example", "circle_splitting", "--param", "k=1"], "k"),
+    "two_tent_foo": (["example", "two_tent", "--param", "foo=3"], "foo"),
+    "cylinder_family_j": (["example", "cylinder_family", "--param", "j=2"], "j"),
+    "lift_jump_J": (["lift", "--family", "jump", "--param", "J=2", "--levels", "1"], "J"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNKNOWN_PARAMS))
 def test_unknown_param_key_is_input_error(capsys, case):
-    assert main(UNKNOWN_PARAMS[case]) == EXIT_INPUT
-    assert "takes no --param" in capsys.readouterr().err
+    argv, key = UNKNOWN_PARAMS[case]
+    assert main(argv) == EXIT_INPUT
+    assert f"takes no parameter {key} " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -325,3 +326,42 @@ def test_unknown_param_key_is_input_error(capsys, case):
 def test_known_param_keys_still_work(capsys, argv):
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["family"]
+
+
+# one valid call per subcommand, and the options each subcommand once took
+# from a list shared by all six but never read; lift's --level, folded into
+# --levels, is not among them, as argparse reads it as --levels' prefix
+VALID_CALLS = {
+    "ot": ["ot", "--mu", "{mu}", "--nu", "{nu}"],
+    "compat": ["compat", "--family", "two_tent"],
+    "lift": ["lift", "--family", "two_tent", "--levels", "1"],
+    "norms": ["norms", "--norm", "holder"],
+    "bb": ["bb", "--atoms", "2"],
+    "example": ["example", "two_tent"],
+}
+REMOVED_OPTIONS = {
+    "ot": ["--alpha", "--gamma", "--q", "--delta", "--level", "--levels", "--truncation",
+           "--tol", "--family", "--param", "--format"],
+    "compat": ["--gamma", "--q", "--delta", "--level", "--levels", "--truncation", "--format"],
+    "lift": ["--gamma", "--q", "--delta", "--truncation", "--tol"],
+    "norms": ["--level", "--levels", "--tol", "--format"],
+    "bb": ["--gamma", "--q", "--delta", "--level", "--levels", "--truncation", "--tol",
+           "--family", "--param", "--format"],
+    "example": ["--gamma", "--q", "--delta", "--level", "--levels", "--truncation", "--tol",
+                "--family", "--format"],
+}
+OPTION_VALUES = {"--family": "jump", "--param": "j=1", "--format": "json", "--levels": "1..2"}
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, options in REMOVED_OPTIONS.items() for option in options
+])
+def test_option_the_subcommand_does_not_read_is_input_error(
+        line_measures, tmp_path, capsys, command, option):
+    fmu, fnu = line_measures
+    argv = [a.format(mu=fmu, nu=fnu) for a in VALID_CALLS[command]]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv + [option, OPTION_VALUES.get(option, "1")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error" in err and option in err

@@ -22,6 +22,32 @@ def test_family_parameter_validation():
         w.FamilySpec("nope", {})
 
 
+BAD_PARAMS = {
+    "unknown_key": lambda: w.FamilySpec("circle_splitting", {"k": 1}),
+    "missing_key": lambda: w.FamilySpec("cylinder_family", {"p": 2.0}),
+    "j_not_integer": lambda: w.circle_splitting(1.5),
+    "J_bool": lambda: w.oscillating_tents(True, 2.0, 0.8),
+    "J_not_integer": lambda: w.cylinder_family(2.5, 2.0, 0.75),
+    "p_not_number": lambda: w.FamilySpec("oscillating_tents", {"p": "2"}),
+    "jump_keyword": lambda: w.jump(foo=3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAMS))
+def test_family_parameter_keys_and_kinds(case):
+    with pytest.raises(w.ValidationError):
+        BAD_PARAMS[case]()
+
+
+def test_family_parameters_are_converted_and_defaulted():
+    spec = w.FamilySpec("oscillating_tents", {"p": 2})
+    assert spec.params == {"J": 4, "p": 2.0, "upsilon": 0.8, "a": 2.0}
+    assert type(spec.params["p"]) is float
+    spec = w.FamilySpec("cylinder_family", {"a": 4, "alpha": 0.75, "p": 2.0, "J": np.int64(1)})
+    assert list(spec.params.items()) == [("J", 1), ("p", 2.0), ("alpha", 0.75), ("a", 4.0)]
+    assert w.FamilySpec("circle_splitting", {}).params == {"j": 0}
+
+
 def test_tent_profile():
     assert _tent_profile(0, 0.0) == 0.0
     assert _tent_profile(0, 0.5) == 1.0

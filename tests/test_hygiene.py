@@ -1,13 +1,16 @@
 """Source hygiene checks that stand in for a linter."""
 
+import argparse
 import ast
 import inspect
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 import wlift
+from wlift import cli, serialize
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wlift"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -129,3 +132,60 @@ def test_only_make_measure_constructs_measures():
                 if isinstance(node, ast.FunctionDef) and node.name == "make_measure")
     assert total == len(_measure_constructions(make)) == 1
     assert sum(p.read_text().count("DiscreteMeasure(") for p in SRC.glob("*.py")) == 1
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A parsed namespace that records the attributes read from it."""
+
+    reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+# small calls that between them take every branch of each handler that
+# reads an option
+CLI_CALLS = {
+    "ot": [["--mu", "{mu}", "--nu", "{nu}", "--coupling"]],
+    "compat": [["--measures", "{mu}", "{nu}"],
+               ["--family", "cylinder_family", "--param", "J=0", "--times", "0,0.5"]],
+    "lift": [["--family", "cylinder_family", "--param", "J=0", "--levels", "2",
+              "--format", "json"]],
+    "norms": [["--norm", "besov", "--family", "cylinder_family", "--param", "J=0", "-M", "2"],
+              ["--norm", "besov", "--builtin", "tent"],
+              ["--norm", "variation", "--path", "{path}"]],
+    "bb": [["--atoms", "2"], ["--mu", "{mu}", "--nu", "{nu}"]],
+    "example": [["cylinder_family", "--param", "J=0"]],
+}
+
+
+def test_every_cli_option_is_read(tmp_path):
+    """Each subcommand declares only the options its handler reads: over
+    the calls above, every option a subparser declares is read from the
+    parsed namespace after parsing."""
+    sp = wlift.euclidean(1)
+    files = {"mu": tmp_path / "mu.json", "nu": tmp_path / "nu.json",
+             "path": tmp_path / "path.json"}
+    files["mu"].write_text(json.dumps(serialize.measure_to_json(wlift.dirac(sp, [0.0]))))
+    files["nu"].write_text(json.dumps(serialize.measure_to_json(wlift.dirac(sp, [1.0]))))
+    files["path"].write_text(json.dumps({"space": serialize.space_to_json(sp),
+                                         "breakpoints": [[0.0], [1.0], [0.0]]}))
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(subparsers) == sorted(CLI_CALLS)
+    unread = []
+    for command, calls in CLI_CALLS.items():
+        reads = set()
+        for call in calls:
+            argv = [command] + [a.format(**files) for a in call]
+            args = parser.parse_args(argv + ["--out", str(tmp_path / "out")],
+                                     namespace=_ReadRecorder())
+            args.reads = reads
+            assert args.func(args) in (cli.EXIT_OK, cli.EXIT_NEGATIVE), argv
+        declared = [a.dest for a in subparsers[command]._actions if a.dest != "help"]
+        unread += [f"{command} {dest}" for dest in declared if dest not in reads]
+    assert not unread, f"{len(unread)} declared options never read: {unread}"

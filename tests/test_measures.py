@@ -60,7 +60,6 @@ def test_measures_equal_and_dirac():
     assert w.measures_equal(a, b)
     c = w.dirac(sp, [0.3 + 1e-12])
     assert not w.measures_equal(a, c)
-    assert w.measures_equal(a, c, tol=1e-9)
 
 
 def test_p_moment():

@@ -1138,11 +1138,12 @@ def test_compatibility_circle_splitting_gate():
     assert rep4.max_pair_gap > 1e-6
 
 
-def test_budget_enforced():
+def test_budget_enforced(monkeypatch):
     rng = np.random.default_rng(106)
     ms = [on_plane(random_measure(rng, w.euclidean(1), 5)) for _ in range(4)]
+    monkeypatch.setenv("WLIFT_BUDGET", "100")
     with pytest.raises(w.BudgetExceededError):
-        w.compatibility_multicoupling(ms, 2.0, budget=100)
+        w.compatibility_multicoupling(ms, 2.0)
 
 
 @pytest.mark.parametrize("pairs", [[(0, 7)], [(0, -1)], [(1, 1)], w.dyadic_pattern_pairs(2)],
@@ -1265,7 +1266,7 @@ def test_line_certificate_is_rechecked(monkeypatch):
     assert report.max_pair_gap == pytest.approx(6.0, rel=1e-12)
 
 
-def test_line_compatibility_is_not_bounded_by_the_product_support():
+def test_line_compatibility_is_not_bounded_by_the_product_support(monkeypatch):
     # 32 measures of two atoms: 2^32 product tuples, more than an LP could
     # index; the certificate has at most 33
     rng = np.random.default_rng(125)
@@ -1275,8 +1276,9 @@ def test_line_compatibility_is_not_bounded_by_the_product_support():
     assert report.product_size == 2**32
     assert report.certificate.weights.size <= 33
     assert report.marginal_residual <= 1e-15
+    monkeypatch.setenv("WLIFT_BUDGET", "32")
     with pytest.raises(w.BudgetExceededError, match="certificate tuples 33 exceeds budget 32"):
-        w.compatibility_multicoupling(ms, 2.0, budget=32)
+        w.compatibility_multicoupling(ms, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1493,13 +1495,15 @@ def test_tree_lp_is_one_direct_solve(monkeypatch):
         assert calls.count(True) == 1
 
 
-def test_budget_stops_tree_lp():
+def test_budget_stops_tree_lp(monkeypatch):
     curve = w.make_curve(w.circle_splitting(1))
     ms = [curve(k / 8) for k in range(9)]
     pairs = w.dyadic_pattern_pairs(3)
+    monkeypatch.setenv("WLIFT_BUDGET", "447")
     with pytest.raises(w.BudgetExceededError, match="LP columns 448 exceeds budget 447"):
-        w.compatibility_multicoupling(ms, 2.0, pairs=pairs, budget=447)
-    report = w.compatibility_multicoupling(ms, 2.0, pairs=pairs, budget=448)
+        w.compatibility_multicoupling(ms, 2.0, pairs=pairs)
+    monkeypatch.setenv("WLIFT_BUDGET", "448")
+    report = w.compatibility_multicoupling(ms, 2.0, pairs=pairs)
     assert report.max_pair_gap == pytest.approx(0.25, abs=1e-9)
 
 
@@ -1520,9 +1524,11 @@ def test_budget_counts_glued_tuples(monkeypatch):
         return solve(c, indptr, indices, b, values)
 
     monkeypatch.setattr(w.transport, "_highs_solve", product_tables)
+    monkeypatch.setenv("WLIFT_BUDGET", "242")
     with pytest.raises(w.BudgetExceededError, match="glued certificate tuples 243"):
-        w.compatibility_multicoupling(ms, 2.0, pairs=pairs, budget=242)
-    report = w.compatibility_multicoupling(ms, 2.0, pairs=pairs, budget=243)
+        w.compatibility_multicoupling(ms, 2.0, pairs=pairs)
+    monkeypatch.setenv("WLIFT_BUDGET", "243")
+    report = w.compatibility_multicoupling(ms, 2.0, pairs=pairs)
     assert report.lp_columns == 81
     assert report.marginal_residual <= 1e-15
 
@@ -1530,7 +1536,7 @@ def test_budget_counts_glued_tuples(monkeypatch):
 def test_budget_on_tree_lp_is_cli_exit_3(monkeypatch, capsys):
     from wlift.cli import EXIT_NEGATIVE, EXIT_RESOURCE, main
 
-    argv = ["lift", "--family", "circle_splitting", "--param", "j=1", "--level", "3"]
+    argv = ["lift", "--family", "circle_splitting", "--param", "j=1", "--levels", "3"]
     monkeypatch.setenv("WLIFT_BUDGET", "400")
     assert main(argv) == EXIT_RESOURCE
     assert "LP columns 448 exceeds budget 400" in capsys.readouterr().err
