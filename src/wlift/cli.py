@@ -255,7 +255,11 @@ def _add(parser, *names, **overrides):
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line, an option the subcommand does not take
-    among them, as an input error after the usage line."""
+    among them, as an input error after the usage line.  Options are matched
+    by their full names only; each subcommand's parser is a _Parser too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -28,6 +28,7 @@ every reference formula.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,9 +77,12 @@ class FamilySpec:
             if value is None:
                 raise ValidationError(f"family {self.name!r} needs parameter {key}")
             # an int is an integer and not a bool; a float is any real number
+            # that is finite as a float (nan and inf pass the range checks
+            # below), compared exactly so that a huge int is refused too
             if (not isinstance(value, numbers.Integral if kind is int else numbers.Real)
-                    or isinstance(value, bool)):
-                what = "an integer" if kind is int else "a number"
+                    or isinstance(value, bool)
+                    or (kind is float and not abs(value) <= sys.float_info.max)):
+                what = "an integer" if kind is int else "a finite number"
                 raise ValidationError(
                     f"family {self.name!r} parameter {key} expects {what}, got {value!r}"
                 )

@@ -15,16 +15,22 @@ sums.  Every dyadic Besov sum runs through one engine, `_dyadic_besov`:
 direct level sums up to the exact level, then exact geodesic scaling and
 the closed-form geometric tail.  The level sums come from
 `_level_power_sum`, which also serves `limsup_variation_dyadic` and every
-W^{1,p} sum.  `_pairwise` gives the level-M grid distances in column blocks
-of at most _VARIATION_ENTRIES entries, built per block for paths and sliced
-from one matrix for a curve (whose pairs go to the callback at once when it
-has a batched `many` form, `_distances`), together with a per-path bound on
-them.  Hölder and modulus are one masked max over the blocks, `_pair_max`,
-which builds only the rows within the modulus's delta of each column; every
-q-variation is one dynamic program, `_variation_dp`, which builds only the
-rows of each column that the path's distance bound leaves able to win it
-(on the level-10, 62-path cylinder lift about a sixth of the K N(N-1)/2
-pairs, with values bit-identical to the full program).
+W^{1,p} sum.  A curve evaluated through a distance callback reads its
+level-M grid through one helper, `_curve_grid` (one callback call per pair
+list when it has a batched `many` form, `_distances`).  `_pairwise` gives
+the level-M grid distances in column blocks of at most _VARIATION_ENTRIES
+entries, built per block for paths and sliced from one full `_curve_grid`
+matrix for a curve, together with a per-path bound on them.  Hölder and
+modulus of paths and lifts are one masked max over the blocks, `_pair_max`,
+which builds only the rows within the modulus's delta of each column.
+Those of a curve solve only the pairs that a triangle-inequality bound
+leaves able to win (`_curve_pair_max`): the value is never above the
+all-pairs max and at most a relative _PRUNE_SLACK = 1e-9 below it, plus
+rounding and solver error (in exact arithmetic with a zero slack, exactly
+it).  Every q-variation is one dynamic program, `_variation_dp`, which
+builds only the rows of each column that the path's distance bound leaves
+able to win it (on the level-10, 62-path cylinder lift about a sixth of the
+K N(N-1)/2 pairs, with values bit-identical to the full program).
 
 Conventions:
   * `*_norm_*` functions return the norm itself (p-th or q-th root);
@@ -331,24 +337,34 @@ def _point_blocks(space, G):
     return block
 
 
+def _curve_grid(curve, M: int, dist):
+    """The level-M dyadic times of a curve evaluated through `dist`, and
+    d(i, j): d(X_{t_i}, X_{t_j}) for index arrays i, j of those times, in
+    one `_distances` call.  The one curve-grid evaluator behind the dyadic
+    Hölder, modulus and variation of a curve."""
+    if dist is None:
+        raise ValidationError("generic curve evaluators need a distance callback")
+    ts = dyadic_times(M)
+    vals = [curve(t) for t in ts]
+    return ts, lambda i, j: _distances(dist, [(vals[a], vals[b]) for a, b in zip(i, j)])
+
+
 def _pairwise(curve, M: int, dist):
     """The level-M dyadic times, the shape of the per-path values (() or
     (K,)), block(j0, j1, rows) of d(X_{t_i}, X_{t_j}) as in `_point_blocks`,
     and bound() of per-path bounds on every such distance: from the grid
     points of paths (`spaces._diameter_bound`), or sliced from a curve's
-    `dist` matrix (its largest entry)."""
-    ts = dyadic_times(M)
+    full `_curve_grid` matrix (its largest entry)."""
     X = getattr(curve, "breakpoints", None)
     if X is not None:
+        ts = dyadic_times(M)
         G = _interpolate(curve.space, X.reshape(-1, *X.shape[-2:]), ts)
         bound = functools.partial(spaces._diameter_bound, curve.space, G)
         return ts, X.shape[:-2], _point_blocks(curve.space, G), bound
-    if dist is None:
-        raise ValidationError("generic curve evaluators need a distance callback")
-    vals = [curve(t) for t in ts]
+    ts, d = _curve_grid(curve, M, dist)
     iu, ju = np.triu_indices(len(ts), k=1)
     DT = np.zeros((len(ts), len(ts)))  # DT[j, i] = d(X_{t_i}, X_{t_j}) for i < j
-    DT[ju, iu] = _distances(dist, [(vals[i], vals[j]) for i, j in zip(iu, ju)])
+    DT[ju, iu] = d(iu, ju)
 
     def block(j0, j1, rows):
         return DT[j0:j1, rows[1] if isinstance(rows, tuple) else slice(rows, j1 - 1)]
@@ -356,12 +372,15 @@ def _pairwise(curve, M: int, dist):
     return ts, (), block, lambda: np.array([DT.max()])
 
 
-def _pair_max(pairs, divisor, reach=None):
+def _pair_max(curve, M: int, dist, divisor, reach=None):
     """Per path, the max (0 if none) of d(X_s, X_t) / divisor(t - s) over the
-    grid pairs s < t at most `reach` grid steps apart (any when None), one
-    `_pairwise` block at a time.  Each block is built only from the first
-    row that one of its columns can reach."""
-    ts, shape, block, _ = pairs
+    level-M grid pairs s < t at most `reach` grid steps apart (any when
+    None).  A path or a lift goes one `_pairwise` block at a time, each
+    block built only from the first row that one of its columns can reach;
+    a curve evaluated through `dist` goes through `_curve_pair_max`."""
+    if getattr(curve, "breakpoints", None) is None:
+        return _curve_pair_max(curve, M, dist, divisor, reach)
+    ts, shape, block, _ = _pairwise(curve, M, dist)
     best = np.zeros(math.prod(shape))
     reach = len(ts) if reach is None else reach
     for j0, j1 in _column_blocks(len(best), len(ts)):
@@ -374,21 +393,76 @@ def _pair_max(pairs, divisor, reach=None):
     return best.reshape(shape).tolist()
 
 
+# relative slack of the curve pair pruning: ties (every pair of a
+# constant-speed curve's Hölder-1 table) differ from the max by rounding
+# only and are skipped; far below the accuracy of an LP-solved W_p
+_PRUNE_SLACK = 1e-9
+
+
+def _curve_pair_max(curve, M: int, dist, divisor, reach) -> float:
+    """`_pair_max` for a curve evaluated through `dist`.
+
+    The N - 1 adjacent distances come first, in one batch.  With S their
+    prefix sums, d(X_{t_i}, X_{t_j}) <= S_j - S_i, so pair (i, j) cannot
+    exceed U_ij = (S_j - S_i) / divisor(t_j - t_i).  The other pairs within
+    `reach` (with reach 0 nothing is solved) are solved highest U first, in
+    batches of N, 2N, 4N, ... pairs, each after dropping every pair with
+    U <= best (1 + _PRUNE_SLACK).  The candidate index arrays hold at most
+    (N-1)(N-2)/2 pairs: fewer bytes than the N x N float table of all pairs."""
+    ts, d = _curve_grid(curve, M, dist)
+    if reach == 0:
+        return 0.0
+    n = len(ts) - 1
+    reach = n if reach is None else min(reach, n)
+    k = np.arange(n)
+    adjacent = d(k, k + 1)
+    best = float(np.max(adjacent / divisor(ts[1:] - ts[:-1])))
+    S = np.concatenate([[0.0], np.cumsum(adjacent)])
+    # every pair 2 <= j - i <= reach, gap by gap
+    gaps = np.arange(2, reach + 1)
+    counts = n + 1 - gaps
+    j = np.repeat(gaps, counts)  # the gap j - i, for now
+    i = np.arange(len(j)) - np.repeat(np.cumsum(counts) - counts, counts)
+    j += i
+    U = (S[j] - S[i]) / divisor(ts[j] - ts[i])
+    live = np.flatnonzero(U > best * (1.0 + _PRUNE_SLACK))
+    order = live[np.argsort(-U[live], kind="stable")]
+    i, j, U = i[order], j[order], U[order]
+    size = n + 1
+    while len(U):
+        a, b = i[:size], j[:size]
+        best = max(best, float(np.max(d(a, b) / divisor(ts[b] - ts[a]))))
+        live = np.count_nonzero(U > best * (1.0 + _PRUNE_SLACK))  # U is descending
+        i, j, U = i[len(a):live], j[len(a):live], U[len(a):live]
+        size *= 2
+    return best
+
+
 def holder_norm_dyadic(curve, gamma: float, M: int, dist=None) -> float | list:
-    """sup over level-M dyadic pairs of d(X_s, X_t) / |t-s|^gamma (per path of a lift)."""
+    """sup over level-M dyadic pairs of d(X_s, X_t) / |t-s|^gamma (per path of a lift).
+
+    For a curve evaluated through `dist`, only the pairs whose
+    triangle-inequality bound can still beat the running max are solved
+    (`_curve_pair_max`): the value is never above the all-pairs max and
+    at most a relative _PRUNE_SLACK = 1e-9 below it, plus rounding and
+    solver error; in exact arithmetic with a zero slack it is that max."""
     if not (0 < gamma <= 1):
         raise ValidationError("gamma must lie in (0, 1]")
-    return _pair_max(_pairwise(curve, M, dist), lambda dt: dt**gamma)
+    return _pair_max(curve, M, dist, lambda dt: dt**gamma)
 
 
 def modulus_of_continuity(curve, delta: float, M: int, dist=None) -> float | list:
-    """sup of d(X_s, X_t) over level-M dyadic pairs with |t-s| <= delta (per path of a lift)."""
+    """sup of d(X_s, X_t) over level-M dyadic pairs with |t-s| <= delta (per path of a lift).
+
+    For a curve evaluated through `dist`, the pairs within delta are pruned
+    by the same triangle-inequality bound as in `holder_norm_dyadic`, with
+    the same guarantee; with delta < 2^-M nothing is solved."""
     if not (0 < delta <= 1):
         raise ValidationError("delta must lie in (0, 1]")
     # grid pairs are exact multiples of 2^-M apart: |t-s| <= delta + 1e-15
     # holds for exactly those at most this many steps apart
     reach = math.floor((delta + 1e-15) * 2**M)
-    return _pair_max(_pairwise(curve, M, dist), lambda dt: 1.0, reach)
+    return _pair_max(curve, M, dist, lambda dt: 1.0, reach)
 
 
 # columns between two moves of the variation DP's window starts: a move

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -228,6 +230,37 @@ def loop_modulus(path, delta, M):
     if not np.any(sel):
         return 0.0
     return float(np.max(D[iu[sel], ju[sel]]))
+
+
+@functools.lru_cache(maxsize=2)
+def _loop_curve_distances(curve, M, p):
+    """The level-M dyadic times of a curve of measures and the upper
+    triangle of its W_p matrix there, one `wasserstein_distance` per pair
+    (kept for the next reference call on the same curve)."""
+    ts = dyadic_times(M)
+    mus = [curve(t) for t in ts]
+    D = np.zeros((len(ts), len(ts)))
+    for i in range(len(ts)):
+        for j in range(i + 1, len(ts)):
+            D[i, j] = transport.wasserstein_distance(mus[i], mus[j], p)
+    return ts, D
+
+
+def loop_curve_holder(curve, gamma, M, p):
+    """Reference dyadic W_p Hölder constant of a curve: the max of
+    W_p / |t - s|^gamma over every grid pair."""
+    ts, D = _loop_curve_distances(curve, M, p)
+    iu, ju = np.triu_indices(len(ts), k=1)
+    return float(np.max(D[iu, ju] / (ts[ju] - ts[iu]) ** gamma, initial=0.0))
+
+
+def loop_curve_modulus(curve, delta, M, p):
+    """Reference W_p modulus of continuity of a curve: the max of W_p over
+    every grid pair with |t - s| <= delta."""
+    ts, D = _loop_curve_distances(curve, M, p)
+    iu, ju = np.triu_indices(len(ts), k=1)
+    sel = (ts[ju] - ts[iu]) <= delta + 1e-15
+    return float(np.max(D[iu[sel], ju[sel]], initial=0.0))
 
 
 def loop_besov_energy(space, breakpoints, alpha, p):

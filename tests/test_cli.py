@@ -329,8 +329,8 @@ def test_known_param_keys_still_work(capsys, argv):
 
 
 # one valid call per subcommand, and the options each subcommand once took
-# from a list shared by all six but never read; lift's --level, folded into
-# --levels, is not among them, as argparse reads it as --levels' prefix
+# from a list shared by all six but never read, with lift's --level, folded
+# into --levels (options match by full name only, so it is not a prefix)
 VALID_CALLS = {
     "ot": ["ot", "--mu", "{mu}", "--nu", "{nu}"],
     "compat": ["compat", "--family", "two_tent"],
@@ -343,7 +343,7 @@ REMOVED_OPTIONS = {
     "ot": ["--alpha", "--gamma", "--q", "--delta", "--level", "--levels", "--truncation",
            "--tol", "--family", "--param", "--format"],
     "compat": ["--gamma", "--q", "--delta", "--level", "--levels", "--truncation", "--format"],
-    "lift": ["--gamma", "--q", "--delta", "--truncation", "--tol"],
+    "lift": ["--gamma", "--q", "--delta", "--level", "--truncation", "--tol"],
     "norms": ["--level", "--levels", "--tol", "--format"],
     "bb": ["--gamma", "--q", "--delta", "--level", "--levels", "--truncation", "--tol",
            "--family", "--param", "--format"],
@@ -365,3 +365,18 @@ def test_option_the_subcommand_does_not_read_is_input_error(
     assert main(argv + [option, OPTION_VALUES.get(option, "1")]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "input error" in err and option in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["norms", "--norm", "holder", "--trunc", "4"], "--trunc"),
+    (["lift", "--family", "two_tent", "--lev", "2"], "--lev"),
+], ids=["norms_trunc", "lift_lev"])
+def test_option_prefix_is_input_error(capsys, argv, option):
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error" in err and option in err
+
+
+def test_non_finite_family_parameter_is_input_error(capsys):
+    assert main(["example", "oscillating_tents", "--param", "a=nan"]) == EXIT_INPUT
+    assert "parameter a expects a finite number" in capsys.readouterr().err

@@ -39,6 +39,30 @@ def test_family_parameter_keys_and_kinds(case):
         BAD_PARAMS[case]()
 
 
+# a non-finite number passes every range check of the spec (1/inf = 0 and
+# nan compares false), so each is refused as a kind error, naming its key
+NON_FINITE = {
+    "oscillating_tents_a_nan": ("oscillating_tents", {"J": 3, "p": 2.0, "upsilon": 0.8,
+                                                      "a": math.nan}, "a"),
+    "oscillating_tents_a_inf": ("oscillating_tents", {"J": 3, "p": 2.0, "upsilon": 0.8,
+                                                      "a": math.inf}, "a"),
+    "oscillating_tents_p_inf": ("oscillating_tents", {"J": 3, "p": math.inf, "upsilon": 0.8},
+                                "p"),
+    "cylinder_family_a_inf": ("cylinder_family", {"J": 2, "p": 2.0, "alpha": 0.75,
+                                                  "a": math.inf}, "a"),
+    "cylinder_family_p_inf": ("cylinder_family", {"J": 2, "p": math.inf, "alpha": 0.75}, "p"),
+    "cylinder_family_a_huge_int": ("cylinder_family", {"J": 2, "p": 2.0, "alpha": 0.75,
+                                                       "a": 10**400}, "a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_family_parameter_is_refused(case):
+    name, params, key = NON_FINITE[case]
+    with pytest.raises(w.ValidationError, match=f"parameter {key} expects a finite number"):
+        w.FamilySpec(name, params)
+
+
 def test_family_parameters_are_converted_and_defaulted():
     spec = w.FamilySpec("oscillating_tents", {"p": 2})
     assert spec.params == {"J": 4, "p": 2.0, "upsilon": 0.8, "a": 2.0}

@@ -9,6 +9,8 @@ import wlift as w
 from conftest import (
     ALL_SPACES,
     loop_besov_energy,
+    loop_curve_holder,
+    loop_curve_modulus,
     loop_frac_sobolev,
     loop_grr_check,
     loop_holder,
@@ -17,7 +19,7 @@ from conftest import (
     loop_w1p_energy,
     random_path,
 )
-from wlift import norms
+from wlift import lifts, norms
 from wlift.norms import besov_energy_pg, besov_norm_truncated
 from wlift.paths import PiecewiseGeodesicPath, dyadic_times
 from wlift.spaces import distance
@@ -509,6 +511,117 @@ def test_modulus_builds_only_the_pairs_within_delta(monkeypatch):
     monkeypatch.setattr(w.spaces, "_distance_arrays", real)
     for k in (0, 14, 61):
         assert got[k] == loop_modulus(lift.paths[k], 0.2, 10), k
+
+
+def _separated_particles():
+    """Criterion 7's curve: two far-apart particles on the line, the first
+    moving at speed 2 on [0, 1/2], the second on [1/2, 1]."""
+    sp = w.euclidean(1)
+
+    def ev(t):
+        return w.make_measure(
+            sp, [[2.0 * min(t, 0.5)], [10.0 + 2.0 * max(t - 0.5, 0.0)]], [0.5, 0.5]
+        )
+
+    return w.WassersteinCurve(sp, ev, level=1)
+
+
+CURVE_CASES = {
+    "two_tent": lambda: w.make_curve(w.two_tent()),
+    "jump": lambda: w.make_curve(w.jump()),
+    "circle_splitting_1": lambda: w.make_curve(w.circle_splitting(1)),
+    "circle_splitting_2": lambda: w.make_curve(w.circle_splitting(2)),
+    "oscillating_tents": lambda: w.make_curve(w.oscillating_tents(3, 2.0, 0.8)),
+    "cylinder_family": lambda: w.make_curve(w.cylinder_family(2, 2.0, 0.75)),
+    "separated_particles": _separated_particles,
+}
+
+
+def _counted_wp(p):
+    """W_p as `lifts._wp` gives it, with the number of pairs it was asked for."""
+    wp, count = lifts._wp(p), [0]
+
+    def dist(a, b):
+        count[0] += 1
+        return wp(a, b)
+
+    def many(pairs):
+        pairs = list(pairs)
+        count[0] += len(pairs)
+        return wp.many(pairs)
+
+    dist.many = many
+    return dist, count
+
+
+@pytest.mark.parametrize("M", [4, 6])
+@pytest.mark.parametrize("case", sorted(CURVE_CASES))
+def test_curve_holder_and_modulus_match_all_pairs_reference(case, M):
+    """The pruned curve Hölder constant and modulus give the all-pairs W_2
+    maximum bit for bit on the families and criterion 7's curve, through
+    the batched W_2 and through a plain one-pair callback."""
+    curve = CURVE_CASES[case]()
+
+    def plain(a, b):
+        return w.wasserstein_distance(a, b, 2.0)
+
+    for dist in (lifts._wp(2.0), plain):
+        for gamma in (1.0, 0.75, 0.5):
+            got = w.holder_norm_dyadic(curve, gamma, M, dist=dist)
+            assert got == loop_curve_holder(curve, gamma, M, 2.0), (gamma, dist)
+        for delta in (1.0, 0.25, 0.1):
+            got = w.modulus_of_continuity(curve, delta, M, dist=dist)
+            assert got == loop_curve_modulus(curve, delta, M, 2.0), (delta, dist)
+
+
+def _random_curve(seed, space):
+    """Five atoms of fixed unequal weights, each moving along a line plus a
+    sine of its own frequency: a curve of measures of non-constant speed."""
+    rng = np.random.default_rng(seed)
+    X, A, B = rng.normal(size=(3, 5, space.dim))
+    omega = rng.uniform(1.0, 4.0, size=(5, 1))
+    wts = rng.uniform(0.2, 1.0, size=5)
+
+    def ev(t):
+        pts = X + A * t + B * np.sin(2.0 * np.pi * omega * t)
+        if space.kind == "circle":
+            pts = np.mod(pts, space.perimeter)
+        return w.make_measure(space, pts, wts / wts.sum())
+
+    return w.WassersteinCurve(space, ev)
+
+
+@pytest.mark.parametrize("space", [w.euclidean(2), w.circle(2.0)], ids=["r2", "circle"])
+def test_curve_holder_and_modulus_within_the_slack_of_all_pairs(space):
+    """On seeded curves of non-constant speed the pruned values lie at most
+    a relative _PRUNE_SLACK below the all-pairs maximum and not above it,
+    up to the last bits by which a W_p solved in a batch can differ from
+    the same W_p solved alone."""
+    slack, rounding = norms._PRUNE_SLACK, 1e-14
+    for seed in range(4):
+        curve = _random_curve(seed, space)
+        for M in (4, 5):
+            for gamma in (1.0, 0.75, 0.5):
+                got = w.holder_norm_dyadic(curve, gamma, M, dist=lifts._wp(2.0))
+                want = loop_curve_holder(curve, gamma, M, 2.0)
+                assert want * (1.0 - slack - rounding) <= got <= want * (1.0 + rounding)
+            for delta in (1.0, 0.25, 0.1):
+                got = w.modulus_of_continuity(curve, delta, M, dist=lifts._wp(2.0))
+                want = loop_curve_modulus(curve, delta, M, 2.0)
+                assert want * (1.0 - slack - rounding) <= got <= want * (1.0 + rounding)
+
+
+def test_curve_pair_max_solves_only_the_pairs_that_can_win():
+    """Hölder-1 of two_tent at M = 5 solves its 32 adjacent W_2 pairs and
+    none of the 496 others: every pair's triangle-inequality bound ties the
+    adjacent max.  A modulus with delta below the grid step solves none."""
+    curve = w.make_curve(w.two_tent())
+    dist, count = _counted_wp(2.0)
+    assert w.holder_norm_dyadic(curve, 1.0, 5, dist=dist) == loop_curve_holder(curve, 1.0, 5, 2.0)
+    assert count[0] == 32
+    dist, count = _counted_wp(2.0)
+    assert w.modulus_of_continuity(curve, 0.5 / 2**5, 5, dist=dist) == 0.0
+    assert count[0] == 0
 
 
 def test_variation_lift_energy_holds_one_block_of_distances(monkeypatch):
