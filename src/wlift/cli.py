@@ -241,7 +241,7 @@ _OPTIONS = {
     "delta": (("--delta",), {"type": float, "default": 1.0}),
     "levels": (("--levels",), {"default": "3", "help": "e.g. 1..5 or 1,3,5"}),
     "truncation": (("--truncation", "-M"), {"type": int, "default": 8}),
-    "tol": (("--tol",), {"type": float, "default": 1e-8}),
+    "tol": (("--tol",), {"type": float, "default": transport.FEASIBILITY_TOL}),
     "format": (("--format",), {"choices": ["json", "csv"], "default": "csv"}),
     "out": (("--out",), {}),
 }

@@ -296,27 +296,29 @@ def construct_lift_B(curve: WassersteinCurve, n: int, p: float) -> Lift:
 
     The glued chain of consecutive optimal couplings is tried first (for
     Wasserstein geodesics and monotone real-line curves it already satisfies
-    the pattern); otherwise the compatibility LP on the pattern's triangle
-    tables decides, and infeasibility raises IncompatibleCurveError with the
-    report.  The chain passes if each pattern pair's cost exceeds its W_p^p
-    by at most 1e-10 * max(1, W_p^p).
+    the pattern); otherwise the compatibility certificate on the pattern
+    (`transport._certificate`) decides, and a refused one raises
+    IncompatibleCurveError with the report.  Both pass the one check of
+    every compatibility certificate, `transport._certify`, against the
+    pattern's W_p^p, computed once: the chain's plan costs for consecutive
+    pairs, one `wasserstein_many` call for the rest.  The chain passes at
+    tol 1e-10, the certificate at FEASIBILITY_TOL: marginals to
+    FEASIBILITY_TOL, total excess <= tol * max(1, sum of the W_p^p), and
+    each pair's excess <= tol * max(1, its W_p^p).
     """
     ts, mus, mc, chain_costs = _glued_chain(curve, n, p)
     pattern = dyadic_pattern_pairs(n)
     far = [(i, j) for (i, j) in pattern if j > i + 1]
     opt = dict(zip(far, wasserstein_many([(mus[i], mus[j]) for (i, j) in far], p)))
     opt.update(((k, k + 1), cost) for k, cost in enumerate(chain_costs))
-    for (i, j) in pattern:
-        wpp = opt[(i, j)]
-        if mc.pair_cost(i, j, p) - wpp > 1e-10 * max(1.0, wpp):
-            report = transport.compatibility_multicoupling(
-                mus, p, pairs=pattern, labels=tuple(ts)
-            )
-            if not report.feasible:
-                raise IncompatibleCurveError(report)
-            mc = report.certificate
-            break
-    return _lift_from_multicoupling(mc, n)
+    pair_opt = {pr: float(opt[pr]) for pr in pattern}
+    report = transport._certify(mus, p, pair_opt, 1e-10, ts, (mc.indices, mc.weights, None, 0))
+    if not report.feasible:
+        candidate = transport._certificate(mus, pattern, p)
+        report = transport._certify(mus, p, pair_opt, transport.FEASIBILITY_TOL, ts, candidate)
+        if not report.feasible:
+            raise IncompatibleCurveError(report)
+    return _lift_from_multicoupling(report.certificate, n)
 
 
 # ---------------------------------------------------------------------------

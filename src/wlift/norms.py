@@ -96,17 +96,14 @@ def _level_power_sum(curve, m: int, p: float, dist=None):
         return np.sum(d**p, axis=-1)
     if dist is None:
         raise ValidationError("generic curve evaluators need a distance callback")
-    n_pairs = 2**m
-    pairs = n_pairs
+    n_pairs = pairs = 2**m
     period = getattr(curve, "period", None)
     if period is not None:
-        dt = 1.0 / n_pairs
-        r = round(period / dt)
-        inv = round(dt / period)
-        if r >= 1 and abs(period / dt - r) < 1e-12 and n_pairs % r == 0:
-            pairs = r
-        elif inv >= 1 and abs(dt / period - inv) < 1e-12:
-            pairs = 1
+        # a period of exactly 2^-k (frexp's mantissa 1/2, k = 1 - exponent)
+        # repeats every 2^max(m - k, 0) pairs; any other takes no shortcut
+        mantissa, exponent = math.frexp(period)
+        if mantissa == 0.5 and exponent <= 1:
+            pairs = 2 ** max(m + exponent - 1, 0)
     vals = [curve(t) for t in dyadic_times(m)[: pairs + 1]]
     return (n_pairs // pairs) * float(np.sum(_distances(dist, zip(vals, vals[1:])) ** p))
 

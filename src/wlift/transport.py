@@ -63,8 +63,9 @@ pair set is one clique of all measures, the LP over the full product
 support, prod n_i columns; it is solved by column generation
 (`_product_lp`), which builds only the columns it prices in.  Its
 certificate is the tables glued down the tree by Markov disintegration
-(`_glue`, of which `glue_chain` is the path case).  Either certificate is
-re-checked on its own support by the same code.
+(`_glue`, of which `glue_chain` is the path case).  Every certificate,
+lift B's glued chain included, passes one re-check on its own support,
+`_certify`, with a bound on each pinned pair's excess.
 
 Every LP here has one form, min c.x subject to A x = b, x >= 0, and is
 solved by one adapter, `_highs_solve`, which also returns the row duals.
@@ -265,12 +266,12 @@ class MultiCoupling:
     labels: tuple = ()  # e.g. the dyadic times the marginals sit at
 
     def marginal_error(self) -> float:
-        worst = 0.0
-        for i, mu in enumerate(self.marginals):
-            w = np.zeros(mu.size)
-            np.add.at(w, self.indices[:, i], self.weights)
-            worst = max(worst, float(np.abs(w - mu.weights).max()))
-        return worst
+        """Largest 1-D marginal error: every marginal's sums from one
+        `np.bincount`, marginal i's atoms offset past those before it."""
+        offsets = np.cumsum([0] + [mu.size for mu in self.marginals])
+        w = np.bincount((self.indices + offsets[:-1]).ravel(),
+                        np.repeat(self.weights, len(self.marginals)), offsets[-1])
+        return float(np.abs(w - np.concatenate([mu.weights for mu in self.marginals])).max())
 
     def pair_coupling(self, i: int, j: int) -> Coupling:
         """2-D marginal onto components (i, j)."""
@@ -290,11 +291,12 @@ class MultiCoupling:
 @dataclass(frozen=True)
 class CompatibilityReport:
     """`marginal_residual` and `pair_residual` are measured on the candidate
-    certificate (the LP's glued solution, or on the real line the
-    comonotone coupling): its largest 1-D marginal error, and its largest
-    pinned pair cost minus that pair's W_p^p.  A certificate is returned
-    only if the first is <= FEASIBILITY_TOL and the second <= tol * max(1,
-    sum of the pair optima)."""
+    certificate (the LP's glued solution, on the real line the comonotone
+    coupling, or lift B's glued chain): its largest 1-D marginal error, and
+    its largest pinned pair cost minus that pair's W_p^p.  The one rule
+    (`_certify`): a certificate is returned only if the first is <=
+    FEASIBILITY_TOL, the total excess <= tol * max(1, sum of the pair
+    optima), and each pair's excess <= tol * max(1, its W_p^p)."""
 
     feasible: bool
     certificate: MultiCoupling | None
@@ -851,12 +853,12 @@ def compatibility_multicoupling(
     the least total d^p cost over `pairs` exceeds the sum of the W_p^p by
     the smallest achievable total excess; the collection is compatible on
     `pairs` iff that excess is ~ 0.  The least cost is an LP over clique
-    tables of the pair graph (`_lp_certificate`): for the default all pairs
+    tables of the pair graph (`_certificate`): for the default all pairs
     the LP over the full product support, solved by column generation, and
     `lp_columns` is its prod n_i columns, though only the priced ones are
     built.
 
-    Either certificate is re-checked on its own support against the
+    Either certificate passes `_certify`, the one re-check, against the
     `wasserstein_many` values.  More LP columns, or more certificate
     tuples, than `product_budget()` raise BudgetExceededError.
     """
@@ -881,48 +883,47 @@ def compatibility_multicoupling(
             (mu,), np.arange(mu.size)[:, None], mu.weights.copy(), tuple(labels)
         )
         return CompatibilityReport(True, cert, 0.0, mu.size)
-
-    sizes = [m.size for m in measures]
-    cap = product_budget()
-    if _on_line(measures[0].space):
-        tuples = sum(sizes) - N + 1
-        if tuples > cap:
-            raise BudgetExceededError(tuples, cap, "certificate tuples")
-        idx, wts = _comonotone(measures)
-        keep = wts > 0
-        idx, wts, objective, columns = idx[keep], wts[keep], None, 0
-    else:
-        idx, wts, objective, columns = _lp_certificate(measures, pairs, p, cap)
-
+    candidate = _certificate(measures, pairs, p)
     opt = wasserstein_many([(measures[i], measures[j]) for (i, j) in pairs], p)
     pair_opt = {pr: float(v) for pr, v in zip(pairs, opt)}
+    return _certify(measures, p, pair_opt, tol, labels, candidate)
+
+
+def _certify(measures, p: float, pair_opt, tol: float, labels, candidate) -> CompatibilityReport:
+    """Re-check a candidate multi-coupling of `measures` on its own support,
+    independently of any LP's objective value and tolerances: the one place
+    that compares pair costs with the optima `pair_opt` {(i, j): W_p^p}.
+    `candidate` is (indices, weights, LP objective or None, LP columns), as
+    `_certificate` returns.  It is accepted iff its 1-D marginals hold to
+    FEASIBILITY_TOL, its total excess over the optima (the LP's least total
+    excess when an LP ran) is <= tol * max(1, sum of the optima), and each
+    pair's excess is <= tol * max(1, that pair's W_p^p)."""
+    idx, wts, objective, columns = candidate
     cand = MultiCoupling(tuple(measures), idx, wts, tuple(labels))
-    # the certificate is re-checked on its own support, independently of the
-    # LP's objective value and tolerances
-    excess = [cand.pair_cost(i, j, p) - pair_opt[(i, j)] for (i, j) in pairs]
+    excess = {pr: cand.pair_cost(*pr, p) - wpp for pr, wpp in pair_opt.items()}
     total_opt = sum(pair_opt.values())
-    # the LP's least total excess; with no LP, the certificate's own
-    gap = float(sum(excess) if objective is None else objective - total_opt)
-    scale = max(1.0, total_opt)
+    gap = float(sum(excess.values()) if objective is None else objective - total_opt)
     marginal_res = cand.marginal_error()
-    pair_res = max(excess, default=0.0)
     feasible = (
-        gap <= tol * scale and marginal_res <= FEASIBILITY_TOL and pair_res <= tol * scale
+        marginal_res <= FEASIBILITY_TOL and gap <= tol * max(1.0, total_opt)
+        and all(e <= tol * max(1.0, pair_opt[pr]) for pr, e in excess.items())
     )
     return CompatibilityReport(
-        feasible, cand if feasible else None, max(gap, 0.0), int(np.prod(sizes, dtype=object)),
-        pair_opt, marginal_res, pair_res, columns,
+        feasible, cand if feasible else None, max(gap, 0.0),
+        int(np.prod([m.size for m in measures], dtype=object)), pair_opt, marginal_res,
+        max(excess.values(), default=0.0), columns,
     )
 
 
-def _lp_certificate(measures, pairs, p: float, cap: int):
+def _certificate(measures, pairs, p: float):
     """The least total d^p cost over `pairs` of a multi-coupling of
     `measures`, and a multi-coupling that attains it.
 
-    The LP is over clique tables of the pair graph (`_junction_tree`): a
-    table per clique, 1-D marginal rows, equal separator marginals between
-    neighbouring cliques, and each pair's cost on the first clique that
-    holds it.  Tables that agree on their separators glue to a joint measure
+    On the real line it is the comonotone coupling (`_comonotone`), with
+    no LP.  Elsewhere the LP is over clique tables of the pair graph
+    (`_junction_tree`): a table per clique, 1-D marginal rows, equal
+    separator marginals between neighbouring cliques, and each pair's cost
+    on the first clique that holds it.  Tables that agree on their separators glue to a joint measure
     with those tables as marginals (the junction-tree property of chordal
     graphs), so this LP has the optimum of the LP over the full product
     support.  For the dyadic pattern the cliques are triangles and the LP
@@ -934,10 +935,19 @@ def _lp_certificate(measures, pairs, p: float, cap: int):
     The certificate is the tables glued down the tree by Markov
     disintegration (`_glue`).
 
-    Returns (indices (T, N), weights (T,), LP objective, LP columns).  More
-    than `cap` LP columns or glued tuples raise BudgetExceededError."""
+    Returns (indices (T, N), weights (T,), LP objective or None where no LP
+    ran, LP columns).  More than `product_budget()` LP columns or
+    certificate tuples raise BudgetExceededError."""
     N = len(measures)
     sizes = [m.size for m in measures]
+    cap = product_budget()
+    if _on_line(measures[0].space):
+        tuples = sum(sizes) - N + 1
+        if tuples > cap:
+            raise BudgetExceededError(tuples, cap, "certificate tuples")
+        idx, wts = _comonotone(measures)
+        keep = wts > 0
+        return idx[keep], wts[keep], None, 0
     tree = _junction_tree(N, pairs)
     columns = sum(int(np.prod([sizes[v] for v in nodes], dtype=object)) for nodes, _, _ in tree)
     if columns > cap:

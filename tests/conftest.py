@@ -105,6 +105,18 @@ def loop_glue_chain(couplings, prune=1e-15):
     return idx, wts
 
 
+def loop_marginal_error(mc):
+    """Reference largest 1-D marginal error of a multi-coupling, one
+    marginal and one support tuple at a time."""
+    worst = 0.0
+    for i, mu in enumerate(mc.marginals):
+        sums = np.zeros(mu.size)
+        for k, wt in zip(mc.indices[:, i], mc.weights):
+            sums[k] += wt
+        worst = max(worst, float(np.abs(sums - mu.weights).max()))
+    return worst
+
+
 def _loop_gl_nodes(a, b, g):
     x, w = np.polynomial.legendre.leggauss(g)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w

@@ -68,6 +68,14 @@ def test_one_place_makes_highs_solvers():
     assert sites == 1
 
 
+def test_one_place_compares_pair_costs_with_optima():
+    """Every multi-coupling's pinned pair costs are compared with their
+    W_p^p in one place (`transport._certify`), lift B's glued chain and the
+    compatibility certificates alike."""
+    sites = sum(p.read_text().count(".pair_cost(") for p in SRC.glob("*.py"))
+    assert sites == 1
+
+
 ROOT = SRC.parents[1]
 
 

@@ -196,6 +196,39 @@ def test_construct_B_pattern_optimality_on_geodesic():
         assert out["max_gap"] <= 1e-10
 
 
+def requested_wpp(monkeypatch):
+    """Record how many W_p^p values each `wasserstein_many` call requests,
+    from lifts and from transport."""
+    counts = []
+    many = w.transport.wasserstein_many
+
+    def spy(pairs, p):
+        pairs = list(pairs)
+        counts.append(len(pairs))
+        return many(pairs, p)
+
+    monkeypatch.setattr(w.transport, "wasserstein_many", spy)
+    monkeypatch.setattr(w.lifts, "wasserstein_many", spy)
+    return counts
+
+
+def test_construct_B_computes_each_pattern_optimum_once(monkeypatch):
+    # the consecutive optima are the glued chain's plan costs and the 2^n - 1
+    # far pairs take one call; a refused chain reuses them for the LP's
+    # certificate, so circle_splitting(1) at n = 3 requests 7 values, not 7 + 15
+    counts = requested_wpp(monkeypatch)
+    with pytest.raises(w.IncompatibleCurveError):
+        w.construct_lift_B(w.make_curve(w.circle_splitting(1)), 3, 2.0)
+    assert counts == [7]
+    rng = np.random.default_rng(301)
+    sp = w.euclidean(2)
+    curve = geodesic_curve(sp, random_measure(rng, sp, 4), random_measure(rng, sp, 4), 2.0)
+    for n in (1, 2, 3, 4):
+        counts.clear()
+        w.construct_lift_B(curve, n, 2.0)
+        assert counts == [2**n - 1]
+
+
 def antipodal_pair_measure(deg):
     sp = w.euclidean(2)
     th = math.radians(deg)

@@ -681,6 +681,36 @@ def test_variation_1_is_total_length():
     assert w.p_variation(tent, 2.0, mode="dyadic", M=4) == pytest.approx(math.sqrt(2.0))
 
 
+@pytest.mark.parametrize(
+    "period, counts",
+    [(2.0**-k, [2 ** max(m - k, 0) for m in range(7)]) for k in (1, 2, 3)]
+    + [(1 / 6, [2**m for m in range(7)])],
+    ids=["k1", "k2", "k3", "non-dyadic"],
+)
+def test_level_sum_solves_one_exact_period(period, counts):
+    # a period of exactly 2^-k repeats every 2^max(m - k, 0) level-m pairs;
+    # 1/6, though it divides the level-1 step, takes no shortcut
+    sp = w.euclidean(1)
+    curve = w.WassersteinCurve(
+        sp, lambda t: w.dirac(sp, [math.sin(2 * math.pi * t / period)]), period=period)
+    solved = []
+
+    def dist(a, b):
+        raise AssertionError("pairs go through dist.many")
+
+    def many(pairs):
+        pairs = list(pairs)
+        solved.append(len(pairs))
+        return [w.wasserstein_distance(a, b, 2.0) for a, b in pairs]
+
+    dist.many = many
+    sums = [norms._level_power_sum(curve, m, 2.0, dist) for m in range(7)]
+    assert solved == counts
+    plain = w.WassersteinCurve(sp, curve._evaluator)
+    assert sums == pytest.approx([norms._level_power_sum(plain, m, 2.0, dist)
+                                  for m in range(7)], rel=1e-12, abs=1e-12)
+
+
 def test_limsup_variation_levels():
     seg = w.geodesic_segment(w.euclidean(1), [0.0], [1.0])
     vals = w.limsup_variation_dyadic(seg, 2.0, range(5))

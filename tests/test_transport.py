@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wlift as w
-from conftest import (ALL_SPACES, counted_lp_solves, loop_glue_chain, measure_strategy, on_plane,
-                      random_measure, random_points)
+from conftest import (ALL_SPACES, counted_lp_solves, loop_glue_chain, loop_marginal_error,
+                      measure_strategy, on_plane, random_measure, random_points)
 from wlift.paths import dyadic_times
 from wlift.spaces import distance_matrix
 from wlift.transport import Coupling
@@ -1106,6 +1106,46 @@ def test_compatibility_rejects_certificate_that_misses_marginals(monkeypatch):
     assert report.certificate is None
     assert report.max_pair_gap <= 1e-9
     assert report.marginal_residual == pytest.approx(0.5e-6, rel=1e-3)
+
+
+def test_marginal_error_matches_per_marginal_loop(rng):
+    # lift A chains and compatibility certificates on R^2, the circle and R,
+    # each also with its weights scaled so that every marginal misses
+    mcs = [w.construct_lift_A(w.make_curve(spec), n, 2.0).multicoupling
+           for spec, n in ((w.two_tent(), 6), (w.circle_splitting(1), 4), (w.jump(), 3))]
+    for sp in (w.euclidean(2), w.circle(2.0), w.euclidean(1)):
+        for N in (2, 3, 5):
+            ms = [random_measure(rng, sp, 3) for _ in range(N)]
+            idx, wts, _, _ = w.transport._certificate(ms, w.transport.all_pairs(N), 2.0)
+            mcs.append(w.transport.MultiCoupling(tuple(ms), idx, wts))
+    for mc in mcs:
+        scaled = w.transport.MultiCoupling(mc.marginals, mc.indices, mc.weights * 1.001)
+        for m in (mc, scaled):
+            assert m.marginal_error() == loop_marginal_error(m)
+        assert scaled.marginal_error() > 1e-5
+
+
+def test_certify_bounds_each_pair_by_its_own_optimum():
+    # three point masses, so the one candidate is the product coupling.  Its
+    # (0, 1) excess 5e-8 is above tol * max(1, W_2^2) = 1e-8, while its total
+    # and largest excess are far within tol * max(1, sum of the optima),
+    # about 2e-6: the per-pair bound refuses it, a bound on the largest
+    # excess against the total scale would not
+    sp = w.euclidean(2)
+    ms = [w.dirac(sp, x) for x in ([0.0, 0.0], [0.1, 0.0], [10.0, 0.0])]
+    candidate = (np.zeros((1, 3), dtype=int), np.ones(1), None, 0)
+    costs = {(i, j): w.wasserstein_power(ms[i], ms[j], 2.0) for (i, j) in w.transport.all_pairs(3)}
+    tol = 1e-8
+    for excess, feasible in ((5e-8, False), (5e-9, True)):
+        pair_opt = dict(costs)
+        pair_opt[(0, 1)] -= excess
+        report = w.transport._certify(ms, 2.0, pair_opt, tol, (), candidate)
+        assert report.feasible is feasible
+        assert (report.certificate is not None) is feasible
+        assert report.pair_residual == pytest.approx(excess, rel=1e-6)
+        scale = tol * max(1.0, sum(pair_opt.values()))
+        assert report.max_pair_gap <= scale and report.pair_residual <= scale
+        assert report.marginal_residual == 0.0
 
 
 def test_compatibility_incompatible_triple():
