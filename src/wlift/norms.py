@@ -28,9 +28,14 @@ leaves able to win (`_curve_pair_max`): the value is never above the
 all-pairs max and at most a relative _PRUNE_SLACK = 1e-9 below it, plus
 rounding and solver error (in exact arithmetic with a zero slack, exactly
 it).  Every q-variation is one dynamic program, `_variation_dp`, which
-builds only the rows of each column that the path's distance bound leaves
-able to win it (on the level-10, 62-path cylinder lift about a sixth of the
-K N(N-1)/2 pairs, with values bit-identical to the full program).
+builds, per block of columns, only the rows that can still win one of
+them: by the path's diameter bound, and for paths by the length of the
+path from the row to the block's last column, the prefix sums of its
+adjacent distances (`_prefix_lengths`).  On the level-10, 62-path
+cylinder lift that is about 7 % of the K N(N-1)/2 pairs (a sixth with the
+diameter bound alone), with values bit-identical to the full program.
+Every dyadic grid is checked first (`_check_grid`): its level an integer
+>= 0, its points over all paths within `transport.product_budget()`.
 
 Conventions:
   * `*_norm_*` functions return the norm itself (p-th or q-th root);
@@ -66,6 +71,25 @@ def _check_alpha_p(alpha, p, require_continuity=False):
 def _check_count(value, name, least):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_grid(curve, M, name: str = "M") -> int:
+    """M as a Python int, once it is an integer >= 0 (ValidationError) and
+    the K (2^M + 1) points of the level-M dyadic grid of `curve`'s K paths
+    (K = 1 unless it is a lift) fit `transport.product_budget()`
+    (BudgetExceededError); counted in Python integers, before anything is
+    allocated.  This bounds the grid's memory, not the number of distance
+    pairs built on it."""
+    _check_count(M, name, 0)
+    M = int(M)
+    X = getattr(curve, "breakpoints", None)
+    paths = 1 if X is None else math.prod(X.shape[:-2])
+    # beyond M = 1023 the count, shown as inf, exceeds any budget
+    count = paths * (2**M + 1) if M < 1024 else math.inf
+    budget = product_budget()
+    if count > budget:
+        raise BudgetExceededError(count, budget, "grid points")
+    return M
 
 
 def _distances(dist, pairs) -> np.ndarray:
@@ -305,10 +329,16 @@ def _frac_sobolev_table(path, knots, alpha, p, gl_order, corner_splits):
 _VARIATION_ENTRIES = 2**13
 
 
+def _block_width(K: int, N: int) -> int:
+    """Columns of K paths' N x N pair tables, all rows i < N - 1, within
+    _VARIATION_ENTRIES entries (one when one column alone is more)."""
+    return max(1, _VARIATION_ENTRIES // (K * (N - 1)))
+
+
 def _column_blocks(K: int, N: int):
     """Column ranges [j0, j1) of K paths' N x N pair tables, rows i < j1 - 1,
     within _VARIATION_ENTRIES entries (one column when one alone is more)."""
-    width = max(1, _VARIATION_ENTRIES // (K * (N - 1)))
+    width = _block_width(K, N)
     return [(j0, min(N, j0 + width)) for j0 in range(1, N, width)]
 
 
@@ -334,6 +364,26 @@ def _point_blocks(space, G):
     return block
 
 
+def _prefix_lengths(space, X):
+    """Per sequence of canonical points X (K, N, dim): the prefix sums L
+    (K, N) of its computed adjacent distances (L[:, 0] = 0), and a slack
+    s (K,) with every computed distance d(x_i, x_j), i < j, at most
+    fl(L[:, j] - L[:, i]) + s, by the triangle inequality.
+
+    s = (_BOUND_MARGIN + 8 N eps) (L[:, -1] + P), P the perimeter (0 in
+    R^d): a computed distance is within a few ulps of d + P of the exact
+    one (arc differences round relative to P), the N - 1 adjacent ones add
+    up to N such errors, and each prefix sum rounds by at most N ulps of
+    L[:, -1]."""
+    L = np.zeros(X.shape[:2])
+    step = max(1, _VARIATION_ENTRIES // (X.shape[1] - 1))  # sequences per distance call
+    for a in range(0, len(X), step):
+        d = spaces._distance_arrays(space, X[a : a + step, :-1], X[a : a + step, 1:], canonical=True)
+        np.cumsum(d, axis=1, out=L[a : a + step, 1:])
+    P = 0.0 if space.kind == "euclidean" else space.perimeter
+    return L, (spaces._BOUND_MARGIN + 8 * X.shape[1] * np.finfo(float).eps) * (L[:, -1] + P)
+
+
 def _curve_grid(curve, M: int, dist):
     """The level-M dyadic times of a curve evaluated through `dist`, and
     d(i, j): d(X_{t_i}, X_{t_j}) for index arrays i, j of those times, in
@@ -349,15 +399,19 @@ def _curve_grid(curve, M: int, dist):
 def _pairwise(curve, M: int, dist):
     """The level-M dyadic times, the shape of the per-path values (() or
     (K,)), block(j0, j1, rows) of d(X_{t_i}, X_{t_j}) as in `_point_blocks`,
-    and bound() of per-path bounds on every such distance: from the grid
-    points of paths (`spaces._diameter_bound`), or sliced from a curve's
-    full `_curve_grid` matrix (its largest entry)."""
+    bound() of per-path bounds on every such distance, and lengths, a
+    callable giving the grid's `_prefix_lengths` or None.  For paths both
+    come from the grid points (`spaces._diameter_bound`); a curve's block
+    and bound are sliced from its full `_curve_grid` matrix (its largest
+    entry), and it gives no lengths: its distances may be solver output
+    that meets the triangle inequality only to a tolerance."""
     X = getattr(curve, "breakpoints", None)
     if X is not None:
         ts = dyadic_times(M)
         G = _interpolate(curve.space, X.reshape(-1, *X.shape[-2:]), ts)
         bound = functools.partial(spaces._diameter_bound, curve.space, G)
-        return ts, X.shape[:-2], _point_blocks(curve.space, G), bound
+        lengths = functools.partial(_prefix_lengths, curve.space, G)
+        return ts, X.shape[:-2], _point_blocks(curve.space, G), bound, lengths
     ts, d = _curve_grid(curve, M, dist)
     iu, ju = np.triu_indices(len(ts), k=1)
     DT = np.zeros((len(ts), len(ts)))  # DT[j, i] = d(X_{t_i}, X_{t_j}) for i < j
@@ -366,7 +420,7 @@ def _pairwise(curve, M: int, dist):
     def block(j0, j1, rows):
         return DT[j0:j1, rows[1] if isinstance(rows, tuple) else slice(rows, j1 - 1)]
 
-    return ts, (), block, lambda: np.array([DT.max()])
+    return ts, (), block, lambda: np.array([DT.max()]), None
 
 
 def _pair_max(curve, M: int, dist, divisor, reach=None):
@@ -377,7 +431,7 @@ def _pair_max(curve, M: int, dist, divisor, reach=None):
     a curve evaluated through `dist` goes through `_curve_pair_max`."""
     if getattr(curve, "breakpoints", None) is None:
         return _curve_pair_max(curve, M, dist, divisor, reach)
-    ts, shape, block, _ = _pairwise(curve, M, dist)
+    ts, shape, block, _, _ = _pairwise(curve, M, dist)
     best = np.zeros(math.prod(shape))
     reach = len(ts) if reach is None else reach
     for j0, j1 in _column_blocks(len(best), len(ts)):
@@ -445,6 +499,7 @@ def holder_norm_dyadic(curve, gamma: float, M: int, dist=None) -> float | list:
     solver error; in exact arithmetic with a zero slack it is that max."""
     if not (0 < gamma <= 1):
         raise ValidationError("gamma must lie in (0, 1]")
+    M = _check_grid(curve, M)
     return _pair_max(curve, M, dist, lambda dt: dt**gamma)
 
 
@@ -456,61 +511,102 @@ def modulus_of_continuity(curve, delta: float, M: int, dist=None) -> float | lis
     the same guarantee; with delta < 2^-M nothing is solved."""
     if not (0 < delta <= 1):
         raise ValidationError("delta must lie in (0, 1]")
+    M = _check_grid(curve, M)
     # grid pairs are exact multiples of 2^-M apart: |t-s| <= delta + 1e-15
     # holds for exactly those at most this many steps apart
     reach = math.floor((delta + 1e-15) * 2**M)
     return _pair_max(curve, M, dist, lambda dt: 1.0, reach)
 
 
-# columns between two moves of the variation DP's window starts: a move
-# scans every row a window dropped since the last one, so moving at every
-# column of a one-column block would cost as much as the rows it saves
-_WINDOW_RESCAN = 16
+# columns of each variation DP block after the first, and rows per chunk of
+# its coarse screen: narrower blocks or chunks screen more tightly but cost
+# more numpy calls than the distances they save
+_SCREEN_COLUMNS = 8
+_SCREEN_CHUNK = 16
 
 
-def _variation_dp(block, N: int, bound, q: float) -> np.ndarray:
+def _variation_dp(block, N: int, bound, q: float, lengths=None) -> np.ndarray:
     """max over partitions (index subsets containing both endpoints) of
     sum d^q, for K sequences of N points at once, by the dynamic program
-    V[:, j] = max_{i<j} (V[:, i] + d(x_i, x_j)^q), over the column blocks
-    of `_column_blocks`.  `block(j0, j1, rows)` gives d(x_i, x_j) for
-    columns j0 <= j < j1 and the rows `rows` as in `_point_blocks`, and
-    bound[k] is at least every distance of sequence k.  Returns V[:, -1].
+    V[:, j] = max_{i<j} (V[:, i] + d(x_i, x_j)^q).  `block(j0, j1, rows)`
+    gives d(x_i, x_j) for columns j0 <= j < j1 and the rows `rows` as in
+    `_point_blocks`; bound[k] is at least every distance of sequence k;
+    `lengths`, when given, is a callable returning `_prefix_lengths`' (L,
+    s), with every distance d(x_i, x_j) of sequence k at most fl(L[k, j] -
+    L[k, i]) + s[k].  Returns V[:, -1].
 
-    V never decreases along j, and row i adds at most bound^q, so once
-    V[k, i] + bound[k]^q < V[k, j - 1] row i cannot win column j or any
-    later one.  Each sequence keeps a window start lo[k], moved forward
-    past such rows (every _WINDOW_RESCAN columns, at a block start) and
-    never back; only rows lo[k] <= i < j1 - 1 are built, as one rectangle
-    from min(lo) when that holds at least half live rows, else as the
-    windows alone.  The result is bit-identical to the full DP: max is
-    exact, and in floating point too fl(V + x) >= V for x >= 0, so V never
-    decreases and every dropped candidate rounds to at most V[k, j - 1],
-    which row j - 1 (never dropped) reaches or beats."""
+    The first block of columns is `_column_blocks`' first, with every row;
+    if it reaches column N - 1 nothing else is done (and `lengths` is never
+    called).  Later blocks of max(_SCREEN_COLUMNS, that width) columns j0
+    <= j < j1 build only the rows i < j0 - 1 that can still win one of
+    their columns, with U = min(bound, fl(L[j1 - 1] - L[i]) + s) (U =
+    bound without `lengths`): V is nondecreasing along j, so row i cannot
+    win any column of the block once V[i] + U^q < V[j0 - 1].  The screen
+    runs first per chunk of _SCREEN_CHUNK rows, with V at the chunk's last
+    row and L at its first, then per row of the chunks left; rows j0 - 1
+    and later are always built, in distance calls of at most
+    _VARIATION_ENTRIES entries (or K rows, when more); a block whose rows
+    times columns exceed max(_VARIATION_ENTRIES, K (N - 1)) is narrowed to
+    fit.
+
+    The result is bit-identical to the full DP.  max is exact, and in
+    floating point fl(V + x) >= V for x >= 0, so V never decreases and row
+    j - 1 (never dropped) gives column j at least V[j - 1].  Every rounded
+    operation of the screen (-, +, min) is monotone, and the bound's q-th
+    power is padded by 1 + _BOUND_MARGIN, far above the few ulps of
+    error of a computed power: so a dropped row's candidate rounds to at
+    most the screen's value, which lies strictly below V[j0 - 1]."""
     K = len(bound)
-    Bq = bound[:, None] ** q
     V = np.full((K, N), -np.inf)
     V[:, 0] = 0.0
-    flat, paths = V.reshape(-1), np.arange(K)
-    lo = np.zeros(K, dtype=np.intp)
-    r, dropped, moved = 0, 0, 0  # min(lo), sum(lo), column of the last move
-    for j0, j1 in _column_blocks(K, N):
-        if j0 - moved >= _WINDOW_RESCAN:
-            lo = r + np.sum(V[:, r:j0] + Bq < V[:, j0 - 1 : j0], axis=1)
-            r, dropped, moved = int(lo.min()), int(lo.sum()), j0
-        stop = j1 - 1
-        if 2 * (K * stop - dropped) >= K * (stop - r):  # dense: one rectangle from r
-            rows, idx = r, None
-            starts = paths * (stop - r)
-        else:
-            live = stop - lo
-            starts = np.cumsum(live) - live
-            k = np.repeat(paths, live)
-            rows = (k, np.arange(len(k)) - np.repeat(starts - lo, live))
-            idx = k * N + rows[1]
-        Dq = block(j0, j1, rows) ** q
+    flat = V.reshape(-1)
+    first = _block_width(K, N)
+    j1 = min(N, 1 + first)
+    Dq = block(1, j1, 0) ** q
+    starts = np.arange(K) * (j1 - 1)
+    for j in range(1, j1):
+        V[:, j] = np.maximum.reduceat(V[:, : j1 - 1].reshape(-1) + Dq[j - 1], starts)
+    if j1 == N:
+        return V[:, -1]
+
+    L, s = lengths() if lengths is not None else (np.zeros((K, N)), np.full(K, np.inf))
+    Lflat, pad = L.reshape(-1), 1.0 + spaces._BOUND_MARGIN
+
+    def power_bound(b, slack, lj, li):  # padded U^q, U = min(b, fl(lj - li) + slack)
+        return np.minimum(b, (lj - li) + slack) ** q * pad
+
+    cap, c = max(_VARIATION_ENTRIES, K * (N - 1)), _SCREEN_CHUNK
+    width = max(first, _SCREEN_COLUMNS)
+    lead, j0 = np.arange(c), j1
+    while j0 < N:
+        j1 = min(N, j0 + width)
+        top = j0 - 1  # the last row V is known at; every row from it on is kept
+        f = top // c  # the chunks wholly below it
+        live = V[:, c - 1 : f * c : c] + power_bound(
+            bound[:, None], s[:, None], L[:, j1 - 1 : j1], L[:, 0 : f * c : c]
+        ) >= V[:, top : top + 1]
+        live = np.hstack([live, np.ones((K, (j1 - 2) // c + 1 - f), dtype=bool)])
+        k, t = np.nonzero(live)
+        kN, i = k[:, None] * N, t[:, None] * c + lead
+        at = kN + np.minimum(i, j1 - 2)  # rows past the block are gathered, never kept
+        keep = (i < j1 - 1) & ((i >= top) | (flat[at] + power_bound(
+            bound[k, None], s[k, None], Lflat[kN + j1 - 1], Lflat[at]
+        ) >= flat[kN + top]))
+        rows = np.nonzero(keep)
+        k, i = k[rows[0]], i[rows]
+        if len(k) * (j1 - j0) > cap:  # narrow the block to fit
+            j1 = j0 + max(1, cap // len(k))
+            k, i = k[i < j1 - 1], i[i < j1 - 1]
+        counts = np.bincount(k, minlength=K)
+        starts = np.cumsum(counts) - counts
+        Dq = np.empty((j1 - j0, len(k)))
+        step = max(K, _VARIATION_ENTRIES // (j1 - j0))  # rows per distance call
+        for a in range(0, len(k), step):
+            Dq[:, a : a + step] = block(j0, j1, (k[a : a + step], i[a : a + step])) ** q
+        idx = k * N + i
         for j in range(j0, j1):
-            prev = V[:, r:stop].reshape(-1) if idx is None else flat[idx]
-            V[:, j] = np.maximum.reduceat(prev + Dq[j - j0], starts)
+            V[:, j] = np.maximum.reduceat(flat[idx] + Dq[j - j0], starts)
+        j0 = j1
     return V[:, -1]
 
 
@@ -522,7 +618,8 @@ def _vertex_variation(space, X: np.ndarray, q: float) -> np.ndarray:
     it is a lower bound (a partition point inside a segment can be farther
     from others than both its ends).  Distances are built block by block
     (`_variation_dp`), never as a full N x N matrix per path."""
-    return _variation_dp(_point_blocks(space, X), X.shape[1], spaces._diameter_bound(space, X), q)
+    return _variation_dp(_point_blocks(space, X), X.shape[1], spaces._diameter_bound(space, X), q,
+                         functools.partial(_prefix_lengths, space, X))
 
 
 def p_variation(curve, q: float, mode: str = "dyadic", M: int = 8, dist=None) -> float | list:
@@ -543,8 +640,8 @@ def p_variation(curve, q: float, mode: str = "dyadic", M: int = 8, dist=None) ->
         shape = X.shape[:-2]
         V = _vertex_variation(curve.space, X.reshape(-1, *X.shape[-2:]), q)
     elif mode == "dyadic":
-        ts, shape, block, bound = _pairwise(curve, M, dist)
-        V = _variation_dp(block, len(ts), bound(), q)
+        ts, shape, block, bound, lengths = _pairwise(curve, _check_grid(curve, M), dist)
+        V = _variation_dp(block, len(ts), bound(), q, lengths)
     else:
         raise ValidationError(f"unknown mode {mode!r}")
     return np.reshape([v ** (1.0 / q) for v in V.tolist()], shape).tolist()
@@ -555,6 +652,7 @@ def limsup_variation_dyadic(curve, q: float, levels, dist=None) -> np.ndarray:
     consecutive dyadic pairs.  The trend over growing m stands in for the
     limsup over shrinking dyadic meshes."""
     _check_exponent(q, "q")
+    levels = [_check_grid(curve, m, "level") for m in levels]
     return np.array([_level_power_sum(curve, m, q, dist) for m in levels])
 
 

@@ -121,8 +121,9 @@ def _distance_arrays(
     return np.sqrt(arc * arc + dz * dz)
 
 
-# relative slack of `_diameter_bound`, far above the few ulps by which a
-# computed distance and the computed bound can round apart
+# relative slack of `_diameter_bound` (and of the q-variation DP's bounds in
+# `norms`), far above the few ulps by which a computed distance and the
+# computed bound can round apart
 _BOUND_MARGIN = 1e-9
 
 

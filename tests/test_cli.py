@@ -134,6 +134,23 @@ def test_norms_frac_sobolev_budget_is_exit_3(tmp_path, monkeypatch, capsys):
     assert main(argv + ["--out", str(tmp_path / "out.json")]) == EXIT_OK
 
 
+@pytest.mark.parametrize("M, count", [(40, 2**40 + 1), (24, 2**24 + 1)])
+def test_norms_grid_beyond_budget_is_exit_3(capsys, M, count):
+    """The curve's level-M grid is counted before it is allocated."""
+    from wlift.cli import EXIT_RESOURCE
+
+    argv = ["norms", "--norm", "holder", "--family", "two_tent", "--gamma", "1", "--p", "2",
+            "-M", str(M)]
+    assert main(argv) == EXIT_RESOURCE
+    assert f"grid points {count} exceeds budget" in capsys.readouterr().err
+
+
+def test_norms_negative_grid_level_is_exit_2(capsys):
+    argv = ["norms", "--norm", "modulus", "--builtin", "tent", "-M", "-1"]
+    assert main(argv) == EXIT_INPUT
+    assert "M must be an integer >= 0" in capsys.readouterr().err
+
+
 def test_norms_frac_sobolev_order_beyond_one_chunk_is_exit_2(monkeypatch, capsys):
     """An order whose g^2 node pairs exceed one quadrature chunk is an input
     error; the chunk is shrunk here so that the CLI's order 8 exceeds it."""

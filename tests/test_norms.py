@@ -396,10 +396,12 @@ def test_holder_and_modulus_lift_energies_hold_one_block_of_distances(monkeypatc
 
 
 def _pruning_cases():
-    """(name, space, breakpoint tensor) inputs for the windowed variation
+    """(name, space, breakpoint tensor) inputs for the screened variation
     DP: known lifts whose rows drop out fast, slowly or never, random
-    lifts, and point sets whose distances reach the diameter bound exactly
-    (antipodal arcs, box corners)."""
+    lifts, point sets whose distances reach the diameter bound exactly
+    (antipodal arcs, box corners), and paths whose distances reach the
+    prefix-length bound exactly (straight lines, quarter turns) or are
+    zero (constant paths, repeated breakpoints)."""
     rng = np.random.default_rng(13)
     cases = []
     for spec, levels in ((w.cylinder_family(2, 2.0, 0.75), (6, 7, 8)),
@@ -421,6 +423,28 @@ def _pruning_cases():
     for d in (1, 2, 3):
         corners = rng.integers(0, 2, size=(16, 65, d)) * np.array([1.0, 3.0, 0.1])[:d]
         cases.append((f"corners{d}", w.euclidean(d), corners))
+    # the prefix-length bound met exactly: straight lines on dyadic
+    # coordinates (directions of integer norm 1, 5 and 7), forward only, with
+    # random steps, and back and forth
+    for d, direction in ((1, [1.0]), (2, [3.0, 4.0]), (3, [2.0, 3.0, 6.0])):
+        steps = np.concatenate([np.ones((4, 64)), rng.integers(0, 4, size=(4, 64)),
+                                rng.choice([-1.0, 1.0], size=(4, 64))]) / 16
+        arc = np.concatenate([np.zeros((12, 1)), np.cumsum(steps, axis=1)], axis=1)
+        cases.append((f"line{d}", w.euclidean(d), arc[..., None] * np.array(direction)))
+    # no length at all, and zero-length segments among random ones
+    for space in ALL_SPACES:
+        X = np.stack([random_path(rng, space, 6).breakpoints for _ in range(8)])
+        X[:2] = X[:2, :1]
+        X[2:, 1:] = np.where(rng.random((6, 64, 1)) < 0.5, X[2:, :-1], X[2:, 1:])
+        cases.append((f"repeated{space.kind}{space.dim}", space, X))
+    # steps of exactly P/4 around the circle, both ways, so that distances
+    # reach P/2; on the cylinder with dyadic height steps
+    for space in (w.circle(2.0), w.cylinder(2.0)):
+        turns = np.cumsum(rng.choice([-1, 1, 1, 1], size=(8, 64)), axis=1)
+        arcs = np.mod(np.concatenate([np.zeros((8, 1)), turns], axis=1) * 0.5, 2.0)
+        pts = arcs[..., None] if space.dim == 1 else np.stack(
+            [arcs, np.cumsum(rng.integers(0, 2, size=(8, 65)), axis=1) / 8], axis=-1)
+        cases.append((f"quarter{space.kind}", space, pts))
     return cases
 
 
@@ -457,13 +481,16 @@ def test_windowed_variation_dp_matches_dense_loop_reference(entries, monkeypatch
         def dist(a, b):
             return w.spaces.distance(space, a, b)
 
+        def curve(t):  # the path seen only through its values
+            return path(t)
+
         for q, (vertex, dyadic) in refs.items():
             assert np.array_equal(norms._vertex_variation(space, X, q), vertex), (name, q)
             assert w.p_variation(lift, q, "vertex") == [v ** (1.0 / q) for v in vertex]
             assert w.p_variation(lift, q, "dyadic", M) == dyadic, (name, q)
             assert w.p_variation(path, q, "dyadic", M) == dyadic[0]
             if q in (1.5, 3.0):  # the same grid as a generic curve, one distance per call
-                assert w.p_variation(path, q, "dyadic", M, dist=dist) == dyadic[0], (name, q)
+                assert w.p_variation(curve, q, "dyadic", M, dist=dist) == dyadic[0], (name, q)
 
 
 def test_windowed_variation_dp_builds_a_quarter_of_the_pairs(monkeypatch):
@@ -487,6 +514,62 @@ def test_windowed_variation_dp_builds_a_quarter_of_the_pairs(monkeypatch):
     monkeypatch.setattr(w.spaces, "_distance_arrays", real)
     for k in (0, 2, 6, 14, 30, 61):  # the first path of each circle, and the last
         assert got[k] == loop_vertex_variation(lift.space, X[k], 2.0), k
+
+
+def test_screened_variation_dp_builds_a_twelfth_of_the_pairs(monkeypatch):
+    """On the same lift, screening each block's rows by the prefix-length
+    bound as well leaves at most a twelfth of the K N (N - 1) / 2 distances
+    (about 7 %; the diameter bound alone leaves about a sixth), with the
+    full DP's values."""
+    lift = w.known_lift(w.cylinder_family(4, 2.0, 0.75)).discretize(10)
+    X = lift.breakpoints
+    K, N = X.shape[:2]
+    built = []
+    real = w.spaces._distance_arrays
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        built.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(w.spaces, "_distance_arrays", counted)
+    got = norms._vertex_variation(lift.space, X, 2.0)
+    assert sum(built) <= K * N * (N - 1) / 2 / 12, sum(built) / (K * N * (N - 1) / 2)
+    monkeypatch.setattr(w.spaces, "_distance_arrays", real)
+    for k in (1, 5, 13, 29, 45, 60):
+        assert got[k] == loop_vertex_variation(lift.space, X[k], 2.0), k
+
+
+@pytest.mark.parametrize("entries", [None, 1])
+def test_curve_variation_screens_by_the_diameter_only(entries, monkeypatch):
+    """A curve's distances come from a callback, such as LP-solved W_p, that
+    may meet the triangle inequality only to a tolerance; its dyadic
+    q-variation screens rows by the largest distance alone.  Here a Dirac
+    moves along a line until t = 1/2 and then stands still, and its W_2
+    from time s to time t is scaled by 1 + 1e-8 |t - s|: the distance from
+    the start keeps growing while the adjacent ones are zero, against the
+    triangle inequality.  The value equals the dense loop DP over the same
+    distances, bit for bit, at the default block size and one column per
+    first block."""
+    if entries is not None:
+        monkeypatch.setattr(norms, "_VARIATION_ENTRIES", entries)
+    sp, M = w.euclidean(1), 7
+
+    def curve(t):
+        return t, w.dirac(sp, [3.0 * min(t, 0.5)])
+
+    def dist(a, b):
+        return w.wasserstein_distance(a[1], b[1], 2.0) * (1.0 + 1e-8 * abs(b[0] - a[0]))
+
+    points = [curve(t) for t in dyadic_times(M)]
+    D = np.array([[dist(a, b) if i < j else 0.0 for j, b in enumerate(points)]
+                  for i, a in enumerate(points)])
+    for q in (1.0, 1.5, 2.0):
+        V = np.full(len(D), -np.inf)
+        V[0] = 0.0
+        for j in range(1, len(D)):
+            V[j] = np.max(V[:j] + D[:j, j] ** q)
+        assert w.p_variation(curve, q, "dyadic", M, dist=dist) == V[-1] ** (1.0 / q), q
 
 
 def test_modulus_builds_only_the_pairs_within_delta(monkeypatch):
@@ -709,6 +792,46 @@ def test_level_sum_solves_one_exact_period(period, counts):
     plain = w.WassersteinCurve(sp, curve._evaluator)
     assert sums == pytest.approx([norms._level_power_sum(plain, m, 2.0, dist)
                                   for m in range(7)], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tent, M: w.p_variation(tent, 2.0, "dyadic", M),
+    lambda tent, M: w.holder_norm_dyadic(tent, 1.0, M),
+    lambda tent, M: w.modulus_of_continuity(tent, 0.5, M),
+    lambda tent, M: w.limsup_variation_dyadic(tent, 2.0, [2, M]),
+], ids=["p_variation", "holder", "modulus", "limsup"])
+@pytest.mark.parametrize("M", [-1, 2.5, True, 3.0])
+def test_grid_levels_must_be_integers_at_least_0(call, M):
+    tent = w.PiecewiseGeodesicPath(w.euclidean(1), [[0.0], [1.0], [0.0]], 1)
+    with pytest.raises(w.ValidationError, match="must be an integer >= 0"):
+        call(tent, M)
+    assert np.all(np.asarray(call(tent, np.int64(3))) > 0.0)
+
+
+def test_grid_points_are_counted_against_the_budget(monkeypatch):
+    """K (2^M + 1) grid points, counted before any grid is allocated: a
+    62-path lift at M = 12 holds 254 014, within the default budget."""
+    rng, K = np.random.default_rng(9), 62
+    lift = w.Lift(tuple(random_path(rng, w.cylinder(2.0), 2) for _ in range(K)),
+                  np.full(K, 1.0 / K), 2)
+    assert K * (2**12 + 1) == 254_014 <= norms.product_budget()
+    assert w.holder_norm_dyadic(lift, 1.0, 4)
+    monkeypatch.setenv("WLIFT_BUDGET", str(K * 17 - 1))
+    curve = w.WassersteinCurve(w.euclidean(1), lambda t: w.dirac(w.euclidean(1), [t]))
+    calls = [
+        lambda: w.holder_norm_dyadic(lift, 1.0, 4),
+        lambda: w.modulus_of_continuity(lift, 0.5, 4),
+        lambda: w.p_variation(lift, 2.0, "dyadic", 4),
+        lambda: w.limsup_variation_dyadic(lift, 2.0, [1, 4]),
+    ]
+    for call in calls:
+        with pytest.raises(w.BudgetExceededError, match=f"grid points {K * 17} exceeds"):
+            call()
+    with pytest.raises(w.BudgetExceededError, match="grid points 1099511627777 exceeds"):
+        w.holder_norm_dyadic(curve, 1.0, 40, dist=lifts._wp(2.0))
+    with pytest.raises(w.BudgetExceededError, match="grid points inf exceeds"):
+        w.modulus_of_continuity(curve, 0.5, 5000, dist=lifts._wp(2.0))
+    assert w.p_variation(lift, 2.0, "vertex")  # no grid
 
 
 def test_limsup_variation_levels():
