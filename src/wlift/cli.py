@@ -53,7 +53,7 @@ def _number(text, kind, what):
 def _parse_levels(text):
     if ".." in text:
         a, b = (_number(x, int, "--levels") for x in text.split("..", 1))
-        levels = list(range(a, b + 1))
+        levels = range(a, b + 1)  # never a list: a..b may span 10^8 levels
     else:
         levels = [_number(x, int, "--levels") for x in text.split(",") if x]
     if not levels:
@@ -194,6 +194,7 @@ def cmd_bb(args):
         from .measures import make_measure
 
         k = args.atoms
+        norms._check_count(k, "--atoms", 1)
         mu = make_measure(sp, rng.normal(size=(k, 2)), np.full(k, 1.0 / k))
         nu = make_measure(sp, rng.normal(size=(k, 2)) + 1.0, np.full(k, 1.0 / k))
     report = lifts.benamou_brenier_check(mu, nu, args.alpha, args.p)

@@ -10,10 +10,10 @@ class SpaceMismatchError(ValidationError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An LP or a glued certificate would exceed the configured size budget;
-    `what` names the counted quantity."""
+    """A count would exceed its size limit (`transport._charge`, the one
+    place that raises it); `what` names the counted quantity."""
 
-    def __init__(self, size, budget, what="product support size"):
+    def __init__(self, size, budget, what):
         self.size = size
         self.budget = budget
         self.what = what

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import spaces
 from .errors import NoContinuousLiftError, ValidationError
-from .lifts import Lift, WassersteinCurve, _lift_from_breakpoints
+from .lifts import Lift, WassersteinCurve, _charge_breakpoints, _lift_from_breakpoints
 from .measures import make_measure
 from .paths import PiecewiseGeodesicPath, dyadic_times
 
@@ -183,6 +183,7 @@ class KnownLift:
             raise ValidationError(
                 f"level {n} below the natural breakpoint level {self.natural_level}"
             )
+        _charge_breakpoints(n)
         X = np.stack([self.positions(t) for t in dyadic_times(n)], axis=1)
         return _lift_from_breakpoints(self.space, X, self.weights, n)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import norms, spaces, transport
-from .errors import BudgetExceededError, IncompatibleCurveError, ValidationError
+from .errors import IncompatibleCurveError, ValidationError
 from .measures import DiscreteMeasure, make_measure
 from .paths import PiecewiseGeodesicPath, _interpolate, dyadic_times
 from .transport import (
@@ -266,16 +266,19 @@ def _lift_from_multicoupling(mc: transport.MultiCoupling, n: int) -> Lift:
     return _lift_from_breakpoints(mc.marginals[0].space, X, mc.weights, n, mc)
 
 
+def _charge_breakpoints(n) -> None:
+    """Charge the 2^n + 1 breakpoints of each path of a level-n lift
+    against `transport.product_budget()`, as inf from n = 1024 on, before
+    anything is allocated."""
+    transport._charge(2**n + 1 if n < 1024 else np.inf, "lift breakpoints per path")
+
+
 def _glued_chain(curve: WassersteinCurve, n: int, p: float):
     """The level-n dyadic times, the measures there, the left-to-right glue
     of the consecutive optimal couplings, and those couplings' costs.  The
     2^n couplings come from one batch (`transport._optimal_couplings`).
-    Every path of a level-n lift has 2^n + 1 breakpoints, so a level where
-    that alone exceeds `transport.product_budget()` raises
-    BudgetExceededError before anything is allocated."""
-    cap = transport.product_budget()
-    if 2**n + 1 > cap:
-        raise BudgetExceededError(2**n + 1, cap, "lift breakpoints per path")
+    The level's breakpoints are charged first (`_charge_breakpoints`)."""
+    _charge_breakpoints(n)
     ts = dyadic_times(n)
     mus = [curve(t) for t in ts]
     plans = transport._optimal_couplings(zip(mus, mus[1:]), p)
@@ -380,8 +383,18 @@ def convergence_diagnostics(
     """Finite-level stand-in for the narrow limit: per level, the Besov lift
     energy, worst marginal error at the probe times 0, 0.3, 0.5, 0.8 and 1,
     and worst pairwise optimality gap on the dyadic pattern (or, for
-    construction A, on the consecutive pairs)."""
-    build = construct_lift_B if construction.upper() == "B" else construct_lift_A
+    construction A, on the consecutive pairs).  `construction` is "A" or
+    "B", in either case (ValidationError otherwise).  The deepest level's
+    breakpoints are charged before any lift is built, so a level sweep
+    that would end over the budget does no work; a range's deepest level
+    is read off its ends, not by walking it."""
+    build = {"A": construct_lift_A, "B": construct_lift_B}.get(str(construction).upper())
+    if build is None:
+        raise ValidationError(f"construction must be 'A' or 'B', got {construction!r}")
+    levels = levels if isinstance(levels, range) else list(levels)
+    if levels:
+        _charge_breakpoints(max(levels[0], levels[-1]) if isinstance(levels, range)
+                            else max(levels))
     spec = EnergySpec.besov(alpha, p)
     rows = []
     for n in levels:
@@ -394,7 +407,7 @@ def convergence_diagnostics(
                 lift, curve, (0.0, 0.3, 0.5, 0.8, 1.0), p, 1e-8
             )["max_err"]
             ts = dyadic_times(n)
-            if construction.upper() == "B":
+            if build is construct_lift_B:
                 pairs = [(ts[i], ts[j]) for (i, j) in dyadic_pattern_pairs(n)]
             else:
                 pairs = [(ts[k], ts[k + 1]) for k in range(2**n)]

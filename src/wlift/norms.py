@@ -35,7 +35,8 @@ adjacent distances (`_prefix_lengths`).  On the level-10, 62-path
 cylinder lift that is about 7 % of the K N(N-1)/2 pairs (a sixth with the
 diameter bound alone), with values bit-identical to the full program.
 Every dyadic grid is checked first (`_check_grid`): its level an integer
->= 0, its points over all paths within `transport.product_budget()`.
+>= 0, its points over all paths charged against the size budget through
+the one gate, `transport._charge`.
 
 Conventions:
   * `*_norm_*` functions return the norm itself (p-th or q-th root);
@@ -53,10 +54,10 @@ import math
 import numpy as np
 
 from . import spaces
-from .errors import BudgetExceededError, ValidationError
+from .errors import ValidationError
 from .measures import _check_exponent
 from .paths import PiecewiseGeodesicPath, _interpolate, dyadic_times
-from .transport import product_budget
+from .transport import _charge
 
 
 def _check_alpha_p(alpha, p, require_continuity=False):
@@ -85,10 +86,7 @@ def _check_grid(curve, M, name: str = "M") -> int:
     X = getattr(curve, "breakpoints", None)
     paths = 1 if X is None else math.prod(X.shape[:-2])
     # beyond M = 1023 the count, shown as inf, exceeds any budget
-    count = paths * (2**M + 1) if M < 1024 else math.inf
-    budget = product_budget()
-    if count > budget:
-        raise BudgetExceededError(count, budget, "grid points")
+    _charge(paths * (2**M + 1) if M < 1024 else math.inf, "grid points")
     return M
 
 
@@ -221,15 +219,13 @@ def _check_quad(alpha, p, gl_order, corner_splits, require_continuity=False):
     _check_count(corner_splits, "corner_splits", 0)
 
 
-def _check_quad_budget(n: int, corner_splits, paths: int = 1) -> None:
-    """BudgetExceededError unless the rectangles of `paths` tables over n
-    cells, (n-1)(n-2)/2 + (n-1)(corner_splits+1)^2 each, fit
-    `transport.product_budget()`; counted in Python integers, before
-    anything is allocated."""
-    count = paths * ((n - 1) * (n - 2) // 2 + (n - 1) * (int(corner_splits) + 1) ** 2)
-    budget = product_budget()
-    if count > budget:
-        raise BudgetExceededError(count, budget, "quadrature cells")
+def _check_quad_budget(n, corner_splits, paths: int = 1) -> None:
+    """Charge the rectangles of `paths` tables over n cells (an int, or
+    math.inf past any budget), (n-1)(n-2)/2 + (n-1)(corner_splits+1)^2 each,
+    against `transport.product_budget()`; counted in Python integers,
+    before anything is allocated."""
+    _charge(paths * ((n - 1) * (n - 2) // 2 + (n - 1) * (int(corner_splits) + 1) ** 2)
+            if n < math.inf else math.inf, "quadrature cells")
 
 
 def frac_sobolev_energy(
@@ -706,7 +702,8 @@ def grr_check(
     _check_count(level, "level", 0)
     level = int(level)
     top = max(level, path.level)
-    _check_quad_budget(2**top, corner_splits)
+    # 2^top cells, counted as inf from top = 1024 on, never built
+    _check_quad_budget(2**top if top < 1024 else math.inf, corner_splits)
     cbar = grr_constant(alpha, p)
     knots = dyadic_times(top)
     T, X = _frac_sobolev_table(path, knots, alpha, p, gl_order, corner_splits)

@@ -205,6 +205,8 @@ _HIGHS_OPTIONS = {
 }
 # most plan entries one batched transport LP takes (see the module docstring)
 _LP_COLUMNS = 2048
+# most columns or entries an LP may have: HiGHS indexes them in 32 bits
+_INDEX_CAP = 2**31 - 1
 # most tuples one column-generation round adds to the product-support LP's
 # master, per row of the LP (`_product_lp`).  On 16 LPs of 27 to 262 144
 # columns (2-core VM, three sweeps) 1 took 0.44-0.67 s in all, 2 took
@@ -222,10 +224,22 @@ _thread = threading.local()
 
 
 def product_budget() -> int:
-    """Size budget for compatibility LPs, in LP columns, for their glued
-    certificates, in support tuples, and for fractional Sobolev quadrature,
-    in rectangles of at most `norms._QUAD_NODE_PAIRS` node pairs each (env
-    var WLIFT_BUDGET overrides; it must be an integer >= 1)."""
+    """The size budget, DEFAULT_BUDGET unless the env var WLIFT_BUDGET (an
+    integer >= 1) overrides it.  `_charge` counts against it, each named as
+    its error message names it:
+      * LP columns of a compatibility LP ("LP columns" for clique tables,
+        "product support size" for the product-support LP);
+      * support tuples of a compatibility certificate ("certificate tuples"
+        for the comonotone one, "glued certificate tuples" as `_glue`
+        extends a glued one);
+      * fractional Sobolev quadrature rectangles of at most
+        `norms._QUAD_NODE_PAIRS` node pairs each ("quadrature cells");
+      * the K (2^M + 1) points of a level-M dyadic grid over K paths
+        ("grid points");
+      * the 2^n + 1 breakpoints of each path of a level-n lift ("lift
+        breakpoints per path").
+    A count built from 2^n is charged as inf from n = 1024 on, where no
+    budget reaches, and the integer is never built."""
     raw = os.environ.get("WLIFT_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
@@ -236,6 +250,16 @@ def product_budget() -> int:
     if budget < 1:
         raise ValidationError(f"WLIFT_BUDGET must be an integer >= 1, got {raw!r}")
     return budget
+
+
+def _charge(count, what: str, cap: int | None = None) -> None:
+    """The one size-limit check: raise BudgetExceededError, naming `what`,
+    if `count`, a Python int or inf, exceeds `cap`, by default
+    `product_budget()`.  A count above 2^1024 is reported as inf, so that
+    no message holds an int Python refuses to print (over 4300 digits)."""
+    cap = product_budget() if cap is None else cap
+    if count > cap:
+        raise BudgetExceededError(np.inf if count > 2**1024 else count, cap, what)
 
 
 @dataclass(frozen=True)
@@ -323,13 +347,6 @@ def _point_mass_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     return nu.weights[None, :].copy() if mu.size == 1 else mu.weights[:, None].copy()
 
 
-def _check_lp_size(columns: int, entries: int):
-    """BudgetExceededError if an LP has 2^31 or more columns or entries,
-    which HiGHS's 32-bit indices cannot address."""
-    if max(columns, entries) >= 2**31:
-        raise BudgetExceededError(max(columns, entries), 2**31 - 1, "LP columns or entries")
-
-
 def _solver():
     """This thread's HiGHS solver, made with _HIGHS_OPTIONS on first use."""
     solver = getattr(_thread, "highs", None)
@@ -347,10 +364,10 @@ def _highs_solve(c, indptr, indices, b, values=None):
     (x, objective, y): y holds the row duals, signed so that the reduced
     costs are c - A^T y, >= -DUAL_TOL at an optimum and 0 wherever x > 0
     (complementary slackness).  Raises RuntimeError, naming HiGHS's model status, unless it is
-    optimal, and BudgetExceededError if the LP has 2^31 or more columns or
-    entries (`_check_lp_size`)."""
+    optimal, and BudgetExceededError if the LP has more columns or entries
+    than _INDEX_CAP."""
     num_nz = int(indptr[-1])
-    _check_lp_size(c.size, num_nz)
+    _charge(max(c.size, num_nz), "LP columns or entries", _INDEX_CAP)
     if values is None:
         values = np.ones(indices.size)
     if _highs is None:
@@ -410,8 +427,8 @@ def _transport_lp(blocks):
     j = m - 1 hold one entry.  Each block's pattern comes from
     `_block_pattern`, offset by the block's first row."""
     c = np.concatenate([D.reshape(-1) for D, _, _ in blocks])
-    # before an int32 row offset could wrap
-    _check_lp_size(c.size, 2 * c.size - sum(D.shape[0] for D, _, _ in blocks))
+    # its entries, no fewer than its columns, before an int32 row offset could wrap
+    _charge(2 * c.size - sum(len(D) for D, _, _ in blocks), "LP columns or entries", _INDEX_CAP)
     indices, counts, b = [], [], []
     r0 = 0
     for D, row_weights, col_weights in blocks:
@@ -730,7 +747,7 @@ def glue_chain(couplings, labels=()) -> MultiCoupling:
     return MultiCoupling(marginals, idx, wts, tuple(labels))
 
 
-def _glue(first, steps, cap: int | None = None):
+def _glue(first, steps, cap: float = np.inf):
     """Markov disintegration of a tree of tables: the support tuples of table
     `first` (entries > _GLUE_PRUNE), extended by one component per step.
 
@@ -738,7 +755,7 @@ def _glue(first, steps, cap: int | None = None):
     given the components at tuple positions `sep`: table's leading axes are
     those components, in order, and its last axis is the new one.  Returns
     (indices (T, first.ndim + len(steps)), weights (T,)).  More than `cap`
-    tuples raise BudgetExceededError."""
+    tuples (by default no cap) raise BudgetExceededError."""
     idx = np.argwhere(first > _GLUE_PRUNE)
     wts = first[tuple(idx.T)]
     for sep, table in steps:
@@ -748,8 +765,7 @@ def _glue(first, steps, cap: int | None = None):
         t, k = np.nonzero(rows > _GLUE_PRUNE)
         idx = np.column_stack([idx[t], k])
         wts = wts[t] * rows[t, k]
-        if cap is not None and wts.size > cap:
-            raise BudgetExceededError(wts.size, cap, "glued certificate tuples")
+        _charge(wts.size, "glued certificate tuples", cap)
     return idx, wts
 
 
@@ -777,7 +793,8 @@ def _junction_tree(N: int, pairs):
     For the dyadic pattern (`pairs` == dyadic_pattern_pairs(n), N = 2^n + 1)
     these are the 2^n - 1 triangles (a, (a+b)/2, b) over the dyadic intervals
     (a, b) of length >= 2, each joined to its parent interval's triangle on
-    the pair (a, b).  Any other pair set gets one clique of all N nodes."""
+    the pair (a, b).  Any other pair set, all pairs (None) among them, gets
+    one clique of all N nodes."""
     n = (N - 1).bit_length() - 1
     if N < 4 or N - 1 != 2**n or pairs != dyadic_pattern_pairs(n):
         return [(tuple(range(N)), -1, ())]
@@ -870,13 +887,12 @@ def compatibility_multicoupling(
         raise ValidationError("need at least one measure")
     for m in measures[1:]:
         check_same_space(measures[0], m)
-    if pairs is None:
-        pairs = all_pairs(N)
-    pairs = sorted(set(tuple(sorted(pr)) for pr in pairs))
-    for pr in pairs:
-        if (len(pr) != 2 or not all(isinstance(v, (int, np.integer)) for v in pr)
-                or not 0 <= pr[0] < pr[1] < N):
-            raise ValidationError(f"pairs must be integer (i, j), 0 <= i < j < {N}, got {pr}")
+    if pairs is not None:  # None, all pairs, is built once the budget is charged
+        pairs = sorted(set(tuple(sorted(pr)) for pr in pairs))
+        for pr in pairs:
+            if (len(pr) != 2 or not all(isinstance(v, (int, np.integer)) for v in pr)
+                    or not 0 <= pr[0] < pr[1] < N):
+                raise ValidationError(f"pairs must be integer (i, j), 0 <= i < j < {N}, got {pr}")
     if N == 1:
         mu = measures[0]
         cert = MultiCoupling(
@@ -884,6 +900,7 @@ def compatibility_multicoupling(
         )
         return CompatibilityReport(True, cert, 0.0, mu.size)
     candidate = _certificate(measures, pairs, p)
+    pairs = all_pairs(N) if pairs is None else pairs
     opt = wasserstein_many([(measures[i], measures[j]) for (i, j) in pairs], p)
     pair_opt = {pr: float(v) for pr, v in zip(pairs, opt)}
     return _certify(measures, p, pair_opt, tol, labels, candidate)
@@ -916,8 +933,8 @@ def _certify(measures, p: float, pair_opt, tol: float, labels, candidate) -> Com
 
 
 def _certificate(measures, pairs, p: float):
-    """The least total d^p cost over `pairs` of a multi-coupling of
-    `measures`, and a multi-coupling that attains it.
+    """The least total d^p cost over `pairs` (None: all pairs) of a
+    multi-coupling of `measures`, and a multi-coupling that attains it.
 
     On the real line it is the comonotone coupling (`_comonotone`), with
     no LP.  Elsewhere the LP is over clique tables of the pair graph
@@ -940,23 +957,17 @@ def _certificate(measures, pairs, p: float):
     certificate tuples raise BudgetExceededError."""
     N = len(measures)
     sizes = [m.size for m in measures]
-    cap = product_budget()
     if _on_line(measures[0].space):
-        tuples = sum(sizes) - N + 1
-        if tuples > cap:
-            raise BudgetExceededError(tuples, cap, "certificate tuples")
+        _charge(sum(sizes) - N + 1, "certificate tuples")
         idx, wts = _comonotone(measures)
         keep = wts > 0
         return idx[keep], wts[keep], None, 0
     tree = _junction_tree(N, pairs)
     columns = sum(int(np.prod([sizes[v] for v in nodes], dtype=object)) for nodes, _, _ in tree)
-    if columns > cap:
-        raise BudgetExceededError(
-            columns, cap, "product support size" if len(tree) == 1 else "LP columns"
-        )
+    _charge(columns, "product support size" if len(tree) == 1 else "LP columns")
 
     costs = [np.zeros([sizes[v] for v in nodes]) for nodes, _, _ in tree]
-    for (i, j) in pairs:
+    for (i, j) in all_pairs(N) if pairs is None else pairs:
         k = next(k for k, (nodes, _, _) in enumerate(tree) if i in nodes and j in nodes)
         nodes = tree[k][0]
         D = _cost_matrix(measures[i], measures[j], p)
@@ -981,7 +992,7 @@ def _certificate(measures, pairs, p: float):
         steps.append(([order.index(v) for v in sep],
                       table.transpose([nodes.index(v) for v in sep + (new,)])))
         order.append(new)
-    idx, wts = _glue(tables[0], steps, cap=cap)
+    idx, wts = _glue(tables[0], steps, cap=product_budget())
     return idx[:, np.argsort(order)], wts, fun, columns
 
 

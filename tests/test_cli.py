@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -315,6 +316,43 @@ def test_lift_level_beyond_budget_is_exit_3(capsys):
 
     assert main(["lift", "--family", "two_tent", "--levels", "100"]) == EXIT_RESOURCE
     assert "lift breakpoints" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", ["20000", "1..25", "1..100000000"])
+def test_lift_deepest_level_is_charged_before_any_is_built(monkeypatch, capsys, levels):
+    """The deepest level is charged first, so a sweep that would end over
+    the budget builds nothing; 20 000 and 10^8 are charged as inf."""
+    from wlift.cli import EXIT_RESOURCE
+
+    def build(curve, n, p):
+        raise AssertionError(f"level {n} built")
+
+    monkeypatch.setattr(w.lifts, "construct_lift_A", build)
+    monkeypatch.setattr(w.lifts, "construct_lift_B", build)
+    start = time.perf_counter()
+    assert main(["lift", "--family", "two_tent", "--levels", levels]) == EXIT_RESOURCE
+    assert time.perf_counter() - start < 1.0
+    count = "33554433" if levels == "1..25" else "inf"
+    assert f"lift breakpoints per path {count} exceeds budget" in capsys.readouterr().err
+
+
+def test_compat_product_too_large_to_print_is_exit_3(capsys):
+    """3000 times of 32 atoms: 32^3000 product tuples, reported as inf, and
+    charged before the 4.5 million pairs are listed."""
+    from wlift.cli import EXIT_RESOURCE
+
+    times = ",".join(str(k / 2999) for k in range(3000))
+    start = time.perf_counter()
+    argv = ["compat", "--family", "circle_splitting", "--param", "j=4", "--times", times]
+    assert main(argv) == EXIT_RESOURCE
+    assert time.perf_counter() - start < 1.0
+    assert "product support size inf exceeds budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("atoms", ["0", "-1"])
+def test_bb_atoms_below_one_is_exit_2(capsys, atoms):
+    assert main(["bb", "--atoms", atoms]) == EXIT_INPUT
+    assert f"--atoms must be an integer >= 1, got {atoms}" in capsys.readouterr().err
 
 
 UNKNOWN_PARAMS = {

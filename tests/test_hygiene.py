@@ -68,6 +68,15 @@ def test_one_place_makes_highs_solvers():
     assert sites == 1
 
 
+def test_one_place_raises_budget_errors():
+    """Every size limit, WLIFT_BUDGET's and HiGHS's 32-bit index limit
+    alike, is checked by one gate (`transport._charge`), so the package
+    constructs BudgetExceededError in one place only."""
+    calls = re.compile(r"(?<!class )BudgetExceededError\(")
+    sites = sum(len(calls.findall(p.read_text())) for p in SRC.glob("*.py"))
+    assert sites == 1
+
+
 def test_one_place_compares_pair_costs_with_optima():
     """Every multi-coupling's pinned pair costs are compared with their
     W_p^p in one place (`transport._certify`), lift B's glued chain and the

@@ -565,6 +565,50 @@ def test_lift_breakpoints_count_against_the_budget():
     assert calls == []
 
 
+@pytest.mark.parametrize("n", [20_000, 10**7])
+def test_lift_levels_too_deep_to_count_are_charged_as_inf(n):
+    """From level 1024 on the breakpoints are charged as inf, so neither a
+    count too long to print (20 000) nor a big integer (10^7) is made."""
+    curve = w.make_curve(w.two_tent())
+    start = time.perf_counter()
+    for build in (w.construct_lift_A, w.known_lift(w.two_tent()).discretize):
+        with pytest.raises(w.BudgetExceededError,
+                           match="lift breakpoints per path inf exceeds budget"):
+            build(curve, n, 2.0) if build is w.construct_lift_A else build(n)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_known_lift_discretize_charges_its_breakpoints(monkeypatch):
+    kl = w.known_lift(w.two_tent())
+    calls = []
+    monkeypatch.setattr(kl, "positions", lambda t: calls.append(t))
+    with pytest.raises(w.BudgetExceededError,
+                       match=f"lift breakpoints per path {2**20 + 1} exceeds budget 1000000"):
+        kl.discretize(20)
+    assert calls == []
+
+
+def test_convergence_diagnostics_charges_the_deepest_level_first(monkeypatch):
+    """Level 25's breakpoints exceed the budget, so no level is built."""
+    built = []
+    for name in ("construct_lift_A", "construct_lift_B"):
+        monkeypatch.setattr(w.lifts, name, lambda curve, n, p: built.append(n))
+    curve = w.make_curve(w.two_tent())
+    for levels in ([1, 25, 2], range(1, 26), range(1, 10**8 + 1)):
+        with pytest.raises(w.BudgetExceededError, match="lift breakpoints per path"):
+            w.convergence_diagnostics(curve, 2.0, 0.75, levels)
+    assert built == []
+
+
+@pytest.mark.parametrize("construction", ["min", "", "AB", None])
+def test_convergence_diagnostics_takes_only_constructions_a_and_b(construction):
+    curve = w.make_curve(w.two_tent())
+    with pytest.raises(w.ValidationError, match="construction must be 'A' or 'B'"):
+        w.convergence_diagnostics(curve, 2.0, 0.75, [1], construction=construction)
+    rows = w.convergence_diagnostics(curve, 2.0, 0.75, [1], construction="a")
+    assert rows[0]["error"] == "" and rows[0]["max_pair_gap"] <= 1e-8
+
+
 def test_frac_sobolev_lift_energy_checks_the_budget_once_for_all_paths():
     """The fractional Sobolev lift energy counts the quadrature rectangles
     of all K paths against the budget before evaluating any: the level-10,

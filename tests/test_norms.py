@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -814,7 +815,7 @@ def test_grid_points_are_counted_against_the_budget(monkeypatch):
     rng, K = np.random.default_rng(9), 62
     lift = w.Lift(tuple(random_path(rng, w.cylinder(2.0), 2) for _ in range(K)),
                   np.full(K, 1.0 / K), 2)
-    assert K * (2**12 + 1) == 254_014 <= norms.product_budget()
+    assert K * (2**12 + 1) == 254_014 <= w.transport.product_budget()
     assert w.holder_norm_dyadic(lift, 1.0, 4)
     monkeypatch.setenv("WLIFT_BUDGET", str(K * 17 - 1))
     curve = w.WassersteinCurve(w.euclidean(1), lambda t: w.dirac(w.euclidean(1), [t]))
@@ -981,6 +982,18 @@ def test_grr_check_budget_before_any_grid(monkeypatch):
     with pytest.raises(w.BudgetExceededError, match="quadrature cells"):
         w.grr_check(path, 0.75, 2.0, level=np.int64(70))
     assert sizes == []
+
+
+@pytest.mark.parametrize("level", [20_000, 10**7])
+def test_grr_levels_too_deep_to_count_are_charged_as_inf(level):
+    """From level 1024 on the 2^level cells are charged as inf, so neither a
+    count too long to print (20 000) nor a big-integer product (10^7) is
+    ever made."""
+    path = w.PiecewiseGeodesicPath(w.euclidean(1), [[0.0], [1.0], [0.0]], 1)
+    start = time.perf_counter()
+    with pytest.raises(w.BudgetExceededError, match="quadrature cells inf exceeds budget"):
+        w.grr_check(path, 0.75, 2.0, level=level)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_geodesic_characterization():

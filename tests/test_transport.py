@@ -1,7 +1,9 @@
 import functools
 import itertools
+import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -1319,6 +1321,33 @@ def test_line_compatibility_is_not_bounded_by_the_product_support(monkeypatch):
     monkeypatch.setenv("WLIFT_BUDGET", "32")
     with pytest.raises(w.BudgetExceededError, match="certificate tuples 33 exceeds budget 32"):
         w.compatibility_multicoupling(ms, 2.0)
+
+
+def test_product_support_too_large_to_print_is_charged_as_inf():
+    """40^3000 product tuples: more than 4300 digits, reported as inf."""
+    rng = np.random.default_rng(126)
+    ms = [random_measure(rng, w.circle(), 40) for _ in range(3000)]
+    start = time.perf_counter()
+    with pytest.raises(w.BudgetExceededError, match="product support size inf exceeds budget"):
+        w.compatibility_multicoupling(ms, 2.0, pairs=[(0, 1), (1, 2), (0, 2)])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_charge_is_the_one_size_limit_check(monkeypatch):
+    charge = w.transport._charge
+    charge(7, "things", 7)
+    with pytest.raises(w.BudgetExceededError, match="^things 8 exceeds budget 7$"):
+        charge(8, "things", 7)
+    monkeypatch.setenv("WLIFT_BUDGET", "5")
+    charge(5, "things")
+    with pytest.raises(w.BudgetExceededError, match="^things 6 exceeds budget 5$") as info:
+        charge(6, "things")
+    assert (info.value.size, info.value.budget, info.value.what) == (6, 5, "things")
+    with pytest.raises(w.BudgetExceededError, match=f"^things {2**1024} exceeds budget 5$"):
+        charge(2**1024, "things")
+    for count in (2**1024 + 1, 10**5000, math.inf):
+        with pytest.raises(w.BudgetExceededError, match="^things inf exceeds budget 5$"):
+            charge(count, "things")
 
 
 # ---------------------------------------------------------------------------
