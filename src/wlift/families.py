@@ -179,11 +179,11 @@ class KnownLift:
         )
 
     def discretize(self, n: int) -> Lift:
+        n = _charge_breakpoints(n)
         if n < self.natural_level:
             raise ValidationError(
                 f"level {n} below the natural breakpoint level {self.natural_level}"
             )
-        _charge_breakpoints(n)
         X = np.stack([self.positions(t) for t in dyadic_times(n)], axis=1)
         return _lift_from_breakpoints(self.space, X, self.weights, n)
 

@@ -24,6 +24,24 @@ from .transport import (
 )
 
 
+# most entries each cache of a curve keeps (`_remember`)
+_CACHE_CAP = 4096
+
+
+def _remember(cache: dict, key, value):
+    """Store `value` under `key` in a first-in-first-out cache of at most
+    _CACHE_CAP entries, evicting the oldest, and return it."""
+    cache[key] = value
+    if len(cache) > _CACHE_CAP:
+        del cache[next(iter(cache))]
+    return value
+
+
+def _wpp_key(s, t, p):
+    s, t = float(s), float(t)
+    return min(s, t), max(s, t), p
+
+
 class WassersteinCurve:
     """Measure-valued path t in [0,1] |-> DiscreteMeasure.
 
@@ -32,6 +50,13 @@ class WassersteinCurve:
     switch to the exact closed form.
     `period`: if not None, mu_{t+period} = mu_t exactly (atomwise); level
     sums then only sample one period.
+
+    A curve caches its measures by time, and W_p^p(mu_s, mu_t) in one
+    symmetric memo keyed by (min(s, t), max(s, t), p): a lift's glued
+    chain fills it with its plan costs, and lift B's pattern optima and
+    `pairwise_optimality_check` read it (`_wpp_many`).  A level sweep so
+    solves each pair once, since level n's dyadic pattern holds level
+    n - 1's.
     """
 
     def __init__(self, space, evaluator, level=None, period=None, name="", params=None):
@@ -42,16 +67,33 @@ class WassersteinCurve:
         self.name = name
         self.params = dict(params or {})
         self._cache = {}
+        self._wpp = {}
 
     def __call__(self, t: float) -> DiscreteMeasure:
         t = float(t)
-        if t not in self._cache:
-            if not -1e-15 <= t <= 1 + 1e-15:  # eval_many's slack
-                raise ValidationError(f"time {t} outside [0, 1]")
-            self._cache[t] = self._evaluator(t)
-            if len(self._cache) > 4096:  # evict the oldest entry
-                del self._cache[next(iter(self._cache))]
-        return self._cache[t]
+        if t in self._cache:
+            return self._cache[t]
+        if not -1e-15 <= t <= 1 + 1e-15:  # eval_many's slack
+            raise ValidationError(f"time {t} outside [0, 1]")
+        return _remember(self._cache, t, self._evaluator(t))
+
+    def _keep_wpp(self, pairs, values, p: float) -> None:
+        """Memoise W_p^p(mu_s, mu_t) = value for each time pair (s, t)."""
+        for (s, t), value in zip(pairs, values):
+            _remember(self._wpp, _wpp_key(s, t, p), value)
+
+    def _wpp_many(self, pairs, p: float) -> list:
+        """W_p^p(mu_s, mu_t) for each time pair (s, t), read from the memo;
+        the misses are solved in one `wasserstein_many` call, each as
+        (mu_min(s,t), mu_max(s,t)), and memoised."""
+        keys = [_wpp_key(s, t, p) for s, t in pairs]
+        found = {k: self._wpp[k] for k in keys if k in self._wpp}
+        miss = [k for k in dict.fromkeys(keys) if k not in found]
+        if miss:
+            values = wasserstein_many([(self(s), self(t)) for s, t, _ in miss], p).tolist()
+            self._keep_wpp([k[:2] for k in miss], values, p)
+            found.update(zip(miss, values))
+        return [found[k] for k in keys]
 
 
 @dataclass(frozen=True)
@@ -266,30 +308,34 @@ def _lift_from_multicoupling(mc: transport.MultiCoupling, n: int) -> Lift:
     return _lift_from_breakpoints(mc.marginals[0].space, X, mc.weights, n, mc)
 
 
-def _charge_breakpoints(n) -> None:
-    """Charge the 2^n + 1 breakpoints of each path of a level-n lift
-    against `transport.product_budget()`, as inf from n = 1024 on, before
-    anything is allocated."""
+def _charge_breakpoints(n) -> int:
+    """The lift level n as a Python int, once it is an integer >= 0
+    (ValidationError) and the 2^n + 1 breakpoints of each path of a
+    level-n lift fit `transport.product_budget()` (BudgetExceededError,
+    counted as inf from n = 1024 on), before anything is allocated."""
+    norms._check_count(n, "n", 0)
+    n = int(n)
     transport._charge(2**n + 1 if n < 1024 else np.inf, "lift breakpoints per path")
+    return n
 
 
 def _glued_chain(curve: WassersteinCurve, n: int, p: float):
-    """The level-n dyadic times, the measures there, the left-to-right glue
-    of the consecutive optimal couplings, and those couplings' costs.  The
-    2^n couplings come from one batch (`transport._optimal_couplings`).
-    The level's breakpoints are charged first (`_charge_breakpoints`)."""
-    _charge_breakpoints(n)
+    """The level-n dyadic times, the measures there, and the left-to-right
+    glue of the consecutive optimal couplings.  The 2^n couplings come from
+    one batch (`transport._optimal_couplings`), and their costs go into the
+    curve's W_p^p memo.  n is a level `_charge_breakpoints` has passed."""
     ts = dyadic_times(n)
     mus = [curve(t) for t in ts]
     plans = transport._optimal_couplings(zip(mus, mus[1:]), p)
-    mc = glue_chain([c for c, _ in plans], labels=tuple(ts))
-    return ts, mus, mc, [cost for _, cost in plans]
+    curve._keep_wpp(zip(ts, ts[1:]), [cost for _, cost in plans], p)
+    return ts, mus, glue_chain([c for c, _ in plans], labels=tuple(ts))
 
 
 def construct_lift_A(curve: WassersteinCurve, n: int, p: float) -> Lift:
     """Optimal coupling on each consecutive dyadic pair, glued left-to-right,
     then geodesic interpolation.  Only consecutive 2-D marginals are pinned
     to be optimal."""
+    n = _charge_breakpoints(n)
     return _lift_from_multicoupling(_glued_chain(curve, n, p)[2], n)
 
 
@@ -303,18 +349,17 @@ def construct_lift_B(curve: WassersteinCurve, n: int, p: float) -> Lift:
     (`transport._certificate`) decides, and a refused one raises
     IncompatibleCurveError with the report.  Both pass the one check of
     every compatibility certificate, `transport._certify`, against the
-    pattern's W_p^p, computed once: the chain's plan costs for consecutive
-    pairs, one `wasserstein_many` call for the rest.  The chain passes at
+    pattern's W_p^p, read from the curve's memo: the chain's plan costs for
+    consecutive pairs, and for the rest what earlier levels or checks
+    solved, the misses in one `wasserstein_many` call.  The chain passes at
     tol 1e-10, the certificate at FEASIBILITY_TOL: marginals to
     FEASIBILITY_TOL, total excess <= tol * max(1, sum of the W_p^p), and
     each pair's excess <= tol * max(1, its W_p^p).
     """
-    ts, mus, mc, chain_costs = _glued_chain(curve, n, p)
+    n = _charge_breakpoints(n)
+    ts, mus, mc = _glued_chain(curve, n, p)
     pattern = dyadic_pattern_pairs(n)
-    far = [(i, j) for (i, j) in pattern if j > i + 1]
-    opt = dict(zip(far, wasserstein_many([(mus[i], mus[j]) for (i, j) in far], p)))
-    opt.update(((k, k + 1), cost) for k, cost in enumerate(chain_costs))
-    pair_opt = {pr: float(opt[pr]) for pr in pattern}
+    pair_opt = dict(zip(pattern, curve._wpp_many([(ts[i], ts[j]) for i, j in pattern], p)))
     report = transport._certify(mus, p, pair_opt, 1e-10, ts, (mc.indices, mc.weights, None, 0))
     if not report.feasible:
         candidate = transport._certificate(mus, pattern, p)
@@ -340,9 +385,10 @@ def marginal_check(lift: Lift, curve: WassersteinCurve, times, p: float, tol: fl
 def pairwise_optimality_check(
     lift: Lift, curve: WassersteinCurve, pairs, p: float, tol: float
 ):
-    """For each time pair (s,t): lift transport cost vs W_p^p(mu_s, mu_t)."""
+    """For each time pair (s,t): lift transport cost vs W_p^p(mu_s, mu_t),
+    read from the curve's memo (`WassersteinCurve._wpp_many`)."""
     pairs, gaps = list(pairs), {}
-    opt = wasserstein_many([(curve(s), curve(t)) for (s, t) in pairs], p)
+    opt = curve._wpp_many(pairs, p)
     X = lift.points_at([t for pair in pairs for t in pair])
     X = X.reshape(len(lift.paths), len(pairs), 2, lift.space.dim)
     # one contiguous row of K path distances per pair, so that each pair's
@@ -350,7 +396,7 @@ def pairwise_optimality_check(
     d = np.ascontiguousarray(spaces._distance_arrays(lift.space, X[..., 0, :], X[..., 1, :]).T)
     for (s, t), wpp, row in zip(pairs, opt, d):
         cost = float(np.sum(lift.weights * row**p))
-        gaps[(float(s), float(t))] = cost - float(wpp)
+        gaps[(float(s), float(t))] = cost - wpp
     worst = max(gaps.values()) if gaps else 0.0
     return {"gaps": gaps, "max_gap": worst, "passed": worst <= tol}
 

@@ -23,6 +23,8 @@ class DiscreteMeasure:
         return self.atoms.shape[0]
 
     def __eq__(self, other):
+        if self is other:  # a curve's cached measure meets itself often
+            return True
         if not isinstance(other, DiscreteMeasure):
             return NotImplemented
         return (

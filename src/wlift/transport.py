@@ -7,8 +7,8 @@ pair by the first rule that applies:
   2. a point mass on either side: its only coupling, in closed form;
   3. the real line, euclidean(1): the monotone plan, optimal for every
      p >= 1, with no cost matrix, nearest-neighbour blocks, assignment or
-     LP (`_line_plan`, the two-measure case of `_comonotone`).  A value
-     takes only its cost, O(n + m): 0.15-0.25 ms for 1000 atoms;
+     LP (`_line_plans`, the two-measure case of `_comonotone`, for all of
+     a call's line pairs at once, grouped by atom counts);
   4. nearest-neighbour blocks (`_nearest_split`): a partition of the atoms
      into blocks (R_k, C_k) that an optimal plan need not cross, read off
      the cost matrix: each row with its nearest column, each column with
@@ -217,6 +217,12 @@ _PRICED_PER_ROW = 4
 # balanced partition (`_nearest_split`): the rounding of a few thousand
 # weights summed, and far below MARGINAL_TOL
 _BALANCE_TOL = 1e-13
+# most (tuple, pair) distances one `pair_cost` call of `_certify` computes:
+# every pinned pair of a certificate at once, unless it has so many tuples
+# that the distance arrays would take more than a few MiB (a seeded random
+# 4-atom circle curve's level-5 certificate has 644 112 tuples and 63
+# pinned pairs, 41 million distances, over 1 GiB of arrays in one call)
+_COST_ENTRIES = 2**18
 # glued tuples of weight at most this are dropped (`_glue`)
 _GLUE_PRUNE = 1e-15
 # `highs`: this thread's HiGHS solver, reused from LP to LP (`_solver`)
@@ -304,12 +310,17 @@ class MultiCoupling:
         np.add.at(W, (self.indices[:, i], self.indices[:, j]), self.weights)
         return Coupling(mi, mj, W)
 
-    def pair_cost(self, i: int, j: int, p: float) -> float:
-        mi, mj = self.marginals[i], self.marginals[j]
-        d = spaces._distance_arrays(
-            mi.space, mi.atoms[self.indices[:, i]], mj.atoms[self.indices[:, j]]
-        )
-        return float(np.sum(self.weights * d**p))
+    def pair_cost(self, i, j, p: float):
+        """Cost of the 2-D marginal onto components (i, j); for index
+        arrays i and j, the array of every pair's cost, from one distance
+        call.  Each pair's distances form one contiguous row, so its power
+        and sum run exactly as on the scalar form's 1-D array."""
+        offsets = np.cumsum([0] + [mu.size for mu in self.marginals])
+        atoms = np.concatenate([mu.atoms for mu in self.marginals])
+        ends = [atoms[(self.indices[:, k] + offsets[k]).T] for k in (i, j)]
+        d = spaces._distance_arrays(self.marginals[0].space, *ends)
+        cost = np.sum(self.weights * d**p, axis=-1)
+        return float(cost) if cost.ndim == 0 else cost
 
 
 @dataclass(frozen=True)
@@ -472,16 +483,33 @@ def _optimal_couplings(pairs, p: float):
 
 
 def _quantile_tuples(weights):
-    """The quantile tuples of weight vectors that each sum to 1, each in its
-    atoms' increasing order: the cumulative weights are merged into one
+    """The quantile tuples of N weight vectors that each sum to 1, each in
+    its atoms' increasing order: the cumulative weights are merged into one
     grid u on [0, 1], and tuple k holds, per vector, the atom whose
-    quantile interval holds (u_k, u_k+1], found by one `searchsorted`.
-    Returns (indices (T, N), weights (T,) = diff(u)), T = sum(n_i - 1) + 1;
-    a weight is 0 where breakpoints of two vectors coincide."""
-    cums = [np.cumsum(wts)[:-1] for wts in weights]
-    u = np.concatenate([[0.0], np.sort(np.concatenate(cums)), [1.0]])
-    idx = np.column_stack([np.searchsorted(c, u[:-1], side="right") for c in cums])
-    return idx, np.diff(u)
+    quantile interval holds (u_k, u_k+1].  Returns (indices (T, N), weights
+    (T,) = diff(u)), T = sum(n_i - 1) + 1; a weight is 0 where breakpoints
+    coincide.  Given (G, n_i) arrays, G rows of N vectors, it returns
+    (G, T, N) and (G, T), each row as it would be alone, bit for bit.
+
+    A vector's atom at u_k is the count of its cumulative weights <= u_k
+    (what `searchsorted` finds).  Each row takes one cumsum per vector and
+    one stable sort, and reads that count at the end of u_k's run of equal
+    values in the sorted row, where it is the number of the vector's
+    entries so far: O(T log T) per row, as one `searchsorted` per vector."""
+    rows = [np.atleast_2d(wts) for wts in weights]
+    cums = np.concatenate([np.cumsum(wts, axis=1)[:, :-1] for wts in rows], axis=1)
+    G, L = cums.shape
+    order = np.argsort(cums, axis=1, kind="stable")
+    grid = np.sort(cums, axis=1)
+    end = np.ones((G, L), dtype=bool)
+    end[:, :-1] = grid[:, 1:] != grid[:, :-1]
+    last = np.minimum.accumulate(np.where(end, np.arange(L), L)[:, ::-1], axis=1)[:, ::-1]
+    vector = np.repeat(np.arange(len(rows)), [wts.shape[1] - 1 for wts in rows])[order]
+    counts = np.cumsum(vector[..., None] == np.arange(len(rows)), axis=1)  # (G, L, N)
+    idx = np.zeros((G, L + 1, len(rows)), dtype=np.intp)  # u_0 = 0 has no weight below it
+    idx[:, 1:] = counts[np.arange(G)[:, None], last]
+    wts = np.diff(np.concatenate([np.zeros((G, 1)), grid, np.ones((G, 1))], axis=1), axis=1)
+    return (idx[0], wts[0]) if np.ndim(weights[0]) == 1 else (idx, wts)
 
 
 def _comonotone(measures):
@@ -491,16 +519,31 @@ def _comonotone(measures):
     return _quantile_tuples([mu.weights for mu in measures])
 
 
-def _line_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
-    """The monotone plan of two measures on the real line, their comonotone
-    coupling (`_comonotone`), optimal for |x - y|^p for every p >= 1, and
-    its cost W_p^p.  Returns (indices (T, 2), weights (T,), cost); a tuple
-    can repeat another with weight 0 where breakpoints coincide.  Its
-    support is a staircase path, so it is a vertex of the transport
-    polytope."""
-    idx, wts = _comonotone([mu, nu])
-    d = np.abs(mu.atoms[idx[:, 0], 0] - nu.atoms[idx[:, 1], 0])
-    return idx, wts, float(np.dot(wts, d**p))
+def _line_plans(pairs, p: float):
+    """The monotone plan of each pair (mu, nu) of measures on the real line
+    with at least two atoms a side, their comonotone coupling
+    (`_comonotone`), optimal for |x - y|^p for every p >= 1, and its cost
+    W_p^p.  Returns one (indices (T, 2), weights (T,), cost) per pair, in
+    order; a tuple can repeat another with weight 0 where cumulative
+    weights coincide.  Its support is a staircase path, so it is a vertex
+    of the transport polytope.  The pairs are grouped by their atom counts,
+    and each group's tuples come from one `_quantile_tuples` call; each
+    cost is one `np.dot` of the pair's own row, so tuples, weights and
+    costs equal those of the pair alone bit for bit."""
+    out = [None] * len(pairs)
+    groups = {}
+    for k, (mu, nu) in enumerate(pairs):
+        groups.setdefault((mu.size, nu.size), []).append(k)
+    for ks in groups.values():
+        sides = list(zip(*(pairs[k] for k in ks)))
+        idx, wts = _quantile_tuples([np.stack([mu.weights for mu in side]) for side in sides])
+        rows = np.arange(len(ks))[:, None]
+        x, y = (np.stack([mu.atoms[:, 0] for mu in side])[rows, idx[..., v]]
+                for v, side in enumerate(sides))
+        dp = np.abs(x - y) ** p
+        for g, k in enumerate(ks):
+            out[k] = idx[g], wts[g], float(np.dot(wts[g], dp[g]))
+    return out
 
 
 def _balanced(x, y) -> bool:
@@ -630,29 +673,28 @@ def _assigned(W, at, block) -> bool:
 
 def _plans(pairs, p: float):
     """Yield (k, plan, cost) for the k-th pair (mu, nu) of `pairs`: a point
-    mass on either side by its only coupling; a pair on the real line by
-    its monotone plan (`_line_plan`); every other pair through
-    `_nearest_split`, which settles it in closed form or leaves blocks of
-    it, or the whole pair if it certifies no partition.  An equal-weight
-    square block is settled by an optimal assignment (`_assigned`).  The
-    rest wait, in pair order, for one block-diagonal LP of at most
-    _LP_COLUMNS plan entries (a wider pair's blocks run alone): a pair
-    whose n m entries would not fit beside the waiting blocks has them
-    solved first (`_solve_waiting`).  So the cost matrices alive are the
-    waiting blocks and one pair's, however long the pair list.  The one
-    plan dispatch behind `_optimal_couplings` and `wasserstein_many`."""
-    waiting, width = [], 0
+    mass on either side by its only coupling; the pairs on the real line
+    by their monotone plans, from one `_line_plans` call after the rest;
+    every other pair through `_nearest_split`, which settles it in closed
+    form or leaves blocks of it, or the whole pair if it certifies no
+    partition.  An equal-weight square block is settled by an optimal
+    assignment (`_assigned`).  The rest wait, in pair order, for one
+    block-diagonal LP of at most _LP_COLUMNS plan entries (a wider pair's
+    blocks run alone): a pair whose n m entries would not fit beside the
+    waiting blocks has them solved first (`_solve_waiting`).  So the cost
+    matrices alive are the waiting blocks and one pair's, however long
+    the pair list.  The one plan dispatch behind `_optimal_couplings` and
+    `wasserstein_many`."""
+    waiting, width, line = [], 0, []
     for k, (mu, nu) in enumerate(pairs):
         if mu.size == 1 or nu.size == 1:
             W = _point_mass_plan(mu, nu)
             yield k, W, float(np.sum(W * _cost_matrix(mu, nu, p)))
             continue
-        n, m = mu.size, nu.size
         if _on_line(mu.space):
-            idx, wts, cost = _line_plan(mu, nu, p)
-            # a tuple can repeat with weight 0, so its weights are summed
-            yield k, np.bincount(idx[:, 0] * m + idx[:, 1], wts, n * m).reshape(n, m), cost
+            line.append(k)
             continue
+        n, m = mu.size, nu.size
         if waiting and width + n * m > _LP_COLUMNS:
             yield from _solve_waiting(waiting)
             waiting, width = [], 0
@@ -671,6 +713,12 @@ def _plans(pairs, p: float):
         width += sum(block[0].size for _, block in blocks)
     if waiting:
         yield from _solve_waiting(waiting)
+    if not line:  # an empty batch costs ~1 us, which every call off the line would pay
+        return
+    for k, (idx, wts, cost) in zip(line, _line_plans([pairs[k] for k in line], p)):
+        n, m = pairs[k][0].size, pairs[k][1].size
+        # a tuple can repeat with weight 0, so its weights are summed
+        yield k, np.bincount(idx[:, 0] * m + idx[:, 1], wts, n * m).reshape(n, m), cost
 
 
 def _solve_waiting(waiting):
@@ -703,16 +751,16 @@ def wasserstein_many(pairs, p: float) -> np.ndarray:
     _check_exponent(p)
     pairs = list(pairs)
     out = np.zeros(len(pairs))
-    rest = []
+    line, rest = [], []
     for k, (mu, nu) in enumerate(pairs):
         check_same_space(mu, nu)
         if measures_equal(mu, nu):
             continue
         # a point mass keeps its direct coupling (`_plans`), on the line too
-        if _on_line(mu.space) and mu.size > 1 and nu.size > 1:
-            out[k] = _line_plan(mu, nu, p)[2]
-        else:
-            rest.append(k)
+        (line if _on_line(mu.space) and mu.size > 1 and nu.size > 1 else rest).append(k)
+    if line:
+        for k, (_, _, cost) in zip(line, _line_plans([pairs[k] for k in line], p)):
+            out[k] = cost
     for i, _, cost in _plans([pairs[k] for k in rest], p):
         out[rest[i]] = cost
     return np.maximum(out, 0.0)
@@ -911,13 +959,19 @@ def _certify(measures, p: float, pair_opt, tol: float, labels, candidate) -> Com
     independently of any LP's objective value and tolerances: the one place
     that compares pair costs with the optima `pair_opt` {(i, j): W_p^p}.
     `candidate` is (indices, weights, LP objective or None, LP columns), as
-    `_certificate` returns.  It is accepted iff its 1-D marginals hold to
+    `_certificate` returns.  The pinned pairs' costs come from one
+    `pair_cost` call over index arrays, split only where one call would
+    hold more than _COST_ENTRIES (tuple, pair) distances.  It is accepted iff its 1-D marginals hold to
     FEASIBILITY_TOL, its total excess over the optima (the LP's least total
     excess when an LP ran) is <= tol * max(1, sum of the optima), and each
     pair's excess is <= tol * max(1, that pair's W_p^p)."""
     idx, wts, objective, columns = candidate
     cand = MultiCoupling(tuple(measures), idx, wts, tuple(labels))
-    excess = {pr: cand.pair_cost(*pr, p) - wpp for pr, wpp in pair_opt.items()}
+    pinned = np.array(list(pair_opt), dtype=np.intp).reshape(-1, 2)
+    step = max(1, _COST_ENTRIES // max(1, wts.size))
+    costs = [c for at in range(0, len(pinned), step)
+             for c in cand.pair_cost(*pinned[at:at + step].T, p).tolist()]
+    excess = {pr: cost - wpp for (pr, wpp), cost in zip(pair_opt.items(), costs)}
     total_opt = sum(pair_opt.values())
     gap = float(sum(excess.values()) if objective is None else objective - total_opt)
     marginal_res = cand.marginal_error()

@@ -435,3 +435,25 @@ def test_option_prefix_is_input_error(capsys, argv, option):
 def test_non_finite_family_parameter_is_input_error(capsys):
     assert main(["example", "oscillating_tents", "--param", "a=nan"]) == EXIT_INPUT
     assert "parameter a expects a finite number" in capsys.readouterr().err
+
+
+def test_out_overwrites_a_longer_file_in_place(tmp_path):
+    """A report written over a longer one leaves none of its tail; the file
+    is overwritten in place and cut to the new length."""
+    out = tmp_path / "out.json"
+    serialize.dump_json({"rows": list(range(500))}, str(out))
+    inode = out.stat().st_ino
+    serialize.dump_json({"rows": [1]}, str(out))
+    assert json.loads(out.read_text()) == {"rows": [1]} and out.stat().st_ino == inode
+    serialize.dump_csv([{"a": 1, "b": 2}] * 50, ["a", "b"], str(out))
+    serialize.dump_csv([{"a": 3, "b": 4}], ["a", "b"], str(out))
+    assert out.read_bytes() == b"a,b\r\n3,4\r\n"
+
+
+def test_out_to_dev_null_is_exit_0(line_measures, capsys):
+    fmu, fnu = line_measures
+    for fmt in ("json", "csv"):
+        argv = ["lift", "--family", "two_tent", "--levels", "1..2", "--format", fmt]
+        assert main(argv + ["--out", "/dev/null"]) == EXIT_OK
+    assert main(["ot", "--mu", fmu, "--nu", fnu, "--p", "2", "--out", "/dev/null"]) == EXIT_OK
+    assert capsys.readouterr().out == ""

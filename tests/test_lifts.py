@@ -222,11 +222,93 @@ def test_construct_B_computes_each_pattern_optimum_once(monkeypatch):
     assert counts == [7]
     rng = np.random.default_rng(301)
     sp = w.euclidean(2)
-    curve = geodesic_curve(sp, random_measure(rng, sp, 4), random_measure(rng, sp, 4), 2.0)
+    mu, nu = random_measure(rng, sp, 4), random_measure(rng, sp, 4)
     for n in (1, 2, 3, 4):
         counts.clear()
-        w.construct_lift_B(curve, n, 2.0)
+        w.construct_lift_B(geodesic_curve(sp, mu, nu, 2.0), n, 2.0)
         assert counts == [2**n - 1]
+
+
+def test_level_sweep_on_one_curve_solves_each_pattern_pair_once(monkeypatch):
+    """Level n's dyadic pattern holds level n - 1's, so lift B at levels
+    1..4 on one curve solves each pair of level 4's pattern once: the
+    consecutive pairs as each level's glued chain, the far pairs from the
+    curve's memo; the pattern checks after each build solve nothing."""
+    rng = np.random.default_rng(302)
+    sp = w.euclidean(2)
+    curve = geodesic_curve(sp, random_measure(rng, sp, 4), random_measure(rng, sp, 4), 2.0)
+    solved = []
+    many, couplings = w.transport.wasserstein_many, w.transport._optimal_couplings
+
+    def spy(solve):
+        def run(pairs, p):
+            pairs = list(pairs)
+            solved.extend(pairs)
+            return solve(pairs, p)
+        return run
+
+    monkeypatch.setattr(w.lifts, "wasserstein_many", spy(many))
+    monkeypatch.setattr(w.transport, "_optimal_couplings", spy(couplings))
+    for n in (1, 2, 3, 4):
+        lift = w.construct_lift_B(curve, n, 2.0)
+        ts = dyadic_times(n)
+        pattern = [(ts[i], ts[j]) for i, j in w.transport.dyadic_pattern_pairs(n)]
+        assert w.pairwise_optimality_check(lift, curve, pattern, 2.0, 1e-8)["passed"]
+    ts = dyadic_times(4)
+    time_of = {id(curve(t)): t for t in ts}
+    got = sorted((time_of[id(a)], time_of[id(b)]) for a, b in solved)
+    assert got == sorted((ts[i], ts[j]) for i, j in w.transport.dyadic_pattern_pairs(4))
+
+
+@pytest.mark.parametrize("family", [w.two_tent(), w.circle_splitting(1)], ids=["line", "circle"])
+def test_pairwise_check_after_lift_B_requests_no_wpp(monkeypatch, family):
+    curve = w.make_curve(family)
+    lift = w.construct_lift_B(curve, 2, 2.0)
+    counts = requested_wpp(monkeypatch)
+    ts = dyadic_times(2)
+    pattern = [(ts[i], ts[j]) for i, j in w.transport.dyadic_pattern_pairs(2)]
+    report = w.pairwise_optimality_check(lift, curve, pattern, 2.0, 1e-8)
+    assert counts == [] and report["passed"] and len(report["gaps"]) == len(pattern)
+
+
+def test_curve_wpp_memo_is_symmetric_and_keeps_p_apart(monkeypatch):
+    rng = np.random.default_rng(303)
+    sp = w.circle(2.0)
+    mus = {t: random_measure(rng, sp, 4) for t in (0.0, 0.5, 1.0)}
+    curve = w.WassersteinCurve(sp, lambda t: mus[t])
+    want = {(a, b, p): w.wasserstein_power(mus[a], mus[b], p)
+            for a, b in ((0.0, 0.5), (0.5, 1.0)) for p in (1.0, 2.0)}
+    counts = requested_wpp(monkeypatch)
+    # a batch may move a value's last bits (see wasserstein_many), so the
+    # solved values are compared to a tolerance, the memoised ones exactly
+    got = curve._wpp_many([(0.0, 0.5), (1.0, 0.5), (0.5, 0.0)], 2.0)
+    assert got == pytest.approx([want[0.0, 0.5, 2.0], want[0.5, 1.0, 2.0], want[0.0, 0.5, 2.0]],
+                                rel=1e-12)
+    assert counts == [2] and got[0] == got[2]  # each pair once, either way round
+    assert curve._wpp_many([(0.5, 1.0), (0.5, 0.0)], 2.0) == got[1::-1]
+    assert counts == [2]
+    other = curve._wpp_many([(0.5, 0.0), (1.0, 0.5)], 1.0)
+    assert other == pytest.approx([want[0.0, 0.5, 1.0], want[0.5, 1.0, 1.0]], rel=1e-12)
+    assert counts == [2, 2]  # another p is another value
+    assert curve._wpp_many([(0.0, 0.5), (0.5, 1.0)], 1.0) == other and counts == [2, 2]
+    assert curve._wpp_many([(0.0, 0.5)], 2.0) == got[:1] and counts == [2, 2]
+
+
+def test_curve_wpp_memo_evicts_its_oldest_entry_at_the_cap(monkeypatch):
+    """The memo keeps the latest 4096 pairs (the measure cache's cap), and a
+    request holding more misses than that still gets every value."""
+    curve = w.WassersteinCurve(w.euclidean(1), lambda t: w.dirac(w.euclidean(1), [t]))
+    counts = requested_wpp(monkeypatch)
+    ts = np.arange(4098) / 4097
+    pairs = [(0.0, t) for t in ts[1:]]
+    assert curve._wpp_many(pairs, 1.0) == [t for t in ts[1:]]
+    assert counts == [4097]
+    assert curve._wpp_many(pairs[1:], 1.0) == [t for t in ts[2:]]
+    assert counts == [4097]
+    assert curve._wpp_many(pairs[:1], 1.0) == [ts[1]]
+    assert counts == [4097, 1]  # the oldest was evicted; solving it again evicts the next
+    assert curve._wpp_many(pairs[1:2], 1.0) == [ts[2]]
+    assert counts == [4097, 1, 1]
 
 
 def antipodal_pair_measure(deg):
@@ -653,3 +735,30 @@ def test_lift_energy_base_point_adds_the_start_moment(space, spec):
     with_base = w.lift_energy(lift, spec(x0))
     want = w.lift_energy(lift, spec(None)) + w.p_moment(lift.marginal_at(0.0), x0, 2.5)
     assert with_base == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2.5, True, -1, "3", None])
+def test_lift_levels_must_be_integers_at_least_0(n):
+    """A level is an integer >= 0 (a float or a bool is not) for both
+    constructions and `KnownLift.discretize`, before anything is built."""
+    curve = w.make_curve(w.two_tent())
+    for build in (lambda m: w.construct_lift_A(curve, m, 2.0),
+                  lambda m: w.construct_lift_B(curve, m, 2.0),
+                  w.known_lift(w.two_tent()).discretize):
+        with pytest.raises(w.ValidationError, match="n must be an integer >= 0"):
+            build(n)
+
+
+def test_numpy_integer_lift_levels_are_charged_in_python_integers():
+    """2^100 + 1 in int64 wraps to 1; the level is charged as a Python int,
+    and a numpy level inside the budget builds the same lift as an int."""
+    curve = w.make_curve(w.two_tent())
+    for build in (lambda m: w.construct_lift_A(curve, m, 2.0),
+                  lambda m: w.construct_lift_B(curve, m, 2.0),
+                  w.known_lift(w.two_tent()).discretize):
+        with pytest.raises(w.BudgetExceededError,
+                           match=f"lift breakpoints per path {2**100 + 1} exceeds"):
+            build(np.int64(100))
+        lift, want = build(np.int64(3)), build(3)
+        assert type(lift.level) is int and lift.level == 3
+        assert np.array_equal(lift.breakpoints, want.breakpoints)

@@ -106,3 +106,13 @@ def test_non_finite_weights_and_exponents_rejected():
             w.p_moment(mu, [0.0], p)
         with pytest.raises(w.ValidationError):
             w.besov_energy_pg(w.geodesic_segment(sp, [0.0], [1.0]), 0.75, p)
+
+
+def test_a_measure_equals_itself_without_comparing_arrays():
+    """`==` returns True at once for the same object (a curve's cached
+    measure meets itself in glued chains): a measure whose atom is NaN,
+    which `np.array_equal` calls unequal to itself, still equals itself."""
+    sp = w.euclidean(1)
+    mu = w.DiscreteMeasure(sp, np.array([[np.nan]]), np.array([1.0]))
+    assert mu == mu and w.measures_equal(mu, mu)
+    assert mu != w.DiscreteMeasure(sp, np.array([[np.nan]]), np.array([1.0]))

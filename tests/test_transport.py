@@ -1611,3 +1611,85 @@ def test_budget_on_tree_lp_is_cli_exit_3(monkeypatch, capsys):
     assert "LP columns 448 exceeds budget 400" in capsys.readouterr().err
     monkeypatch.delenv("WLIFT_BUDGET")
     assert main(argv) == EXIT_NEGATIVE
+
+
+def _searchsorted_line_plan(mu, nu, p):
+    """One pair's monotone plan as the quantile tuples of its two weight
+    vectors, each side's index by one `searchsorted`."""
+    cums = [np.cumsum(m.weights)[:-1] for m in (mu, nu)]
+    u = np.concatenate([[0.0], np.sort(np.concatenate(cums)), [1.0]])
+    idx = np.column_stack([np.searchsorted(c, u[:-1], side="right") for c in cums])
+    wts = np.diff(u)
+    d = np.abs(mu.atoms[idx[:, 0], 0] - nu.atoms[idx[:, 1], 0])
+    return idx, wts, float(np.dot(wts, d**p))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_line_plans_match_a_per_pair_searchsorted_reference(p):
+    """Batched over pairs of mixed atom counts, each pair's tuples, weights
+    and cost equal its own searchsorted plan bit for bit; pairs with equal
+    weight vectors, or with a tiny weight that leaves a cumulative weight
+    where it was, have coinciding cumulative weights and so tuples of
+    weight 0."""
+    rng = np.random.default_rng(281)
+    sp = w.euclidean(1)
+    pairs = []
+    for _ in range(120):
+        n, m = rng.integers(2, 7, size=2)
+        mu = random_measure(rng, sp, n)
+        nu = random_measure(rng, sp, m)
+        kind = rng.integers(3)
+        if kind == 1:  # the same weights on other atoms
+            nu = w.make_measure(sp, rng.normal(size=(mu.size, 1)), mu.weights)
+        elif kind == 2:  # a weight below the rounding of its cumulative sum
+            wts = np.full(n, 1.0 / (n - 1))
+            wts[-1] = 1e-17
+            mu = w.make_measure(sp, rng.normal(size=(n, 1)), wts / wts.sum())
+        pairs.append((mu, nu))
+    got = w.transport._line_plans(pairs, p)
+    zero_weight = 0
+    for (mu, nu), (idx, wts, cost) in zip(pairs, got):
+        want_idx, want_wts, want_cost = _searchsorted_line_plan(mu, nu, p)
+        assert np.array_equal(idx, want_idx) and idx.shape == want_idx.shape
+        assert wts.tobytes() == want_wts.tobytes()
+        assert cost == want_cost
+        zero_weight += np.count_nonzero(wts == 0)
+    assert zero_weight >= 40
+    assert w.transport._line_plans([], p) == []
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.dim}")
+def test_pair_cost_takes_index_arrays(space):
+    """The array form of `pair_cost` gives each pair the scalar form's cost
+    bit for bit, on a glued chain of random measures."""
+    rng = np.random.default_rng(283)
+    mus = [random_measure(rng, space, n) for n in (3, 5, 2, 4, 6)]
+    plans = w.transport._optimal_couplings(zip(mus, mus[1:]), 2.0)
+    mc = w.glue_chain([c for c, _ in plans])
+    pinned = w.transport.all_pairs(len(mus))
+    for p in (1.0, 1.5, 2.0, 3.0):
+        i, j = np.array(pinned).T
+        got = mc.pair_cost(i, j, p)
+        assert got.shape == (len(pinned),)
+        assert got.tolist() == [mc.pair_cost(a, b, p) for a, b in pinned]
+        assert isinstance(mc.pair_cost(0, 4, p), float)
+    assert mc.pair_cost(np.array([], int), np.array([], int), 2.0).shape == (0,)
+
+
+@pytest.mark.parametrize("entries", [1, 40, 2**18])
+def test_certify_prices_pinned_pairs_alike_in_any_split(monkeypatch, entries):
+    """`_certify` prices the pinned pairs in one `pair_cost` call, or in
+    slices of at most _COST_ENTRIES (tuple, pair) distances; every split
+    gives each pair the scalar form's cost, so the same report."""
+    rng = np.random.default_rng(285)
+    sp = w.circle(2.0)
+    ms = [random_measure(rng, sp, 3) for _ in range(5)]
+    pairs = w.transport.dyadic_pattern_pairs(2)
+    candidate = w.transport._certificate(ms, pairs, 2.0)
+    opt = w.wasserstein_many([(ms[i], ms[j]) for i, j in pairs], 2.0)
+    pair_opt = {pr: float(v) for pr, v in zip(pairs, opt)}
+    monkeypatch.setattr(w.transport, "_COST_ENTRIES", entries)
+    report = w.transport._certify(ms, 2.0, pair_opt, 1e-8, (), candidate)
+    mc = w.transport.MultiCoupling(tuple(ms), *candidate[:2])
+    want = max(mc.pair_cost(i, j, 2.0) - v for (i, j), v in pair_opt.items())
+    assert report.pair_residual == want
